@@ -8,6 +8,7 @@
 package impress_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -87,13 +88,13 @@ func BenchmarkFigure12(b *testing.B) {
 
 func BenchmarkEquation5WorstCase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		render(b, experiments.ImpressNWorstCase())
+		render(b, experiments.ImpressNWorstCase(experiments.NewRunner(benchScale())))
 	}
 }
 
 func BenchmarkFigure18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure18())
+		render(b, experiments.Figure18(experiments.NewRunner(benchScale())))
 	}
 }
 
@@ -111,7 +112,7 @@ func BenchmarkStorageTable(b *testing.B) {
 
 func BenchmarkSecuritySummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		render(b, experiments.SecuritySummary())
+		render(b, experiments.SecuritySummary(experiments.NewRunner(benchScale())))
 	}
 }
 
@@ -182,7 +183,9 @@ func benchmarkPrefetch(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchScale())
 		r.Parallelism = parallelism
-		r.Prefetch(prefetchBenchSpecs(r))
+		if err := r.PrefetchContext(context.Background(), prefetchBenchSpecs(r)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -205,13 +208,15 @@ func benchmarkRunClock(b *testing.B, clock impress.SimClockMode) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lab := newLab(b)
 	for i := 0; i < b.N; i++ {
 		cfg := impress.DefaultSimConfig(w, impress.NewDesign(impress.NoRP), impress.TrackerNone)
 		cfg.WarmupInstructions = 10_000
 		cfg.RunInstructions = 50_000
 		cfg.Clock = clock
-		//lint:ignore SA1019 the benchmark pins the deprecated wrapper's cost
-		impress.RunSim(cfg)
+		if _, err := lab.Run(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -222,7 +227,7 @@ func BenchmarkRunCycleAccurate(b *testing.B) { benchmarkRunClock(b, impress.SimC
 
 func BenchmarkPRACTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		render(b, experiments.PRACTable())
+		render(b, experiments.PRACTable(experiments.NewRunner(benchScale())))
 	}
 }
 
@@ -234,6 +239,6 @@ func BenchmarkRelatedWorkDSAC(b *testing.B) {
 
 func BenchmarkAblationRFMPacing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		render(b, experiments.AblationRFMPacing())
+		render(b, experiments.AblationRFMPacing(experiments.NewRunner(benchScale())))
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -37,5 +39,41 @@ func TestParseTrackerUnknownIsTyped(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list registered tracker %q", err, name)
 		}
+	}
+}
+
+// TestSearchReportsInterrupt pins the strategy search to the signal
+// context: a cancelled search exits 1 with the same interrupt report as
+// a cancelled single-pattern run, instead of running to completion.
+func TestSearchReportsInterrupt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, pattern := range []string{"search", "rowpress"} {
+		var stdout, stderr bytes.Buffer
+		code := run(ctx, []string{"-pattern", pattern}, &stdout, &stderr)
+		if code != 1 {
+			t.Errorf("-pattern %s under a cancelled context: exit %d, want 1 (stderr %q)", pattern, code, stderr.String())
+		}
+		if !strings.HasPrefix(stderr.String(), "interrupted: ") {
+			t.Errorf("-pattern %s: stderr %q lacks the interrupt report", pattern, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-pattern %s: cancelled run printed results:\n%s", pattern, stdout.String())
+		}
+	}
+}
+
+// TestRunExitCodes: a completed search exits 0 and names its worst
+// case; unknown patterns exit 2.
+func TestRunExitCodes(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-pattern", "search", "-design", "impress-p"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("search exit %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "worst case: ") {
+		t.Errorf("search output lacks the worst-case line:\n%s", stdout.String())
+	}
+	if code := run(context.Background(), []string{"-pattern", "bogus"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown pattern exit %d, want 2", code)
 	}
 }

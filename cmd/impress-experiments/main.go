@@ -200,7 +200,8 @@ func cacheSummary(counts *simcli.Counts, store *resultstore.Store) string {
 
 // parseShard parses a 1-based "i/n" shard spec, rejecting anything but
 // exactly two integers (a typo like "1/2/8" must not silently run as
-// shard 1 of 2 and skew a fleet's partition).
+// shard 1 of 2 and skew a fleet's partition). Range checks belong to
+// Runner.ShardSpecs.
 func parseShard(s string) (index, count int, err error) {
 	before, after, ok := strings.Cut(s, "/")
 	if ok {
@@ -211,9 +212,6 @@ func parseShard(s string) (index, count int, err error) {
 	}
 	if !ok || err != nil {
 		return 0, 0, fmt.Errorf("malformed -shard %q (want i/n, e.g. 1/4)", s)
-	}
-	if count < 1 || index < 1 || index > count {
-		return 0, 0, fmt.Errorf("-shard %q out of range (want 1 <= i <= n)", s)
 	}
 	return index, count, nil
 }
@@ -228,12 +226,15 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	mine, err := runner.ShardSpecs(experiments.SimSpecs(runner), index, count)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	if store == nil {
 		fmt.Fprintln(stderr, "-shard needs a shared result store: set -cache-dir or $IMPRESS_CACHE")
 		return 2
 	}
-	specs := experiments.SimSpecs(runner)
-	mine := runner.Shard(specs, index, count)
 	start := time.Now()
 	if err := runner.PrefetchContext(ctx, mine); err != nil {
 		if simcli.ReportInterrupted(stderr, err, store.Dir()) {

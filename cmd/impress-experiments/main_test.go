@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"impress"
 	"impress/internal/core"
 	"impress/internal/resultstore"
 	"impress/internal/sim"
@@ -27,7 +28,7 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 func TestParseShard(t *testing.T) {
-	for _, bad := range []string{"", "1", "0/2", "3/2", "a/b", "1/0", "-1/2", "1/2/8", "1/2x", " 1/2", "1/ 2"} {
+	for _, bad := range []string{"", "1", "a/b", "1/2/8", "1/2x", " 1/2", "1/ 2"} {
 		if _, _, err := parseShard(bad); err == nil {
 			t.Errorf("parseShard(%q) must fail", bad)
 		}
@@ -35,6 +36,24 @@ func TestParseShard(t *testing.T) {
 	i, n, err := parseShard("2/5")
 	if err != nil || i != 2 || n != 5 {
 		t.Fatalf("parseShard(2/5) = %d, %d, %v", i, n, err)
+	}
+}
+
+// TestShardOutOfRangeIsTyped: well-formed but out-of-range shard specs
+// are rejected by Runner.ShardSpecs — exit 2 with its ErrBadSpec
+// message, never a panic.
+func TestShardOutOfRangeIsTyped(t *testing.T) {
+	for _, shard := range []string{"3/2", "0/2", "1/0", "-1/2"} {
+		code, stdout, stderr := runCLI(t, "-shard", shard, "-cache-dir", t.TempDir())
+		if code != 2 {
+			t.Errorf("-shard %s: exit %d, want 2 (stderr %q)", shard, code, stderr)
+		}
+		if !strings.Contains(stderr, impress.ErrBadSpec.Error()) || !strings.Contains(stderr, "out of range") {
+			t.Errorf("-shard %s: stderr %q lacks the ErrBadSpec range message", shard, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("-shard %s: printed %q", shard, stdout)
+		}
 	}
 }
 

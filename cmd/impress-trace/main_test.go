@@ -151,8 +151,8 @@ func TestReplayExhaustedRecordingFailsCleanly(t *testing.T) {
 
 // TestReplayMatchesLiveRun is the CLI half of the acceptance criterion:
 // record -workload mcf, replay the file, and the printed performance
-// summary must match a live sim.Run of the same configuration exactly, in
-// both clock modes.
+// summary must match a live sim.RunContext of the same configuration
+// exactly, in both clock modes.
 func TestReplayMatchesLiveRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mcf.trace")
 	if code, _, stderr := cli(t, "record", "-workload", "mcf", "-cores", "2", "-n", "4000", "-o", path); code != 0 {
@@ -176,7 +176,10 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 		if clock == "cycle" {
 			cfg.Clock = sim.ClockCycleAccurate
 		}
-		live := sim.Run(cfg)
+		live, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		ipcLine := fmt.Sprintf("IPC (sum/core):  %.3f", live.WeightedIPCSum)
 		for _, ipc := range live.IPC {
@@ -218,7 +221,10 @@ func TestReplayUsesRecordedSeed(t *testing.T) {
 	cfg.WarmupInstructions = 2000
 	cfg.RunInstructions = 10_000
 	cfg.Seed = 9
-	live := sim.Run(cfg)
+	live, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := fmt.Sprintf("cycles:          %d", live.Cycles)
 	if !strings.Contains(stdout, want) {
 		t.Errorf("replay did not use the recorded seed; missing %q:\n%s", want, stdout)

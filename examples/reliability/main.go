@@ -3,11 +3,16 @@
 // 0.1 FIT bank-failure rate): the distribution of peak victim damage for
 // PARA under Rowhammer and Row-Press, without and with ImPress-P.
 //
+// The trials run through impress.MonteCarlo, which like every run entry
+// point takes a context first and returns typed errors.
+//
 // Run with: go run ./examples/reliability
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"impress"
 )
@@ -18,6 +23,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	tm := impress.DDR5()
 	seededPARA := impress.SeededTrackerFactory(
 		func(trackerTRH float64, seed uint64) impress.AttackTrackerFactory {
@@ -53,7 +59,10 @@ func main() {
 			AlphaTrue: impress.AlphaLongDuration,
 			Duration:  tm.TREFW / 4, // quarter-window trials keep this quick
 		}
-		res := impress.MonteCarlo(cfg, sc.pattern, seededPARA, trials, uint64(100+i))
+		res, err := impress.MonteCarlo(ctx, cfg, sc.pattern, seededPARA, trials, uint64(100+i))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-32s %-10.0f %-10.0f %-10.0f %d/%d\n",
 			sc.name,
 			res.DamagePercentile(50), res.DamagePercentile(99), res.MaxDamage,

@@ -2,7 +2,7 @@ package impress_test
 
 import (
 	"bytes"
-	"math"
+	"context"
 	"reflect"
 	"testing"
 
@@ -12,6 +12,25 @@ import (
 // These tests exercise the public facade end to end: a downstream user of
 // the library should be able to reproduce the paper's headline claims
 // through the impress package alone.
+
+// runSim runs cfg through a default Lab, failing tb on error.
+func runSim(tb testing.TB, cfg impress.SimConfig) impress.SimResult {
+	tb.Helper()
+	res, err := newLab(tb).Run(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+func newLab(tb testing.TB, opts ...impress.LabOption) *impress.Lab {
+	tb.Helper()
+	lab, err := impress.NewLab(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lab
+}
 
 func TestPublicModelAPI(t *testing.T) {
 	tm := impress.DDR5()
@@ -38,10 +57,12 @@ func TestPublicAttackAPIHeadline(t *testing.T) {
 			AlphaTrue: impress.AlphaLongDuration,
 			Tracker:   func(t float64) impress.Tracker { return impress.NewGraphene(t) },
 		}
-		//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-		res := impress.RunAttack(cfg, &impress.RowPressPattern{
+		res, err := newLab(t).Attack(context.Background(), cfg, &impress.RowPressPattern{
 			Row: 1 << 20, TON: tm.TREFI, Timings: tm,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.MaxDamage
 	}
 	broken := run(impress.NoRP)
@@ -84,8 +105,7 @@ func TestPublicSimAPI(t *testing.T) {
 	cfg := impress.DefaultSimConfig(w, impress.NewDesign(impress.ImpressP), impress.TrackerGraphene)
 	cfg.WarmupInstructions = 5_000
 	cfg.RunInstructions = 20_000
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	res := impress.RunSim(cfg)
+	res := runSim(t, cfg)
 	if len(res.IPC) != 8 || res.WeightedIPCSum <= 0 {
 		t.Fatalf("bad sim result: %+v", res)
 	}
@@ -96,8 +116,10 @@ func TestPublicTraceRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	rec := impress.RecordTrace(w, 2, 2_000, 1)
+	rec, err := newLab(t).Record(context.Background(), w, 2, 2_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := rec.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -116,8 +138,7 @@ func TestPublicTraceRecordReplay(t *testing.T) {
 	cfg.RunInstructions = 5_000
 	live := cfg
 	live.Workload = w
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	if a, b := impress.RunSim(cfg), impress.RunSim(live); !reflect.DeepEqual(a, b) {
+	if a, b := runSim(t, cfg), runSim(t, live); !reflect.DeepEqual(a, b) {
 		t.Fatalf("replayed run differs from live run:\nreplay %+v\nlive   %+v", a, b)
 	}
 }
@@ -140,7 +161,10 @@ func TestPublicTrackers(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	tabs := impress.AnalyticalExperiments()
+	tabs, err := newLab(t).Experiments(context.Background(), impress.QuickScale(), impress.ExperimentsAnalytical())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tabs) < 10 {
 		t.Fatalf("analytical experiments = %d", len(tabs))
 	}
@@ -148,25 +172,6 @@ func TestPublicExperiments(t *testing.T) {
 	q, f := impress.QuickScale(), impress.FullScale()
 	if q.Run >= f.Run {
 		t.Fatal("quick scale should be shorter than full")
-	}
-	if math.IsNaN(float64(q.Run)) {
-		t.Fatal("unreachable; silence unused math import complaints")
-	}
-}
-
-func TestPublicSearchWorstCase(t *testing.T) {
-	cfg := impress.AttackConfig{
-		Design:    impress.NewDesign(impress.ImpressP),
-		DesignTRH: 4000,
-		AlphaTrue: 1,
-		Tracker:   func(trh float64) impress.Tracker { return impress.NewGraphene(trh) },
-	}
-	sr := impress.SearchWorstCase(cfg)
-	if sr.BestResult.MaxDamage >= 4000 {
-		t.Fatalf("search broke ImPress-P: %s at %v", sr.BestPattern, sr.BestResult.MaxDamage)
-	}
-	if len(sr.All) < 10 {
-		t.Fatalf("strategy grid too small: %d", len(sr.All))
 	}
 }
 
@@ -194,7 +199,9 @@ func TestPublicExperimentRunner(t *testing.T) {
 		Tracker:   impress.TrackerGraphene,
 		DesignTRH: impress.ExperimentTRH(4000), RFMTH: impress.ExperimentRFM(80),
 	}
-	r.Prefetch([]impress.ExperimentRunSpec{spec})
+	if err := r.PrefetchContext(context.Background(), []impress.ExperimentRunSpec{spec}); err != nil {
+		t.Fatal(err)
+	}
 	res := r.Run(spec)
 	if len(res.IPC) != 8 || res.WeightedIPCSum <= 0 {
 		t.Fatalf("bad runner result: %+v", res)
@@ -235,8 +242,7 @@ func TestPublicResultStore(t *testing.T) {
 	if _, ok := store.Get(sp); ok {
 		t.Fatal("empty store must miss")
 	}
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	res := impress.RunSim(cfg)
+	res := runSim(t, cfg)
 	if err := store.Put(sp, res); err != nil {
 		t.Fatal(err)
 	}

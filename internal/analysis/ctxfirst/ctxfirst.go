@@ -1,8 +1,7 @@
 // Package ctxfirst enforces the context-first public API contract of
 // DESIGN.md §9: every exported entry point of the configured boundary
 // packages takes a context.Context as its first parameter, except for a
-// frozen allowlist of pure constructors/converters and deprecated
-// pre-Lab wrappers. It generalizes (and replaces) the former
+// frozen allowlist of pure constructors/converters. It generalizes (and replaces) the former
 // api_ctx_test.go AST gate; the allowlist is configuration, not code,
 // so the rule itself is reusable against any boundary package.
 package ctxfirst
@@ -21,9 +20,8 @@ type Config struct {
 	Packages []string
 	// AllowFuncs freezes the exported package-level functions that may
 	// omit the context: pure constructors, converters and calculators
-	// with no run to cancel, plus deprecated legacy wrappers. The list
-	// only ever grows for pure constructors, with a review note in the
-	// PR that grows it.
+	// with no run to cancel. The list only ever grows, with a review
+	// note in the PR that grows it.
 	AllowFuncs []string
 	// RunTypes are the exported receiver types whose methods perform
 	// runs and therefore need a context (e.g. Lab). Methods on other

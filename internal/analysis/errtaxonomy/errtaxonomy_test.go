@@ -12,7 +12,6 @@ func TestGolden(t *testing.T) {
 	az := errtaxonomy.New(errtaxonomy.Config{
 		Boundary:    []string{"impress/internal/analysis/errtaxonomy/testdata/src/errfix"},
 		TaxonomyPkg: "impress/internal/errs",
-		AllowPanic:  []string{"Legacy"},
 	})
 	analysistest.Run(t, ".", []*analysis.Analyzer{az}, "./testdata/src/errfix")
 }

@@ -35,21 +35,16 @@ var WallclockOK = []string{
 	"impress/internal/resultstore.Store.walk",
 }
 
-// legacyNoCtx freezes the public functions that predate the Lab (kept
-// as deprecated wrappers) and the pure constructors/calculators that
-// perform no run work. Everything else exported from package impress
-// must take a context.Context as its first parameter.
+// legacyNoCtx lists the pure constructors, converters and calculators
+// exported from package impress: they perform no run work, so they need
+// no context. Everything else exported there must take a
+// context.Context as its first parameter.
 //
-// Do NOT add a new run-performing entry point here: give it a ctx (or
-// hang it off Lab). This list only ever grows for pure
-// constructors/converters with a review note in the PR.
+// Do NOT add a run-performing entry point here: give it a ctx (or hang
+// it off Lab). This list only grows for pure constructors/converters
+// with a review note in the PR, and every entry must name an exported
+// function of package impress (TestLegacyNoCtxNamesLiveFunctions).
 var legacyNoCtx = []string{
-	// Deprecated pre-Lab run wrappers (panic, uncancellable — kept for
-	// compatibility, delegate to the default Lab).
-	"RunSim", "RunAttack", "Experiments",
-	"ExperimentsParallel", "AnalyticalExperiments",
-	"RecordTrace", "MonteCarlo", "SearchWorstCase",
-
 	// Pure constructors, converters and calculators: no run to cancel.
 	"NewModel", "NewEACTCalculator", "FracBitsEffectiveThreshold",
 	"DDR5", "Ns", "NewDesign", "NewBankPolicy",
@@ -83,14 +78,6 @@ var legacyNoCtx = []string{
 	"NewSweepClient",
 }
 
-// deprecatedPanicWrappers are the pre-Lab entry points that panic on
-// failure by documented contract; everything else at the boundary
-// returns taxonomy errors. This list only ever shrinks.
-var deprecatedPanicWrappers = []string{
-	"RunSim", "RunAttack", "Experiments", "ExperimentsParallel",
-	"AnalyticalExperiments", "RecordTrace", "MonteCarlo", "SearchWorstCase",
-}
-
 // Analyzers returns the full impress-lint suite with the repository
 // configuration applied.
 func Analyzers() []*analysis.Analyzer {
@@ -108,7 +95,6 @@ func Analyzers() []*analysis.Analyzer {
 		errtaxonomy.New(errtaxonomy.Config{
 			Boundary:    []string{"impress"},
 			TaxonomyPkg: "impress/internal/errs",
-			AllowPanic:  deprecatedPanicWrappers,
 		}),
 		hotpath.New(),
 	}

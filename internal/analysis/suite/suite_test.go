@@ -51,6 +51,38 @@ func TestReplayGeneratorsAreHotRoots(t *testing.T) {
 	}
 }
 
+// TestLegacyNoCtxNamesLiveFunctions keeps the ctx-first allowlist
+// honest: every legacyNoCtx entry must name an exported top-level
+// function of package impress. Deleting or renaming such a function
+// then cannot leave a stale exemption behind for a later, unrelated
+// declaration of the same name to slip through.
+func TestLegacyNoCtxNamesLiveFunctions(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "..", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				funcs[fn.Name.Name] = true
+			}
+		}
+	}
+	for _, name := range legacyNoCtx {
+		if !funcs[name] {
+			t.Errorf("legacyNoCtx exempts %q, which is no exported function of package impress: drop the stale entry", name)
+		}
+	}
+}
+
 // recvNames returns the bare receiver type name of a method.
 func recvNames(fn *ast.FuncDecl) string {
 	if len(fn.Recv.List) == 0 {

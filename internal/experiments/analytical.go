@@ -196,15 +196,15 @@ func StorageTable() *Table {
 }
 
 // Figure18 regenerates the Graphene attack-slowdown analysis (analytic
-// Equation 9 plus harness measurements).
-func Figure18() *Table {
+// Equation 9 plus harness measurements under r's bound context).
+func Figure18(r *Runner) *Table {
 	t := &Table{
 		ID: "fig18", Title: "Slowdown of ImPress-P with Graphene under combined RH+RP attack (paper Fig. 18)",
 		Header: []string{"K (tRC of RP)", "TRH=1000", "TRH=2000", "TRH=4000", "measured TRH=4000"},
 	}
 	tm := dram.DDR5()
 	for _, k := range []int{0, 10, 20, 40, 60, 80, 100} {
-		measured := measureAttackSlowdown(trackers.NewGraphene, 4000, int64(k), tm)
+		measured := measureAttackSlowdown(r, 4000, int64(k), tm)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", k),
 			pct(security.GrapheneAttackSlowdown(1000, k)),
@@ -240,8 +240,9 @@ func Figure19() *Table {
 }
 
 // ImpressNWorstCase validates Equation 5 empirically: the decoy pattern's
-// peak damage relative to pure Rowhammer equals 1 + alpha.
-func ImpressNWorstCase() *Table {
+// peak damage relative to pure Rowhammer equals 1 + alpha. Its harness
+// runs go through r (see Runner.harness).
+func ImpressNWorstCase(r *Runner) *Table {
 	t := &Table{
 		ID: "eq5", Title: "ImPress-N unmitigated Row-Press (paper Fig. 10 / Equation 5)",
 		Header: []string{"device alpha", "RH peak damage", "decoy peak damage", "ratio", "1+alpha"},
@@ -254,8 +255,8 @@ func ImpressNWorstCase() *Table {
 			AlphaTrue: alpha,
 			Tracker:   func(trh float64) trackers.Tracker { return trackers.NewGraphene(trh) },
 		}
-		rh := security.Run(cfg, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
-		decoy := security.Run(cfg, &attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm})
+		rh := r.harness("eq5", cfg, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
+		decoy := r.harness("eq5", cfg, &attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", alpha),
 			f1(rh.MaxDamage), f1(decoy.MaxDamage),
@@ -267,16 +268,15 @@ func ImpressNWorstCase() *Table {
 }
 
 // measureAttackSlowdown runs the single-bank harness with ImPress-P and
-// the given tracker under the CombinedK pattern.
-func measureAttackSlowdown(newTracker func(trh float64) *trackers.Graphene, trh float64, k int64, tm dram.Timings) float64 {
+// Graphene under the CombinedK pattern.
+func measureAttackSlowdown(r *Runner, trh float64, k int64, tm dram.Timings) float64 {
 	cfg := security.Config{
 		Design:    core.NewDesign(core.ImpressP),
 		DesignTRH: trh,
 		AlphaTrue: 1,
-		Tracker:   func(t float64) trackers.Tracker { return newTracker(t) },
+		Tracker:   func(t float64) trackers.Tracker { return trackers.NewGraphene(t) },
 	}
-	res := security.Run(cfg, &attack.CombinedK{Row: 1 << 20, K: k, Timings: tm})
-	return res.Slowdown()
+	return r.harness("fig18", cfg, &attack.CombinedK{Row: 1 << 20, K: k, Timings: tm}).Slowdown()
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
@@ -289,8 +289,8 @@ func powf(x, y float64) float64 {
 }
 
 // SecuritySummary runs the headline security matrix: which (tracker,
-// defense) pairs contain which attacks within TRH.
-func SecuritySummary() *Table {
+// defense) pairs contain which attacks within TRH, on r's bound context.
+func SecuritySummary(r *Runner) *Table {
 	t := &Table{
 		ID: "security", Title: "Peak victim damage (TRH units, TRH=4000; >=4000 means a bit flip)",
 		Header: []string{"Tracker", "Defense", "Rowhammer", "RowPress(tREFI)", "RowPress(tONMax)", "Decoy"},
@@ -338,13 +338,13 @@ func SecuritySummary() *Table {
 				RFMTH: f.rfmth, Tracker: f.factory,
 			}
 			row := []string{f.name, d.Kind.String()}
-			for _, p := range []attackSpec{
-				{&attack.Rowhammer{Row: 1 << 20, Timings: tm}},
-				{&attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm}},
-				{&attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm}},
-				{&attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm}},
+			for _, p := range []attack.Pattern{
+				&attack.Rowhammer{Row: 1 << 20, Timings: tm},
+				&attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm},
+				&attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm},
+				&attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm},
 			} {
-				res := security.Run(cfg, p.p)
+				res := r.harness("security", cfg, p)
 				cell := f1(res.MaxDamage)
 				if res.MaxDamage >= f.trh {
 					cell += " FLIP"
@@ -358,5 +358,3 @@ func SecuritySummary() *Table {
 		"No-RP contains Rowhammer but is broken by Row-Press; ImPress-P contains every pattern at full TRH")
 	return t
 }
-
-type attackSpec struct{ p attack.Pattern }

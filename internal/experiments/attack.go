@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"impress/internal/attack"
 	"impress/internal/clm"
@@ -82,13 +81,6 @@ func ZooEntrySpec(e attack.ZooEntry) (resultstore.AttackSpec, error) {
 	}, nil
 }
 
-// attackEntry is one memoized (possibly in-flight) harness evaluation.
-type attackEntry struct {
-	done     chan struct{}
-	res      security.Result
-	panicked any
-}
-
 // AttackSims reports how many harness evaluations this runner actually
 // executed — memo and store hits excluded. A warm-store rerun of a
 // synthesis search keeps it at zero.
@@ -103,125 +95,51 @@ func (r *Runner) AttackSims() int64 { return r.atkSims.Load() }
 func (r *Runner) Attack(spec resultstore.AttackSpec) security.Result {
 	r.checkCtx()
 	k := string(spec.Key())
-	r.atkMu.Lock()
-	if r.atkCache == nil {
-		r.atkCache = make(map[string]*attackEntry)
-	}
-	if e, ok := r.atkCache[k]; ok {
-		r.atkMu.Unlock()
-		<-e.done
-		if e.panicked != nil {
-			panic(e.panicked)
-		}
-		return e.res
-	}
-	e := &attackEntry{done: make(chan struct{})}
-	r.atkCache[k] = e
-	r.atkMu.Unlock()
-
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok && errors.Is(a.err, errs.ErrCancelled) {
-				r.atkMu.Lock()
-				delete(r.atkCache, k)
-				r.atkMu.Unlock()
+	return r.attacks.do(k, func() security.Result {
+		label := fmt.Sprintf("%s vs %s", spec.Pattern, spec.Tracker)
+		r.emit(Progress{Kind: ProgressAttackStarted, Spec: label, Key: k})
+		if r.Store != nil {
+			if res, ok := r.Store.GetAttack(spec); ok {
+				r.emit(Progress{Kind: ProgressAttackCacheHit, Spec: label, Key: k})
+				return res
 			}
-			e.panicked = p
-			close(e.done)
-			panic(p)
 		}
-		close(e.done)
-	}()
-	label := fmt.Sprintf("%s vs %s", spec.Pattern, spec.Tracker)
-	r.emit(Progress{Kind: ProgressAttackStarted, Spec: label, Key: k})
-	if r.Store != nil {
-		if res, ok := r.Store.GetAttack(spec); ok {
-			e.res = res
-			r.emit(Progress{Kind: ProgressAttackCacheHit, Spec: label, Key: k})
-			return e.res
+		cfg, pattern, err := spec.SecurityConfig()
+		if err != nil {
+			panic(&runAbort{err})
 		}
-	}
-	cfg, pattern, err := spec.SecurityConfig()
-	if err != nil {
-		panic(&runAbort{err})
-	}
-	res, err := security.RunContext(r.runCtx(), cfg, pattern)
-	if err != nil {
-		if errors.Is(err, errs.ErrCancelled) {
-			panic(&runAbort{fmt.Errorf("experiments: sweep stopped: %w", err)})
+		res := r.harness(label, cfg, pattern)
+		r.atkSims.Add(1)
+		r.emit(Progress{Kind: ProgressAttackFinished, Spec: label, Key: k})
+		if r.Store != nil {
+			_ = r.Store.PutAttack(spec, res)
 		}
-		panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
-	}
-	e.res = res
-	r.atkSims.Add(1)
-	r.emit(Progress{Kind: ProgressAttackFinished, Spec: label, Key: k})
-	if r.Store != nil {
-		_ = r.Store.PutAttack(spec, e.res)
-	}
-	return e.res
+		return res
+	})
 }
 
-// PrefetchAttacks evaluates the given specs over the runner's worker
-// pool (Prefetch's contract: deduplicated, drains on cancellation,
+// harness replays one pattern through the security harness under the
+// runner's bound context. A failure raises the runAbort the
+// context-aware boundaries (RunTables, EvaluateAttacks) recover:
+// cancellation as "sweep stopped" (matching errs.ErrCancelled and
+// ctx.Err()), anything else under label.
+func (r *Runner) harness(label string, cfg security.Config, p attack.Pattern) security.Result {
+	res, err := security.RunContext(r.runCtx(), cfg, p)
+	switch {
+	case errors.Is(err, errs.ErrCancelled):
+		panic(&runAbort{fmt.Errorf("experiments: sweep stopped: %w", err)})
+	case err != nil:
+		panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
+	}
+	return res
+}
+
+// prefetchAttacks evaluates the given specs over the runner's worker
+// pool (prefetch's contract: deduplicated, drains on cancellation,
 // re-panics the first failure after draining).
-func (r *Runner) PrefetchAttacks(specs []resultstore.AttackSpec) {
-	seen := make(map[string]bool, len(specs))
-	var todo []resultstore.AttackSpec
-	for _, s := range specs {
-		if k := string(s.Key()); !seen[k] {
-			seen[k] = true
-			todo = append(todo, s)
-		}
-	}
-	workers := r.parallelism()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, s := range todo {
-			r.Attack(s)
-		}
-		return
-	}
-	queue := make(chan resultstore.AttackSpec, len(todo))
-	for _, s := range todo {
-		queue <- s
-	}
-	close(queue)
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	record := func(p any) {
-		panicMu.Lock()
-		defer panicMu.Unlock()
-		if panicked == nil || isCancelAbort(panicked) && !isCancelAbort(p) {
-			panicked = p
-		}
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					record(p)
-				}
-			}()
-			for s := range queue {
-				if r.cancelled() {
-					break
-				}
-				r.Attack(s)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	r.checkCtx()
+func (r *Runner) prefetchAttacks(specs []resultstore.AttackSpec) {
+	pool(r, specs, func(s resultstore.AttackSpec) string { return string(s.Key()) },
+		func(s resultstore.AttackSpec) { r.Attack(s) })
 }
 
 // EvaluateAttacks is the context-aware batch entry point: it evaluates
@@ -234,14 +152,10 @@ func (r *Runner) EvaluateAttacks(ctx context.Context, specs []resultstore.Attack
 	defer r.bind(ctx)()
 	defer func() {
 		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				results, err = nil, a.err
-				return
-			}
-			panic(p)
+			results, err = nil, abortErr(p)
 		}
 	}()
-	r.PrefetchAttacks(specs)
+	r.prefetchAttacks(specs)
 	results = make([]security.Result, len(specs))
 	for i, s := range specs {
 		results[i] = r.Attack(s)
@@ -272,7 +186,7 @@ func AttackZooTable(r *Runner) *Table {
 			specs = append(specs, ZooAttackSpec(tr, attack.SynthSpecPrefix+e.Genome))
 		}
 	}
-	r.PrefetchAttacks(specs)
+	r.prefetchAttacks(specs)
 	for _, tr := range names {
 		var paperBest security.Result
 		var paperName string

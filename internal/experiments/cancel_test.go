@@ -183,7 +183,7 @@ func TestUnknownScaleWorkloadSurfacesTypedError(t *testing.T) {
 	scale := QuickScale()
 	scale.Workloads = append(scale.Workloads, "no-such-workload")
 	r := NewRunner(scale)
-	_, err := AllContext(context.Background(), r)
+	_, err := RunTables(context.Background(), r, RunOptions{})
 	if err == nil {
 		t.Fatal("unknown scale workload reported success")
 	}
@@ -288,7 +288,7 @@ func TestProgressBalancesAtAnyParallelism(t *testing.T) {
 }
 
 // TestRunTablesMatchesAll pins that the context-aware boundary renders
-// exactly what the deprecated All renders.
+// exactly what the table builder renders when called directly.
 func TestRunTablesMatchesAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickScale sweep skipped in -short mode")
@@ -344,5 +344,37 @@ func TestCancelledRunnerIsRetryable(t *testing.T) {
 	}
 	if _, err := fig3Only(context.Background(), r); err != nil {
 		t.Fatalf("rendering on the retried runner failed: %v", err)
+	}
+}
+
+// TestHarnessTablesRaiseCancellation: every harness-backed builder runs
+// under the runner's bound context and raises the runAbort RunTables
+// recovers — ablation-rfm included, whose rows run on goroutines and
+// must re-raise their errors on the builder's goroutine.
+func TestHarnessTablesRaiseCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, b := range []struct {
+		id    string
+		build func(*Runner) *Table
+	}{
+		{"eq5", ImpressNWorstCase}, {"fig18", Figure18}, {"security", SecuritySummary},
+		{"prac", PRACTable}, {"ablation-rfm", AblationRFMPacing},
+	} {
+		for _, parallelism := range []int{1, 2} {
+			r := NewRunner(QuickScale())
+			r.Parallelism = parallelism
+			release := r.bind(ctx)
+			p := func() (p any) {
+				defer func() { p = recover() }()
+				b.build(r)
+				return nil
+			}()
+			release()
+			if a, ok := p.(*runAbort); !ok || !errors.Is(a.err, errs.ErrCancelled) || !errors.Is(a.err, context.Canceled) {
+				t.Errorf("%s at parallelism %d: builder under a cancelled context raised %v, want a runAbort matching ErrCancelled and context.Canceled",
+					b.id, parallelism, p)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"testing"
@@ -24,7 +25,7 @@ func TestClockEquivalenceQuickScaleSpecs(t *testing.T) {
 	r := NewRunner(QuickScale())
 	seen := map[string]bool{}
 	var specs []RunSpec
-	for _, s := range allSimSpecs(r) {
+	for _, s := range SimSpecs(r) {
 		if k := string(r.storeSpec(s).Key()); !seen[k] {
 			seen[k] = true
 			specs = append(specs, s)
@@ -38,9 +39,15 @@ func TestClockEquivalenceQuickScaleSpecs(t *testing.T) {
 		spec := specs[i]
 		cfg := spec.config(r.Scale)
 		cfg.Clock = sim.ClockEventDriven
-		ev := sim.Run(cfg)
+		ev, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg.Clock = sim.ClockCycleAccurate
-		ca := sim.Run(cfg)
+		ca, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(ev, ca) {
 			t.Fatalf("spec %s/%s/%s: event-driven result diverged from cycle-accurate:\nEV %+v\nCA %+v",
 				spec.Workload.Name, spec.Design.Name(), spec.Tracker, ev, ca)

@@ -19,6 +19,7 @@ import (
 	"impress/internal/core"
 	"impress/internal/errs"
 	"impress/internal/resultstore"
+	"impress/internal/security"
 	"impress/internal/sim"
 	"impress/internal/stats"
 	"impress/internal/trace"
@@ -124,14 +125,14 @@ func ScaleByName(name string) (Scale, error) {
 //
 // Runner is safe for concurrent use: Run deduplicates concurrent requests
 // for the same spec (singleflight), so a spec simulates exactly once no
-// matter how many goroutines ask for it, and Prefetch fans a spec list out
+// matter how many goroutines ask for it, and prefetch fans a spec list out
 // over a worker pool. Results are independent of execution order — every
-// simulation is seeded from its own Config (see sim.Run) — so a parallel
+// simulation is seeded from its own Config (see sim.RunContext) — so a parallel
 // prefetch followed by serial table assembly is byte-identical to the
 // fully serial path.
 type Runner struct {
 	Scale Scale
-	// Parallelism bounds how many simulations Prefetch runs concurrently.
+	// Parallelism bounds how many simulations a sweep runs concurrently.
 	// Zero (the default) means runtime.GOMAXPROCS(0); 1 forces the serial
 	// path; negative values are clamped to 1. It does not limit direct Run
 	// callers — they run on the calling goroutine (or wait on an in-flight
@@ -177,24 +178,23 @@ type Runner struct {
 	bindCtx   context.Context
 	bindCount int
 
-	mu    sync.Mutex
-	cache map[string]*runEntry
-	// sims counts actual sim.Run executions (memo and store hits
-	// excluded); a warm-store sweep asserts it stays zero.
+	// runs memoizes simulations by canonical key; sims counts actual
+	// simulator executions (memo and store hits excluded), which a
+	// warm-store sweep asserts stays zero.
+	runs memo[sim.Result]
 	sims atomic.Int64
 
-	// atkMu/atkCache/atkSims are the security-harness analogue of
-	// mu/cache/sims, backing Runner.Attack (see attack.go).
-	atkMu    sync.Mutex
-	atkCache map[string]*attackEntry
-	atkSims  atomic.Int64
+	// attacks/atkSims are the security-harness analogue of runs/sims,
+	// backing Runner.Attack (see attack.go).
+	attacks memo[security.Result]
+	atkSims atomic.Int64
 
 	progressMu sync.Mutex
 }
 
 // runAbort carries a typed error out of the figure-assembly call tree by
-// panic: Runner.Run keeps its historical panicking signature (every
-// table builder depends on it), so cancellation and input errors
+// panic: Runner.Run and Runner.Attack return bare results (every table
+// builder depends on that), so cancellation and input errors
 // travel as this sentinel and the context-aware boundaries (RunTables,
 // PrefetchContext) recover it back into an ordinary error. It
 // implements error so an uncaught escape still prints cleanly.
@@ -225,54 +225,82 @@ func (r *Runner) bind(ctx context.Context) func() {
 	}
 }
 
-// boundCtx returns the bound cancellation signal, nil when none.
-func (r *Runner) boundCtx() context.Context {
-	r.bindMu.Lock()
-	defer r.bindMu.Unlock()
-	return r.bindCtx
-}
-
-// cancelled reports whether the bound context (if any) has ended.
-func (r *Runner) cancelled() bool {
-	ctx := r.boundCtx()
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
 // checkCtx panics with a runAbort when the bound context has ended; the
 // context-aware boundary recovers it into the returned error.
 func (r *Runner) checkCtx() {
-	if ctx := r.boundCtx(); ctx != nil && ctx.Err() != nil {
-		panic(&runAbort{fmt.Errorf("experiments: sweep stopped: %w", errs.Cancelled(ctx.Err()))})
+	if err := r.runCtx().Err(); err != nil {
+		panic(&runAbort{fmt.Errorf("experiments: sweep stopped: %w", errs.Cancelled(err))})
 	}
 }
 
-// runCtx returns the context simulations run under.
+// runCtx returns the context simulations run under: the bound one, or
+// context.Background() when none is bound.
 func (r *Runner) runCtx() context.Context {
-	if ctx := r.boundCtx(); ctx != nil {
-		return ctx
+	r.bindMu.Lock()
+	defer r.bindMu.Unlock()
+	if r.bindCtx != nil {
+		return r.bindCtx
 	}
 	return context.Background()
 }
 
-// runEntry is one memoized (possibly in-flight) simulation. done is closed
+// memo is a concurrent singleflight cache: the first caller of a key
+// computes its value and concurrent callers wait for it. A panicking
+// computation re-panics in every waiter rather than deadlocking them; a
+// cancellation abort is then dropped from the memo, so a retry under a
+// live context recomputes instead of replaying the stale cancellation.
+type memo[T any] struct {
+	mu sync.Mutex
+	m  map[string]*memoEntry[T]
+}
+
+// memoEntry is one memoized (possibly in-flight) value. done is closed
 // when res (or panicked) is valid.
-type runEntry struct {
+type memoEntry[T any] struct {
 	done     chan struct{}
-	res      sim.Result
+	res      T
 	panicked any
+}
+
+// do returns k's value, computing it with fn unless it is memoized or
+// in flight.
+func (m *memo[T]) do(k string, fn func() T) T {
+	m.mu.Lock()
+	if e, ok := m.m[k]; ok {
+		m.mu.Unlock()
+		<-e.done
+		if e.panicked != nil {
+			panic(e.panicked)
+		}
+		return e.res
+	}
+	if m.m == nil {
+		m.m = make(map[string]*memoEntry[T])
+	}
+	e := &memoEntry[T]{done: make(chan struct{})}
+	m.m[k] = e
+	m.mu.Unlock()
+
+	defer func() {
+		if p := recover(); p != nil {
+			if isCancelAbort(p) {
+				m.mu.Lock()
+				delete(m.m, k)
+				m.mu.Unlock()
+			}
+			e.panicked = p
+			close(e.done)
+			panic(p)
+		}
+		close(e.done)
+	}()
+	e.res = fn()
+	return e.res
 }
 
 // NewRunner builds a Runner at the given scale.
 func NewRunner(scale Scale) *Runner {
-	return &Runner{Scale: scale, cache: make(map[string]*runEntry)}
+	return &Runner{Scale: scale}
 }
 
 // parallelism resolves the effective worker count: 0 means GOMAXPROCS,
@@ -414,99 +442,71 @@ func (r *Runner) Run(spec RunSpec) sim.Result {
 	r.checkCtx()
 	sp := r.storeSpec(spec)
 	k := string(sp.Key())
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*runEntry)
-	}
-	if e, ok := r.cache[k]; ok {
-		r.mu.Unlock()
-		<-e.done
-		if e.panicked != nil {
-			panic(e.panicked)
-		}
-		return e.res
-	}
-	e := &runEntry{done: make(chan struct{})}
-	r.cache[k] = e
-	r.mu.Unlock()
-
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok && errors.Is(a.err, errs.ErrCancelled) {
-				// A cancelled spec must stay retryable: drop the memo
-				// entry so a later call under a live context
-				// re-simulates instead of replaying the stale
-				// cancellation forever. Current waiters still observe
-				// the cancellation via e.panicked.
-				r.mu.Lock()
-				delete(r.cache, k)
-				r.mu.Unlock()
+	return r.runs.do(k, func() sim.Result {
+		label := specLabel(sp)
+		r.emit(Progress{Kind: ProgressSpecStarted, Spec: label, Key: k})
+		if r.Store != nil {
+			if res, ok := r.Store.Get(sp); ok {
+				r.emit(Progress{Kind: ProgressSpecCacheHit, Spec: label, Key: k})
+				return res
 			}
-			e.panicked = p
-			close(e.done)
-			panic(p)
 		}
-		close(e.done)
-	}()
-	label := specLabel(sp)
-	r.emit(Progress{Kind: ProgressSpecStarted, Spec: label, Key: k})
-	if r.Store != nil {
-		if res, ok := r.Store.Get(sp); ok {
-			e.res = res
-			r.emit(Progress{Kind: ProgressSpecCacheHit, Spec: label, Key: k})
-			return e.res
+		cfg := r.config(spec)
+		var restored bool
+		if r.Store != nil {
+			restored = r.Store.AttachCheckpoints(&cfg)
 		}
-	}
-	cfg := r.config(spec)
-	var restored bool
-	if r.Store != nil {
-		restored = r.Store.AttachCheckpoints(&cfg)
-	}
-	res, err := sim.RunContext(r.runCtx(), cfg)
-	if err != nil {
-		panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
-	}
-	e.res = res
-	r.sims.Add(1)
-	r.emit(Progress{Kind: ProgressSpecFinished, Spec: label, Key: k, Cycles: res.Cycles, WarmupRestored: restored})
-	if r.Store != nil {
-		// A write failure costs persistence, not correctness; it is
-		// counted in the store's Counters for the CLI summary line.
-		_ = r.Store.Put(sp, e.res)
-	}
-	return e.res
+		res, err := sim.RunContext(r.runCtx(), cfg)
+		if err != nil {
+			panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
+		}
+		r.sims.Add(1)
+		r.emit(Progress{Kind: ProgressSpecFinished, Spec: label, Key: k, Cycles: res.Cycles, WarmupRestored: restored})
+		if r.Store != nil {
+			// A write failure costs persistence, not correctness; it is
+			// counted in the store's Counters for the CLI summary line.
+			_ = r.Store.Put(sp, res)
+		}
+		return res
+	})
 }
 
-// Prefetch executes the given specs over a worker pool of r.Parallelism
+// prefetch executes the given specs over a worker pool of r.Parallelism
 // goroutines (GOMAXPROCS by default), deduplicating repeated and
 // already-cached specs. Table assembly that follows then hits the memo
 // cache only, so output is identical to running the specs serially. If any
-// simulation panics, Prefetch re-panics after the pool drains. When the
+// simulation panics, prefetch re-panics after the pool drains. When the
 // runner is bound to a context that ends mid-sweep, workers stop pulling
 // new specs, in-flight simulations return at their next macro-cycle
 // boundary, and the pool drains before the cancellation surfaces —
 // every result already produced is memoized (and store-written), so a
 // rerun resumes warm.
-func (r *Runner) Prefetch(specs []RunSpec) {
+func (r *Runner) prefetch(specs []RunSpec) {
+	pool(r, specs, func(s RunSpec) string { return string(r.storeSpec(s).Key()) }, func(s RunSpec) { r.Run(s) })
+}
+
+// pool runs fn over the distinct specs (by key) on a worker pool of
+// r.parallelism() goroutines, the engine behind prefetch and
+// prefetchAttacks. If any fn panics, pool re-panics after the pool
+// drains; on cancellation workers stop pulling specs and the drained
+// pool raises the cancellation.
+func pool[S any](r *Runner, specs []S, key func(S) string, fn func(S)) {
 	seen := make(map[string]bool, len(specs))
-	var todo []RunSpec
+	var todo []S
 	for _, s := range specs {
-		if k := string(r.storeSpec(s).Key()); !seen[k] {
+		if k := key(s); !seen[k] {
 			seen[k] = true
 			todo = append(todo, s)
 		}
 	}
-	workers := r.parallelism()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
+	workers := min(r.parallelism(), len(todo))
 	if workers <= 1 {
 		for _, s := range todo {
-			r.Run(s)
+			fn(s)
 		}
 		return
 	}
-	queue := make(chan RunSpec, len(todo))
+	queue := make(chan S, len(todo))
 	for _, s := range todo {
 		queue <- s
 	}
@@ -516,32 +516,30 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 		panicMu  sync.Mutex
 		panicked any
 	)
-	// Cancellation makes every in-flight worker panic with a routine
-	// runAbort at once, so keep the first panic but let a genuine
-	// invariant panic (lockstep divergence, replay exhaustion) from a
-	// sibling worker displace a routine cancellation — it must not be
-	// masked behind a benign "interrupted" report.
-	record := func(p any) {
-		panicMu.Lock()
-		defer panicMu.Unlock()
-		if panicked == nil || isCancelAbort(panicked) && !isCancelAbort(p) {
-			panicked = p
-		}
-	}
-	for i := 0; i < workers; i++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Cancellation makes every in-flight worker panic with a
+			// routine runAbort at once, so keep the first panic but let
+			// a genuine invariant panic (lockstep divergence, replay
+			// exhaustion) from a sibling displace a routine
+			// cancellation — it must not be masked behind a benign
+			// "interrupted" report.
 			defer func() {
 				if p := recover(); p != nil {
-					record(p)
+					panicMu.Lock()
+					if panicked == nil || isCancelAbort(panicked) && !isCancelAbort(p) {
+						panicked = p
+					}
+					panicMu.Unlock()
 				}
 			}()
 			for s := range queue {
-				if r.cancelled() {
+				if r.runCtx().Err() != nil {
 					break // drain: stop starting new specs
 				}
-				r.Run(s)
+				fn(s)
 			}
 		}()
 	}
@@ -552,6 +550,17 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 	r.checkCtx() // all workers may have drained without running anything
 }
 
+// abortErr unwraps a panic value recovered at a context-aware boundary:
+// a runAbort becomes its error, anything else (an invariant violation)
+// re-panics.
+func abortErr(p any) error {
+	a, ok := p.(*runAbort)
+	if !ok {
+		panic(p)
+	}
+	return a.err
+}
+
 // isCancelAbort reports whether a recovered panic value is the routine
 // cancellation abort (as opposed to an invariant violation).
 func isCancelAbort(p any) bool {
@@ -559,7 +568,7 @@ func isCancelAbort(p any) bool {
 	return ok && errors.Is(a.err, errs.ErrCancelled)
 }
 
-// PrefetchContext is Prefetch under a context: it binds ctx for the
+// PrefetchContext is prefetch under a context: it binds ctx for the
 // sweep's duration and returns — instead of panicking — a typed error on
 // cancellation (matching errs.ErrCancelled and ctx.Err()) or simulation
 // failure. Completed specs stay memoized and store-written either way,
@@ -570,14 +579,10 @@ func (r *Runner) PrefetchContext(ctx context.Context, specs []RunSpec) (err erro
 	defer r.bind(ctx)()
 	defer func() {
 		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				err = a.err
-				return
-			}
-			panic(p)
+			err = abortErr(p)
 		}
 	}()
-	r.Prefetch(specs)
+	r.prefetch(specs)
 	return nil
 }
 
@@ -592,8 +597,7 @@ func (r *Runner) PrefetchContext(ctx context.Context, specs []RunSpec) (err erro
 //
 // Out-of-range index/count returns an error wrapping errs.ErrBadSpec —
 // shard parameters that arrive over the wire (the impress-labd job API)
-// must be rejectable without killing the server. Shard is the
-// historical panicking wrapper.
+// must be rejectable without killing the server.
 func (r *Runner) ShardSpecs(specs []RunSpec, index, count int) ([]RunSpec, error) {
 	if count < 1 || index < 1 || index > count {
 		return nil, fmt.Errorf("experiments: %w: shard %d/%d out of range (want 1 <= index <= count)",
@@ -614,17 +618,6 @@ func (r *Runner) ShardSpecs(specs []RunSpec, index, count int) ([]RunSpec, error
 	return out, nil
 }
 
-// Shard is ShardSpecs with the pre-daemon panicking contract on an
-// out-of-range index/count, kept for legacy callers that validate their
-// shard parameters up front (the impress-experiments -shard flag).
-func (r *Runner) Shard(specs []RunSpec, index, count int) []RunSpec {
-	out, err := r.ShardSpecs(specs, index, count)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
 // shardOf maps a canonical key to a shard in [0, count): the key is a
 // sha256, so its leading 60 bits are uniformly distributed and taking
 // them modulo count balances shards to within sampling noise.
@@ -635,12 +628,6 @@ func shardOf(k resultstore.Key, count int) int {
 	}
 	return int(v % uint64(count))
 }
-
-// SimSpecs returns the union of every simulation-backed experiment's run
-// specs — the full spec universe a complete sweep simulates. Shard
-// partitions it for fleet execution; Prefetch deduplicates the overlap
-// between figures (shared baselines).
-func SimSpecs(r *Runner) []RunSpec { return allSimSpecs(r) }
 
 // baselineSpec is the unprotected (no tracker, no defense) run.
 func baselineSpec(w trace.Workload) RunSpec {
@@ -656,14 +643,14 @@ func noRPSpec(w trace.Workload, tracker sim.TrackerKind, trh float64, rfmth int)
 	}
 }
 
-// Baseline returns the unprotected (no tracker, no defense) run.
-func (r *Runner) Baseline(w trace.Workload) sim.Result {
+// baseline returns the unprotected (no tracker, no defense) run.
+func (r *Runner) baseline(w trace.Workload) sim.Result {
 	return r.Run(baselineSpec(w))
 }
 
-// NoRP returns the Rowhammer-only baseline for a tracker (the paper's
+// noRP returns the Rowhammer-only baseline for a tracker (the paper's
 // "No-RP" normalization target).
-func (r *Runner) NoRP(w trace.Workload, tracker sim.TrackerKind, trh float64, rfmth int) sim.Result {
+func (r *Runner) noRP(w trace.Workload, tracker sim.TrackerKind, trh float64, rfmth int) sim.Result {
 	return r.Run(noRPSpec(w, tracker, trh, rfmth))
 }
 

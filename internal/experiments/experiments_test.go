@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -38,7 +39,11 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestAnalyticalTablesNonEmpty(t *testing.T) {
-	for _, tab := range Analytical() {
+	tables, err := RunTables(context.Background(), NewRunner(QuickScale()), RunOptions{Analytical: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range tables {
 		if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
 			t.Fatalf("experiment %q is empty", tab.ID)
 		}
@@ -74,7 +79,7 @@ func TestFigure12MatchesPaper(t *testing.T) {
 }
 
 func TestEquation5Table(t *testing.T) {
-	tab := ImpressNWorstCase()
+	tab := ImpressNWorstCase(NewRunner(QuickScale()))
 	for _, row := range tab.Rows {
 		ratio, _ := strconv.ParseFloat(row[3], 64)
 		want, _ := strconv.ParseFloat(row[4], 64)
@@ -85,7 +90,7 @@ func TestEquation5Table(t *testing.T) {
 }
 
 func TestFigure18FlatInK(t *testing.T) {
-	tab := Figure18()
+	tab := Figure18(NewRunner(QuickScale()))
 	// Analytic columns are exactly flat.
 	for col := 1; col <= 3; col++ {
 		first := cell(tab, 0, col)
@@ -143,13 +148,13 @@ func TestStorageTableAnchors(t *testing.T) {
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(tinyScale())
 	w := r.Workloads()[0]
-	a := r.Baseline(w)
-	b := r.Baseline(w)
+	a := r.baseline(w)
+	b := r.baseline(w)
 	if a.Cycles != b.Cycles || a.WeightedIPCSum != b.WeightedIPCSum {
 		t.Fatal("memoized run differs")
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1", len(r.cache))
+	if len(r.runs.m) != 1 {
+		t.Fatalf("cache has %d entries, want 1", len(r.runs.m))
 	}
 }
 

@@ -2,16 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-
-	"impress/internal/stats"
+	"strconv"
 
 	"impress/internal/attack"
 	"impress/internal/clm"
 	"impress/internal/core"
 	"impress/internal/dram"
 	"impress/internal/security"
+	"impress/internal/stats"
 	"impress/internal/trackers"
 )
 
@@ -21,8 +19,8 @@ import (
 // PRACTable demonstrates the paper's Section VI-F claim: ImPress composes
 // with Per-Row Activation Counting by adding 7 fractional bits to the
 // in-array counter, containing Row-Press at the full threshold with no
-// SRAM entries at all.
-func PRACTable() *Table {
+// SRAM entries at all. Its harness runs go through r.
+func PRACTable(r *Runner) *Table {
 	t := &Table{
 		ID: "prac", Title: "PRAC + ImPress-P (paper Section VI-F extension)",
 		Header: []string{"Config", "Counter bits/row", "RH peak damage", "RP(tREFI) peak damage", "verdict"},
@@ -41,8 +39,8 @@ func PRACTable() *Table {
 			Design: cfg.design, DesignTRH: 4000,
 			AlphaTrue: clm.AlphaLongDuration, RFMTH: 80, Tracker: factory,
 		}
-		rh := security.Run(sc, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
-		rp := security.Run(sc, &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm})
+		rh := r.harness("prac", sc, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
+		rp := r.harness("prac", sc, &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm})
 		verdict := "contained"
 		if rp.MaxDamage >= 4000 {
 			verdict = "BROKEN by Row-Press"
@@ -81,14 +79,9 @@ func RelatedWorkDSAC() *Table {
 
 // AblationRFMPacing shows why RFM must be paced on the weighted EACT
 // stream rather than raw ACT counts (DESIGN.md design-choice ablation).
-// Its harness runs execute concurrently up to GOMAXPROCS; use
-// AblationRFMPacingParallel to bound that explicitly.
-func AblationRFMPacing() *Table { return AblationRFMPacingParallel(0) }
-
-// AblationRFMPacingParallel is AblationRFMPacing with an explicit
-// concurrency bound (0 = GOMAXPROCS, 1 = fully serial). Output is
-// identical at every level.
-func AblationRFMPacingParallel(parallelism int) *Table {
+// Its harness runs execute concurrently up to r's parallelism; output
+// is identical at every level.
+func AblationRFMPacing(r *Runner) *Table {
 	t := &Table{
 		ID: "ablation-rfm", Title: "Ablation: RFM pacing on EACT vs raw ACT counts (MINT + ImPress-P)",
 		Header: []string{"RFM pacing", "RFMs issued", "peak damage", "verdict"},
@@ -104,9 +97,12 @@ func AblationRFMPacingParallel(parallelism int) *Table {
 		{"raw ACT count (ablated)", true, 51},
 	}
 	// The harness runs are independent (each owns its seeded RNG chain);
-	// run them over a bounded worker pool and assemble rows in declared
-	// order so output is identical at every parallelism level.
-	buildRow := func(i int) []string {
+	// run them over the runner's worker pool and assemble rows in
+	// declared order so output is identical at every parallelism level.
+	// The pool re-raises a row's runAbort on this goroutine, where
+	// RunTables recovers it.
+	rows := make([][]string, len(configs))
+	buildRow := func(i int) {
 		cfg := configs[i]
 		seed := cfg.seed
 		sc := security.Config{
@@ -114,58 +110,23 @@ func AblationRFMPacingParallel(parallelism int) *Table {
 			AlphaTrue: 1, RFMTH: 80, RFMPaceOnRawACTs: cfg.raw,
 			Tracker: func(trh float64) trackers.Tracker {
 				seed++
-				return trackers.NewMINT(80, newSeededRand(seed))
+				return trackers.NewMINT(80, stats.NewRand(seed))
 			},
 		}
-		res := security.Run(sc, &attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm})
+		res := r.harness("ablation-rfm", sc, &attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm})
 		verdict := "contained"
 		if res.MaxDamage >= mintTRH {
 			verdict = "BROKEN (tracker starved)"
 		}
-		return []string{cfg.name, fmt.Sprintf("%d", res.RFMs), f1(res.MaxDamage), verdict}
+		rows[i] = []string{cfg.name, fmt.Sprintf("%d", res.RFMs), f1(res.MaxDamage), verdict}
 	}
-	// With two configs the bound degenerates to serial (workers <= 1,
-	// including negative = clamped serial) vs concurrent (one goroutine
-	// per config); 0 resolves to GOMAXPROCS like Runner.Parallelism.
-	workers := parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	idx := make([]int, len(configs))
+	for i := range idx {
+		idx[i] = i
 	}
-	rows := make([][]string, len(configs))
-	if workers <= 1 {
-		for i := range configs {
-			rows[i] = buildRow(i)
-		}
-	} else {
-		// One goroutine per config (there are two); capture the first
-		// panic and resurface it after the pool drains.
-		var (
-			wg        sync.WaitGroup
-			panicOnce sync.Once
-			panicked  any
-		)
-		for i := range configs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						panicOnce.Do(func() { panicked = p })
-					}
-				}()
-				rows[i] = buildRow(i)
-			}()
-		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
-	}
+	pool(r, idx, strconv.Itoa, buildRow)
 	t.Rows = append(t.Rows, rows...)
 	t.Notes = append(t.Notes,
 		"pacing RFM on raw ACTs lets a pressing attacker starve in-DRAM trackers of mitigation windows")
 	return t
 }
-
-// newSeededRand is a tiny indirection so ablation configs read cleanly.
-func newSeededRand(seed uint64) *stats.Rand { return stats.NewRand(seed) }

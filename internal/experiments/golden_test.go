@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +30,11 @@ func TestGoldenTables(t *testing.T) {
 	dir := filepath.Join("testdata", "golden")
 	r := NewRunner(QuickScale())
 	seen := map[string]bool{}
-	for _, tab := range All(r) {
+	tables, err := RunTables(context.Background(), r, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range tables {
 		if seen[tab.ID] {
 			t.Fatalf("duplicate experiment ID %q", tab.ID)
 		}

@@ -18,7 +18,7 @@ func renderAll(tabs []*Table) string {
 }
 
 // TestPrefetchDeterminism checks the tentpole guarantee: a parallel
-// Prefetch populating the memo cache yields byte-identical rendered tables
+// prefetch populating the memo cache yields byte-identical rendered tables
 // to the fully serial path. Run at QuickScale over a representative subset
 // of the simulation-backed experiments (tracker-less sweep, the headline
 // tracker comparison incl. MINT/RFM, and the energy rollup).
@@ -63,8 +63,8 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different result", i)
 		}
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1 (singleflight must dedup)", len(r.cache))
+	if len(r.runs.m) != 1 {
+		t.Fatalf("cache has %d entries, want 1 (singleflight must dedup)", len(r.runs.m))
 	}
 }
 
@@ -84,31 +84,31 @@ func TestConcurrentRunDistinctSpecs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(r.cache) != 2*len(ws) {
-		t.Fatalf("cache has %d entries, want %d", len(r.cache), 2*len(ws))
+	if len(r.runs.m) != 2*len(ws) {
+		t.Fatalf("cache has %d entries, want %d", len(r.runs.m), 2*len(ws))
 	}
 }
 
-// TestPrefetchDedupsAndCaches verifies Prefetch deduplicates repeated
+// TestPrefetchDedupsAndCaches verifies prefetch deduplicates repeated
 // specs and that assembly afterwards only hits the cache.
 func TestPrefetchDedupsAndCaches(t *testing.T) {
 	r := NewRunner(tinyScale())
 	r.Parallelism = 4
 	w := r.Workloads()[0]
 	spec := baselineSpec(w)
-	r.Prefetch([]RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)})
-	if len(r.cache) != 2 {
-		t.Fatalf("cache has %d entries, want 2", len(r.cache))
+	r.prefetch([]RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)})
+	if len(r.runs.m) != 2 {
+		t.Fatalf("cache has %d entries, want 2", len(r.runs.m))
 	}
-	before := len(r.cache)
+	before := len(r.runs.m)
 	r.Run(spec)
-	if len(r.cache) != before {
-		t.Fatal("Run after Prefetch should be a pure cache hit")
+	if len(r.runs.m) != before {
+		t.Fatal("Run after prefetch should be a pure cache hit")
 	}
 }
 
 // TestPrefetchPanicPropagates checks that a panicking simulation does not
-// hang the pool or its waiters: the panic resurfaces to the Prefetch
+// hang the pool or its waiters: the panic resurfaces to the prefetch
 // caller, and later Run calls on the poisoned entry re-panic too.
 func TestPrefetchPanicPropagates(t *testing.T) {
 	r := NewRunner(tinyScale())
@@ -123,7 +123,7 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { r.Prefetch([]RunSpec{bad}) })
+	mustPanic(func() { r.prefetch([]RunSpec{bad}) })
 	mustPanic(func() { r.Run(bad) })
 }
 

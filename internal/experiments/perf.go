@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"impress/internal/core"
@@ -55,7 +54,7 @@ func figure3Specs(r *Runner) []RunSpec {
 // Figure3 regenerates the per-workload performance impact of limiting
 // row-open time to tMRO (no Rowhammer tracker; pure row-policy effect).
 func Figure3(r *Runner) *Table {
-	r.Prefetch(figure3Specs(r))
+	r.prefetch(figure3Specs(r))
 	t := &Table{
 		ID: "fig3", Title: "Normalized performance vs tMRO (paper Fig. 3)",
 		Header: []string{"Workload"},
@@ -69,7 +68,7 @@ func Figure3(r *Runner) *Table {
 	}
 	ws := r.Workloads()
 	for _, w := range ws {
-		base := r.Baseline(w)
+		base := r.baseline(w)
 		row := []string{w.Name}
 		for i, ns := range tMROSweepNs {
 			res := r.Run(fig3Spec(w, ns))
@@ -114,7 +113,7 @@ func figure5Specs(r *Runner) []RunSpec {
 // Figure5 regenerates the Graphene/PARA performance as tMRO varies under
 // ExPress with the characterized T*(tMRO) retuning.
 func Figure5(r *Runner) *Table {
-	r.Prefetch(figure5Specs(r))
+	r.prefetch(figure5Specs(r))
 	t := &Table{
 		ID: "fig5", Title: "Graphene and PARA performance vs tMRO under ExPress (paper Fig. 5)",
 		Header: []string{"Tracker", "Class"},
@@ -132,7 +131,7 @@ func Figure5(r *Runner) *Table {
 			cols[i] = map[string]float64{}
 		}
 		for _, w := range ws {
-			base := r.NoRP(w, tracker, 4000, 80)
+			base := r.noRP(w, tracker, 4000, 80)
 			for i, ns := range tMROSweepNs {
 				res := r.Run(fig5Spec(w, tracker, ns))
 				cols[i][w.Name] = res.NormalizeTo(base)
@@ -195,7 +194,7 @@ func figure13Specs(r *Runner) []RunSpec {
 // ExPress vs ImPress-N vs ImPress-P (alpha = 1) on Graphene and PARA, and
 // ImPress-N (RFM-40) vs ImPress-P (RFM-80) on MINT.
 func Figure13(r *Runner) *Table {
-	r.Prefetch(figure13Specs(r))
+	r.prefetch(figure13Specs(r))
 	t := &Table{
 		ID: "fig13", Title: "Performance normalized to No-RP, alpha=1 (paper Fig. 13)",
 		Header: []string{"Workload",
@@ -212,7 +211,7 @@ func Figure13(r *Runner) *Table {
 		row := []string{w.Name}
 		col := 0
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			base := r.NoRP(w, tracker, 4000, 80)
+			base := r.noRP(w, tracker, 4000, 80)
 			for _, d := range designSet13(1) {
 				res := r.Run(RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
 				v := res.NormalizeTo(base)
@@ -225,7 +224,7 @@ func Figure13(r *Runner) *Table {
 		// tolerated threshold by halving RFMTH to 40 (Appendix A);
 		// ImPress-P stays at RFM-80.
 		mintTRH := trackers.MINTToleratedTRH(80)
-		base := r.NoRP(w, sim.TrackerMINT, mintTRH, 80)
+		base := r.noRP(w, sim.TrackerMINT, mintTRH, 80)
 		specN, specP := fig13MintSpecs(w)
 		resN, resP := r.Run(specN), r.Run(specP)
 		vN, vP := resN.NormalizeTo(base), resP.NormalizeTo(base)
@@ -292,7 +291,7 @@ func figure16Specs(r *Runner) []RunSpec {
 
 // Figure16 regenerates the Appendix-A comparison at alpha in {0.35, 1}.
 func Figure16(r *Runner) *Table {
-	r.Prefetch(figure16Specs(r))
+	r.prefetch(figure16Specs(r))
 	t := &Table{
 		ID: "fig16", Title: "ExPress vs ImPress-N at alpha 0.35 and 1 (paper Fig. 16)",
 		Header: []string{"Workload",
@@ -310,7 +309,7 @@ func Figure16(r *Runner) *Table {
 		row := []string{w.Name}
 		col := 0
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			base := r.NoRP(w, tracker, 4000, 80)
+			base := r.noRP(w, tracker, 4000, 80)
 			for _, d := range fig16Designs() {
 				res := r.Run(RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
 				v := res.NormalizeTo(base)
@@ -320,7 +319,7 @@ func Figure16(r *Runner) *Table {
 			}
 		}
 		mintTRH := trackers.MINTToleratedTRH(80)
-		base := r.NoRP(w, sim.TrackerMINT, mintTRH, 80)
+		base := r.noRP(w, sim.TrackerMINT, mintTRH, 80)
 		for i, cfg := range fig16MintConfigs {
 			res := r.Run(fig16MintSpec(w, cfg.alpha, cfg.rfmth))
 			v := res.NormalizeTo(base)
@@ -376,7 +375,7 @@ func figure14Specs(r *Runner) []RunSpec {
 // mitigative activations relative to the unprotected baseline, averaged
 // over all workloads.
 func Figure14(r *Runner) *Table {
-	r.Prefetch(figure14Specs(r))
+	r.prefetch(figure14Specs(r))
 	t := &Table{
 		ID: "fig14", Title: "Relative activations: demand + mitigative (paper Fig. 14)",
 		Header: []string{"Tracker", "Design", "Demand ACTs", "Mitigative ACTs", "Total"},
@@ -386,7 +385,7 @@ func Figure14(r *Runner) *Table {
 		for _, dd := range comparisonDesigns() {
 			var demand, mitig []float64
 			for _, w := range ws {
-				unprot := r.Baseline(w)
+				unprot := r.baseline(w)
 				res := r.Run(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
 				baseActs := float64(unprot.Mem.DemandACTs)
 				if baseActs == 0 {
@@ -412,7 +411,7 @@ func Figure14(r *Runner) *Table {
 // EnergyTable regenerates the Section VI-E energy overheads from the same
 // run set as Figure 14.
 func EnergyTable(r *Runner) *Table {
-	r.Prefetch(figure14Specs(r))
+	r.prefetch(figure14Specs(r))
 	t := &Table{
 		ID: "energy", Title: "DRAM energy relative to unprotected baseline (paper Section VI-E)",
 		Header: []string{"Tracker", "Design", "Relative energy", "Activation share"},
@@ -423,7 +422,7 @@ func EnergyTable(r *Runner) *Table {
 		for _, dd := range comparisonDesigns() {
 			var rel, share []float64
 			for _, w := range ws {
-				unprot := r.Baseline(w)
+				unprot := r.baseline(w)
 				res := r.Run(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
 				baseE := model.Compute(unprot.Mem, dram.Tick(unprot.Cycles*dram.TicksPerCPUCycle), 2)
 				e := model.Compute(res.Mem, dram.Tick(res.Cycles*dram.TicksPerCPUCycle), 2)
@@ -463,7 +462,7 @@ func figure15Specs(r *Runner) []RunSpec {
 // TRH in {4K, 2K, 1K} for No-RP, ExPress and ImPress-P, normalized to the
 // unprotected baseline.
 func Figure15(r *Runner) *Table {
-	r.Prefetch(figure15Specs(r))
+	r.prefetch(figure15Specs(r))
 	t := &Table{
 		ID: "fig15", Title: "Performance vs TRH, normalized to unprotected (paper Fig. 15)",
 		Header: []string{"Tracker", "Design", "TRH=4K", "TRH=2K", "TRH=1K"},
@@ -477,7 +476,7 @@ func Figure15(r *Runner) *Table {
 				// float summation inside GeoMean across invocations.
 				var all []float64
 				for _, w := range ws {
-					unprot := r.Baseline(w)
+					unprot := r.baseline(w)
 					res := r.Run(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(trh)})
 					all = append(all, res.NormalizeTo(unprot))
 				}
@@ -491,9 +490,11 @@ func Figure15(r *Runner) *Table {
 	return t
 }
 
-// allSimSpecs is the union of every simulation-backed experiment's spec
-// list (Prefetch deduplicates the overlap, e.g. shared baselines).
-func allSimSpecs(r *Runner) []RunSpec {
+// SimSpecs returns the union of every simulation-backed experiment's run
+// specs — the full spec universe a complete sweep simulates. ShardSpecs
+// partitions it for fleet execution; prefetch deduplicates the overlap
+// between figures (shared baselines).
+func SimSpecs(r *Runner) []RunSpec {
 	var specs []RunSpec
 	specs = append(specs, figure3Specs(r)...)
 	specs = append(specs, figure5Specs(r)...)
@@ -502,31 +503,4 @@ func allSimSpecs(r *Runner) []RunSpec {
 	specs = append(specs, figure15Specs(r)...)
 	specs = append(specs, figure16Specs(r)...)
 	return specs
-}
-
-// All returns every experiment in paper order, using runner r for the
-// simulation-backed ones. The full simulation set is prefetched up front
-// so independent runs across figures execute concurrently. All panics on
-// invalid input and cannot be cancelled; it is kept so pre-Lab call
-// sites keep behaving identically. New callers should use AllContext or
-// RunTables (or impress.Lab.Experiments).
-func All(r *Runner) []*Table {
-	tables, err := AllContext(context.Background(), r)
-	if err != nil {
-		panic(err.Error())
-	}
-	return tables
-}
-
-// Analytical returns the experiments that need no performance simulation
-// (fast enough for any environment).
-func Analytical() []*Table {
-	return []*Table{
-		TableI(), TableII(), TableIII(),
-		Figure4(), Figure6(), Figure7(), Figure8(),
-		ImpressNWorstCase(), Figure12(),
-		Figure18(), Figure19(),
-		StorageTable(), SecuritySummary(),
-		PRACTable(), RelatedWorkDSAC(), AblationRFMPacing(),
-	}
 }

@@ -26,10 +26,17 @@ type Definition struct {
 }
 
 // Definitions returns every experiment in paper order — the single
-// registry behind All, RunTables and the impress-experiments CLI.
+// registry behind RunTables and the impress-experiments CLI.
 func Definitions() []Definition {
 	a := func(id string, build func() *Table) Definition {
 		return Definition{ID: id, Analytical: true, Build: func(*Runner) *Table { return build() }}
+	}
+	// Harness-backed experiments are analytical (single-bank security
+	// harness, no performance simulation) but run through the runner:
+	// its bound context cancels them, and ablation-rfm and attackzoo
+	// also use its parallelism (attackzoo its attack-evaluation cache).
+	h := func(id string, build func(*Runner) *Table) Definition {
+		return Definition{ID: id, Analytical: true, Build: build}
 	}
 	s := func(id string, build func(*Runner) *Table, specs func(*Runner) []RunSpec) Definition {
 		return Definition{ID: id, Build: build, Specs: specs}
@@ -43,7 +50,7 @@ func Definitions() []Definition {
 		a("fig6", Figure6),
 		a("fig7", Figure7),
 		a("fig8", Figure8),
-		a("eq5", ImpressNWorstCase),
+		h("eq5", ImpressNWorstCase),
 		a("fig12", Figure12),
 		s("fig13", Figure13, figure13Specs),
 		a("table3", TableIII),
@@ -51,20 +58,14 @@ func Definitions() []Definition {
 		s("energy", EnergyTable, figure14Specs),
 		s("fig15", Figure15, figure15Specs),
 		s("fig16", Figure16, figure16Specs),
-		a("fig18", Figure18),
+		h("fig18", Figure18),
 		a("fig19", Figure19),
 		a("storage", StorageTable),
-		a("security", SecuritySummary),
-		a("prac", PRACTable),
+		h("security", SecuritySummary),
+		h("prac", PRACTable),
 		a("dsac", RelatedWorkDSAC),
-		// ablation-rfm is analytical (single-bank security harness, no
-		// performance simulation) but honors the runner's parallelism.
-		{ID: "ablation-rfm", Analytical: true, Build: func(r *Runner) *Table {
-			return AblationRFMPacingParallel(r.parallelism())
-		}},
-		// attackzoo is likewise analytical (harness only) but uses the
-		// runner for its parallelism and its attack-evaluation cache.
-		{ID: "attackzoo", Analytical: true, Build: AttackZooTable},
+		h("ablation-rfm", AblationRFMPacing),
+		h("attackzoo", AttackZooTable),
 	}
 }
 
@@ -92,12 +93,13 @@ type RunOptions struct {
 }
 
 // RunTables assembles the selected experiment tables under a context —
-// the package's context-aware boundary. Everything the historical
-// panicking call tree rejects surfaces here as a typed error instead:
-// an unknown experiment ID or unresolvable scale workload (wrapping
-// errs.ErrBadSpec / errs.ErrUnknownWorkload), a simulation rejecting its
-// config, and cancellation (matching errs.ErrCancelled and ctx.Err(),
-// honored within one simulation macro cycle and between tables).
+// the package's context-aware boundary. Everything the table builders
+// reject by runAbort surfaces here as a typed error: an unknown
+// experiment ID or unresolvable scale workload (wrapping
+// errs.ErrBadSpec / errs.ErrUnknownWorkload), a simulation or harness
+// run rejecting its config, and cancellation (matching
+// errs.ErrCancelled and ctx.Err(), honored within one simulation macro
+// cycle, a few hundred harness accesses, and between tables).
 // Completed simulations stay memoized — and persistently stored with a
 // Store attached — so a cancelled sweep rerun resumes warm. Internal
 // invariant panics still propagate.
@@ -110,23 +112,18 @@ func RunTables(ctx context.Context, r *Runner, opts RunOptions) (tables []*Table
 	defer r.bind(ctx)()
 	defer func() {
 		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				tables, err = nil, a.err
-				return
-			}
-			panic(p)
+			tables, err = nil, abortErr(p)
 		}
 	}()
 
 	// A batch full sweep prefetches the union up front so independent
-	// runs across figures execute concurrently (the historical All
-	// behavior). Streaming callers (OnTable) want completed tables
-	// incrementally, so each figure prefetches its own set lazily
-	// instead — the memo still deduplicates cross-figure overlap, and
-	// output is byte-identical either way. Filtered runs are always
-	// lazy.
+	// runs across figures execute concurrently. Streaming callers
+	// (OnTable) want completed tables incrementally, so each figure
+	// prefetches its own set lazily instead — the memo still
+	// deduplicates cross-figure overlap, and output is byte-identical
+	// either way. Filtered runs are always lazy.
 	if len(opts.Only) == 0 && !opts.Analytical && opts.OnTable == nil {
-		r.Prefetch(allSimSpecs(r))
+		r.prefetch(SimSpecs(r))
 	}
 	for _, d := range selected {
 		r.checkCtx()
@@ -196,16 +193,12 @@ func SpecsFor(r *Runner, opts RunOptions) (specs []RunSpec, err error) {
 		return nil, err
 	}
 	// Workload resolution (r.Workloads inside the Specs funcs) reports
-	// scale typos through the historical runAbort panic; recover it
+	// scale typos through the runAbort panic; recover it
 	// into the typed error here like the other context-aware
 	// boundaries.
 	defer func() {
 		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				specs, err = nil, a.err
-				return
-			}
-			panic(p)
+			specs, err = nil, abortErr(p)
 		}
 	}()
 	seen := make(map[string]bool)
@@ -261,10 +254,4 @@ func annotateCI(r *Runner, d Definition, t *Table) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"sampled estimates, 95%% CI: worst rel. half-width IPC %.2f%%, ACTs %.2f%% across %d runs (%d early-stopped)",
 		100*worstIPC, 100*worstACT, n, early))
-}
-
-// AllContext regenerates every table and figure under a context; see
-// RunTables for the error and cancellation contract.
-func AllContext(ctx context.Context, r *Runner) ([]*Table, error) {
-	return RunTables(ctx, r, RunOptions{})
 }

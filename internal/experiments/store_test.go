@@ -60,12 +60,12 @@ func TestWarmStoreServesIdenticalTablesWithZeroSims(t *testing.T) {
 	}
 }
 
-// TestShardPartitionIsExactCover checks the Shard contract for several
+// TestShardPartitionIsExactCover checks the ShardSpecs contract for several
 // shard counts: shards are pairwise disjoint and together cover the
 // deduplicated spec universe exactly.
 func TestShardPartitionIsExactCover(t *testing.T) {
 	r := NewRunner(QuickScale())
-	specs := allSimSpecs(r)
+	specs := SimSpecs(r)
 	whole := map[string]bool{}
 	for _, s := range specs {
 		whole[string(r.storeSpec(s).Key())] = true
@@ -74,7 +74,10 @@ func TestShardPartitionIsExactCover(t *testing.T) {
 		covered := map[string]int{}
 		total := 0
 		for i := 1; i <= n; i++ {
-			shard := r.Shard(specs, i, n)
+			shard, err := r.ShardSpecs(specs, i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			total += len(shard)
 			for _, s := range shard {
 				covered[string(r.storeSpec(s).Key())]++
@@ -94,20 +97,6 @@ func TestShardPartitionIsExactCover(t *testing.T) {
 	}
 	if r.Sims() != 0 {
 		t.Fatalf("partitioning must not simulate (ran %d)", r.Sims())
-	}
-}
-
-func TestShardRejectsBadIndices(t *testing.T) {
-	r := NewRunner(tinyScale())
-	for _, bad := range [][2]int{{0, 2}, {3, 2}, {1, 0}, {-1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Shard(%d, %d) must panic", bad[0], bad[1])
-				}
-			}()
-			r.Shard(nil, bad[0], bad[1])
-		}()
 	}
 }
 
@@ -149,7 +138,7 @@ func TestSpecsForMatchesSweepUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := keysOf(allSimSpecs(r))
+	want := keysOf(SimSpecs(r))
 	if got := keysOf(full); len(got) != len(want) || len(full) != len(want) {
 		t.Fatalf("SpecsFor(all) has %d specs (%d distinct), want the %d-spec deduplicated universe",
 			len(full), len(got), len(want))
@@ -209,7 +198,11 @@ func TestShardedSweepMergesThroughStore(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		shardRunner := NewRunner(scale)
 		shardRunner.Store = openStore(t, dir)
-		shardRunner.Prefetch(shardRunner.Shard(specs, i, 2))
+		shard, err := shardRunner.ShardSpecs(specs, i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardRunner.prefetch(shard)
 	}
 
 	merge := NewRunner(scale)

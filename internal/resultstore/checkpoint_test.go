@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,21 +179,21 @@ func TestAttachCheckpointsColdThenWarm(t *testing.T) {
 	if cold.OnCheckpoint == nil {
 		t.Fatal("a cold attach must install the checkpoint publisher")
 	}
-	sim.Run(cold)
+	runSim(t, cold)
 	if c := st.Counters(); c.CheckpointWrites != 1 {
 		t.Fatalf("the cold run must have published its checkpoint: %+v", c)
 	}
 
 	warm := simConfig(t)
 	warm.RunInstructions *= 2 // a different spec, same warmup prefix
-	reference := sim.Run(warm)
+	reference := runSim(t, warm)
 	if restored := st.AttachCheckpoints(&warm); !restored {
 		t.Fatal("the second spec must restore the stored warmup checkpoint")
 	}
 	if warm.RestoreCheckpoint == nil || warm.OnCheckpoint != nil {
 		t.Fatalf("a warm attach must install only the restore payload")
 	}
-	got := sim.Run(warm)
+	got := runSim(t, warm)
 	if !reflect.DeepEqual(got, reference) {
 		t.Fatalf("restored run diverged from straight-through:\nrestored %+v\nstraight %+v", got, reference)
 	}
@@ -235,4 +236,13 @@ func TestAttachCheckpointsEdgeCases(t *testing.T) {
 	if cfg.RestoreCheckpoint != nil || cfg.OnCheckpoint == nil {
 		t.Fatal("the demoted attach must fall back to the publisher path")
 	}
+}
+
+func runSim(t *testing.T, cfg sim.Config) sim.Result {
+	t.Helper()
+	res, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -48,8 +48,8 @@ const keyPreamble = "impress-resultstore/v1\n"
 
 // Spec is the canonical, serializable description of one fully-resolved
 // simulation run: two sim.Configs produce equal Specs if and only if
-// sim.Run is contractually bound to produce bit-identical Results for
-// them. The JSON encoding of a Spec (fixed field order, exact float64
+// sim.RunContext is contractually bound to produce bit-identical
+// Results for them. The JSON encoding of a Spec (fixed field order, exact float64
 // round-tripping) is the preimage of the store key.
 type Spec struct {
 	// Workload is the canonical workload spec ("mcf", "mix:a,b,...",
@@ -90,13 +90,14 @@ type Spec struct {
 // Key is the content address of a Spec: a lowercase hex sha256.
 type Key string
 
-// SpecFor derives the canonical spec for cfg, mirroring how sim.Run
+// SpecFor derives the canonical spec for cfg, mirroring how sim.RunContext
 // resolves the configuration:
 //
 //   - a TraceFile run is keyed by the file's content hash (the file
 //     overrides workload, core count and seed, so those fields are left
 //     empty); reading the file is the only failure mode of SpecFor;
-//   - CPU.NoFastPath is cleared — sim.Run derives it from the clock mode;
+//   - CPU.NoFastPath is cleared — sim.RunContext derives it from the
+//     clock mode;
 //   - Clock and MaxCycles are dropped entirely: every clock mode produces
 //     bit-identical results, and MaxCycles is a deadlock safety net that
 //     panics instead of producing a different Result.
@@ -142,8 +143,8 @@ func SpecFor(cfg sim.Config) (Spec, error) {
 			return Spec{}, fmt.Errorf("resultstore: hashing trace file: %w", err)
 		}
 		s.TraceSHA256 = hex.EncodeToString(h.Sum(nil))
-		// The file overrides these three in sim.Run; the content hash
-		// stands in for all of them.
+		// The file overrides these three in sim.RunContext; the content
+		// hash stands in for all of them.
 		s.Workload, s.Cores, s.Seed = "", 0, 0
 	} else {
 		s.Workload = cfg.Workload.Name

@@ -100,18 +100,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Run replays pattern against cfg and returns the measured result. It
-// panics on invalid input and cannot be cancelled; it is kept so pre-Lab
-// call sites keep compiling and behaving identically. New callers should
-// use RunContext (or impress.Lab.Attack).
-func Run(cfg Config, pattern attack.Pattern) Result {
-	res, err := RunContext(context.Background(), cfg, pattern)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
 // RunContext replays pattern against cfg and returns the measured
 // result. Invalid caller input returns a typed error wrapping
 // errs.ErrBadSpec (see Config.Validate). Cancellation is honored at

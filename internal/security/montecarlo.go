@@ -1,7 +1,11 @@
 package security
 
 import (
+	"context"
+	"fmt"
+
 	"impress/internal/attack"
+	"impress/internal/errs"
 	"impress/internal/stats"
 )
 
@@ -39,18 +43,29 @@ func (m MonteCarloResult) DamagePercentile(p float64) float64 {
 // MonteCarlo runs trials independent harness runs with decorrelated
 // tracker seeds and a fresh pattern per trial, recording the peak-damage
 // distribution. newPattern must return a fresh, stateless-from-start
-// pattern each call.
-func MonteCarlo(cfg Config, newPattern func() attack.Pattern,
-	newTracker SeededTrackerFactory, trials int, baseSeed uint64) MonteCarloResult {
+// pattern each call. A non-positive trial count or an invalid config
+// returns an error wrapping errs.ErrBadSpec; ctx is polled between
+// trials (and inside each, at access granularity), so cancellation
+// returns an error matching errs.ErrCancelled and ctx.Err().
+func MonteCarlo(ctx context.Context, cfg Config, newPattern func() attack.Pattern,
+	newTracker SeededTrackerFactory, trials int, baseSeed uint64) (MonteCarloResult, error) {
 	if trials <= 0 {
-		panic("security: need at least one trial")
+		return MonteCarloResult{}, fmt.Errorf("security: %w: Monte-Carlo needs at least one trial, got %d",
+			errs.ErrBadSpec, trials)
 	}
 	res := MonteCarloResult{Trials: trials}
 	seeds := stats.NewRand(baseSeed)
 	for i := 0; i < trials; i++ {
+		if err := ctx.Err(); err != nil {
+			return MonteCarloResult{}, fmt.Errorf("security: Monte-Carlo stopped after %d of %d trials: %w",
+				i, trials, errs.Cancelled(err))
+		}
 		trialCfg := cfg
 		trialCfg.Tracker = newTracker(cfg.Design.TrackerTRH(cfg.DesignTRH), seeds.Uint64())
-		r := Run(trialCfg, newPattern())
+		r, err := RunContext(ctx, trialCfg, newPattern())
+		if err != nil {
+			return MonteCarloResult{}, err
+		}
 		res.Damages = append(res.Damages, r.MaxDamage)
 		if r.MaxDamage > res.MaxDamage {
 			res.MaxDamage = r.MaxDamage
@@ -59,5 +74,5 @@ func MonteCarlo(cfg Config, newPattern func() attack.Pattern,
 			res.Failures++
 		}
 	}
-	return res
+	return res, nil
 }

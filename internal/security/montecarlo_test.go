@@ -1,12 +1,15 @@
 package security
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"impress/internal/attack"
 	"impress/internal/clm"
 	"impress/internal/core"
 	"impress/internal/dram"
+	"impress/internal/errs"
 	"impress/internal/stats"
 	"impress/internal/trackers"
 )
@@ -34,7 +37,7 @@ func TestMonteCarloPARARowhammerReliable(t *testing.T) {
 		AlphaTrue: clm.AlphaLongDuration,
 		Duration:  tm.TREFW / 4, // shorter window keeps 30 trials fast
 	}
-	res := MonteCarlo(cfg,
+	res := monteCarlo(t, cfg,
 		func() attack.Pattern { return &attack.Rowhammer{Row: 1 << 20, Timings: tm} },
 		seededPARA(), 30, 1)
 	if res.Failures != 0 {
@@ -57,7 +60,7 @@ func TestMonteCarloPARARowPressUnreliable(t *testing.T) {
 		AlphaTrue: clm.AlphaLongDuration,
 		Duration:  tm.TREFW / 4,
 	}
-	res := MonteCarlo(cfg,
+	res := monteCarlo(t, cfg,
 		func() attack.Pattern { return &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm} },
 		seededPARA(), 20, 2)
 	if res.FailureFraction() < 0.9 {
@@ -72,7 +75,7 @@ func TestMonteCarloPARAImpressPRestoresReliability(t *testing.T) {
 		AlphaTrue: clm.AlphaLongDuration,
 		Duration:  tm.TREFW / 4,
 	}
-	res := MonteCarlo(cfg,
+	res := monteCarlo(t, cfg,
 		func() attack.Pattern { return &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm} },
 		seededPARA(), 30, 3)
 	if res.Failures != 0 {
@@ -88,7 +91,7 @@ func TestMonteCarloMINT(t *testing.T) {
 		AlphaTrue: 1, RFMTH: 80,
 		Duration: tm.TREFW / 4,
 	}
-	res := MonteCarlo(cfg,
+	res := monteCarlo(t, cfg,
 		func() attack.Pattern { return &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm} },
 		seededMINT(80), 20, 4)
 	if res.Failures != 0 {
@@ -112,7 +115,7 @@ func TestManySidedContainedByProvisioning(t *testing.T) {
 		AlphaTrue: clm.AlphaLongDuration,
 		Tracker:   grapheneFactory(),
 	}
-	res := Run(cfg, &attack.ManySided{Rows: rows, Timings: tm})
+	res := run(t, cfg, &attack.ManySided{Rows: rows, Timings: tm})
 	if res.MaxDamage >= designTRH {
 		t.Fatalf("many-sided spread breached Graphene: %v", res.MaxDamage)
 	}
@@ -125,12 +128,67 @@ func TestMonteCarloDeterministicGivenSeed(t *testing.T) {
 		AlphaTrue: 1, Duration: tm.TREFW / 8,
 	}
 	mk := func() MonteCarloResult {
-		return MonteCarlo(cfg,
+		return monteCarlo(t, cfg,
 			func() attack.Pattern { return &attack.Rowhammer{Row: 5, Timings: tm} },
 			seededPARA(), 5, 7)
 	}
 	a, b := mk(), mk()
 	if a.MaxDamage != b.MaxDamage || a.Failures != b.Failures {
 		t.Fatal("Monte-Carlo not reproducible for a fixed base seed")
+	}
+}
+
+func monteCarlo(t *testing.T, cfg Config, newPattern func() attack.Pattern,
+	newTracker SeededTrackerFactory, trials int, baseSeed uint64) MonteCarloResult {
+	t.Helper()
+	res, err := MonteCarlo(context.Background(), cfg, newPattern, newTracker, trials, baseSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestMonteCarloTypedErrors: a non-positive trial count and a context
+// cancelled before or during the ensemble come back as taxonomy errors,
+// never as panics or partial results.
+func TestMonteCarloTypedErrors(t *testing.T) {
+	tm := dram.DDR5()
+	cfg := Config{
+		Design: core.NewDesign(core.NoRP), DesignTRH: designTRH,
+		AlphaTrue: 1, Duration: tm.TREFW / 64,
+	}
+	cancelled := []error{errs.ErrCancelled, context.Canceled}
+	for _, tc := range []struct {
+		name     string
+		trials   int
+		cancelAt int // pattern-factory call that cancels (-1: before the run)
+		want     []error
+	}{
+		{"zero trials", 0, 0, []error{errs.ErrBadSpec}},
+		{"negative trials", -3, 0, []error{errs.ErrBadSpec}},
+		{"cancelled before the first trial", 5, -1, cancelled},
+		{"cancelled mid-ensemble", 5, 2, cancelled},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if tc.cancelAt < 0 {
+			cancel()
+		}
+		calls := 0
+		pattern := func() attack.Pattern {
+			if calls++; calls == tc.cancelAt {
+				cancel()
+			}
+			return &attack.Rowhammer{Row: 5, Timings: tm}
+		}
+		res, err := MonteCarlo(ctx, cfg, pattern, seededPARA(), tc.trials, 1)
+		cancel()
+		for _, want := range tc.want {
+			if !errors.Is(err, want) {
+				t.Errorf("%s: error %v does not match %v", tc.name, err, want)
+			}
+		}
+		if res.Trials != 0 || res.Damages != nil {
+			t.Errorf("%s: failed MonteCarlo returned a partial result: %+v", tc.name, res)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package security
 
 import (
-	"fmt"
+	"context"
 
 	"impress/internal/attack"
 	"impress/internal/dram"
@@ -24,12 +24,6 @@ type SearchResult struct {
 	// All holds every evaluated strategy's outcome, sorted by evaluation
 	// order.
 	All []Result
-}
-
-// String implements fmt.Stringer.
-func (s SearchResult) String() string {
-	return fmt.Sprintf("worst case: %s (peak damage %.1f over %d strategies)",
-		s.BestPattern, s.BestResult.MaxDamage, len(s.All))
 }
 
 // candidatePatterns enumerates the attacker strategy grid.
@@ -64,16 +58,22 @@ func candidatePatterns(t dram.Timings) []func() attack.Pattern {
 // SearchWorstCase evaluates the full strategy grid against cfg and returns
 // the maximizing pattern. Probabilistic trackers should be given a fresh
 // deterministic seed per run via cfg.Tracker (the factory is re-invoked
-// for every strategy).
-func SearchWorstCase(cfg Config) SearchResult {
+// for every strategy). Invalid configs return an error wrapping
+// errs.ErrBadSpec; cancellation stops the search within one strategy's
+// access-poll interval with an error matching errs.ErrCancelled and
+// ctx.Err().
+func SearchWorstCase(ctx context.Context, cfg Config) (SearchResult, error) {
 	var sr SearchResult
 	for _, mk := range candidatePatterns(cfg.Design.Timings) {
-		res := Run(cfg, mk())
+		res, err := RunContext(ctx, cfg, mk())
+		if err != nil {
+			return SearchResult{}, err
+		}
 		sr.All = append(sr.All, res)
 		if res.MaxDamage > sr.BestResult.MaxDamage {
 			sr.BestResult = res
 			sr.BestPattern = res.Pattern
 		}
 	}
-	return sr
+	return sr, nil
 }

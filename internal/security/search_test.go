@@ -1,6 +1,7 @@
 package security
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestSearchFindsRowPressAgainstNoRP(t *testing.T) {
 		Design: core.NewDesign(core.NoRP), DesignTRH: designTRH,
 		AlphaTrue: clm.AlphaLongDuration, Tracker: grapheneFactory(),
 	}
-	sr := SearchWorstCase(cfg)
+	sr := search(t, cfg)
 	if !strings.HasPrefix(sr.BestPattern, "rowpress") {
 		t.Fatalf("worst case against No-RP should be a Row-Press hold, got %s", sr.BestPattern)
 	}
@@ -33,7 +34,7 @@ func TestSearchFindsDecoyAgainstImpressN(t *testing.T) {
 		Design: core.NewDesign(core.ImpressN), DesignTRH: designTRH,
 		AlphaTrue: 1, Tracker: grapheneFactory(),
 	}
-	sr := SearchWorstCase(cfg)
+	sr := search(t, cfg)
 	if sr.BestPattern != "impress-n-decoy" {
 		t.Fatalf("worst case against ImPress-N should be the decoy, got %s (%v)",
 			sr.BestPattern, sr.BestResult.MaxDamage)
@@ -52,7 +53,7 @@ func TestSearchConfirmsImpressPWorstCaseBound(t *testing.T) {
 		Design: core.NewDesign(core.ImpressP), DesignTRH: designTRH,
 		AlphaTrue: 1, Tracker: grapheneFactory(),
 	}
-	sr := SearchWorstCase(cfg)
+	sr := search(t, cfg)
 	if sr.BestResult.MaxDamage >= designTRH {
 		t.Fatalf("search broke ImPress-P with %s: %v", sr.BestPattern, sr.BestResult.MaxDamage)
 	}
@@ -66,7 +67,7 @@ func TestSearchMithrilImpressP(t *testing.T) {
 		Design: core.NewDesign(core.ImpressP), DesignTRH: designTRH,
 		AlphaTrue: 1, RFMTH: 80, Tracker: mithrilFactory(80),
 	}
-	sr := SearchWorstCase(cfg)
+	sr := search(t, cfg)
 	if sr.BestResult.MaxDamage >= designTRH {
 		t.Fatalf("search broke Mithril+ImPress-P with %s: %v", sr.BestPattern, sr.BestResult.MaxDamage)
 	}
@@ -78,8 +79,17 @@ func TestSearchUsesPRAC(t *testing.T) {
 		AlphaTrue: 1, RFMTH: 80,
 		Tracker: func(trh float64) trackers.Tracker { return trackers.NewPRAC(trh) },
 	}
-	sr := SearchWorstCase(cfg)
+	sr := search(t, cfg)
 	if sr.BestResult.MaxDamage >= designTRH {
 		t.Fatalf("search broke PRAC+ImPress-P with %s: %v", sr.BestPattern, sr.BestResult.MaxDamage)
 	}
+}
+
+func search(t *testing.T, cfg Config) SearchResult {
+	t.Helper()
+	sr, err := SearchWorstCase(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
 }

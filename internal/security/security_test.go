@@ -1,6 +1,7 @@
 package security
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,11 @@ func mintFactory(rfmth int, seed uint64) TrackerFactory {
 
 func run(t *testing.T, cfg Config, p attack.Pattern) Result {
 	t.Helper()
-	return Run(cfg, p)
+	res, err := RunContext(context.Background(), cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // --- Headline motivation: Rowhammer defenses are secure against RH but
@@ -312,7 +317,7 @@ func TestHarnessDeterminism(t *testing.T) {
 			AlphaTrue: 1, Tracker: paraFactory(99),
 			Duration: tm.TREFW / 8,
 		}
-		return Run(cfg, &attack.RowPress{Row: 5, TON: 4 * tm.TRC, Timings: tm})
+		return run(t, cfg, &attack.RowPress{Row: 5, TON: 4 * tm.TRC, Timings: tm})
 	}
 	a, b := mk(), mk()
 	if a != b {

@@ -22,7 +22,7 @@ func benchRun(b *testing.B, workload string, design core.Design, tracker Tracker
 		cfg := DefaultConfig(w, design, tracker)
 		cfg.WarmupInstructions = 5_000
 		cfg.RunInstructions = 25_000
-		res := Run(cfg)
+		res := mustRun(b, cfg)
 		totalCycles += res.Cycles
 	}
 	b.ReportMetric(float64(totalCycles)/float64(b.N), "cycles/run")
@@ -51,7 +51,7 @@ func BenchmarkSimCopyMINT(b *testing.B) {
 		cfg.DesignTRH = 1600
 		cfg.WarmupInstructions = 5_000
 		cfg.RunInstructions = 25_000
-		Run(cfg)
+		mustRun(b, cfg)
 	}
 }
 
@@ -86,7 +86,7 @@ func benchClock(b *testing.B, w trace.Workload, clock ClockMode) {
 		cfg.Clock = clock
 		cfg.WarmupInstructions = 50_000
 		cfg.RunInstructions = 250_000
-		Run(cfg)
+		mustRun(b, cfg)
 	}
 }
 

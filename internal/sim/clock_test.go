@@ -55,16 +55,16 @@ func TestClockEquivalence(t *testing.T) {
 	for _, tc := range clockCases {
 		cfg := clockConfig(t, tc.workload, tc.kind, tc.tracker, tc.trh)
 		cfg.Clock = ClockCycleAccurate
-		ca := Run(cfg)
+		ca := mustRun(t, cfg)
 		cfg.Clock = ClockEventDriven
-		ev := Run(cfg)
+		ev := mustRun(t, cfg)
 		if !reflect.DeepEqual(ca, ev) {
 			t.Errorf("%s/%v/%s: event-driven diverged from cycle-accurate:\nCA %+v\nEV %+v",
 				tc.workload, tc.kind, tc.tracker, ca, ev)
 			continue
 		}
 		cfg.Clock = ClockLockstep
-		if ls := Run(cfg); !reflect.DeepEqual(ca, ls) {
+		if ls := mustRun(t, cfg); !reflect.DeepEqual(ca, ls) {
 			t.Errorf("%s/%v/%s: lockstep result differs from cycle-accurate",
 				tc.workload, tc.kind, tc.tracker)
 		}
@@ -204,14 +204,14 @@ func TestClockEquivalenceFillRegimeCompletion(t *testing.T) {
 	cfg.WarmupInstructions = 5_000
 	cfg.RunInstructions = 30_000
 	cfg.Clock = ClockCycleAccurate
-	ca := Run(cfg)
+	ca := mustRun(t, cfg)
 	cfg.Clock = ClockEventDriven
-	ev := Run(cfg)
+	ev := mustRun(t, cfg)
 	if !reflect.DeepEqual(ca, ev) {
 		t.Fatalf("fill-regime completion diverged:\nCA %+v\nEV %+v", ca, ev)
 	}
 	cfg.Clock = ClockLockstep
-	Run(cfg) // panics on the first divergent macro cycle
+	mustRun(t, cfg) // panics on the first divergent macro cycle
 }
 
 // TestLockstepCatchesDivergence makes sure the cross-check mode is not

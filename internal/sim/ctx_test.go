@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,31 +25,31 @@ func tinyCtxConfig(t *testing.T, name string) Config {
 	return cfg
 }
 
-// TestRunContextMatchesRun pins the compatibility contract: RunContext
-// under an uncancellable context is bit-identical to the deprecated Run.
+// mustRun runs cfg under an uncancellable context, failing tb on error.
+func mustRun(tb testing.TB, cfg Config) Result {
+	tb.Helper()
+	res, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// TestRunContextMatchesRun pins that cancellability has no side effect
+// on results: a run under a live cancellable context (the
+// per-macro-cycle poll active) is bit-identical to the uncancellable
+// run, whose poll degenerates to a nil-check.
 func TestRunContextMatchesRun(t *testing.T) {
 	cfg := tinyCtxConfig(t, "gcc")
-	got, err := RunContext(context.Background(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Run(cfg); !resultsEqual(got, want) {
-		t.Fatalf("RunContext diverged from Run:\n got %+v\nwant %+v", got, want)
+	if want := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cancellable run diverged from the uncancellable one:\n got %+v\nwant %+v", got, want)
 	}
-}
-
-func resultsEqual(a, b Result) bool {
-	if a.Workload != b.Workload || a.WeightedIPCSum != b.WeightedIPCSum ||
-		a.Mem != b.Mem || a.LLCHitRate != b.LLCHitRate || a.Cycles != b.Cycles ||
-		len(a.IPC) != len(b.IPC) {
-		return false
-	}
-	for i := range a.IPC {
-		if a.IPC[i] != b.IPC[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestRunContextPreCancelled is the macro-cycle boundary contract at its
@@ -163,19 +163,4 @@ func TestRunContextBadTraceFile(t *testing.T) {
 	if _, err := RunContext(context.Background(), cfg); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("missing trace file: %v, want ErrBadSpec", err)
 	}
-}
-
-// TestRunStillPanicsOnBadInput pins the deprecated wrapper's behavior:
-// pre-Lab call sites relied on the panic.
-func TestRunStillPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("Run with an invalid config did not panic")
-		}
-		if msg, ok := p.(string); !ok || !strings.Contains(msg, "sim:") {
-			t.Fatalf("Run panicked with %v; want the sim error string", p)
-		}
-	}()
-	Run(Config{Cores: 0})
 }

@@ -60,8 +60,8 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 		}
 		var results [2]Result
 		for i, clock := range []ClockMode{ClockEventDriven, ClockCycleAccurate} {
-			live := Run(replayConfig(w, clock))
-			replayed := Run(replayConfig(replayW, clock))
+			live := mustRun(t, replayConfig(w, clock))
+			replayed := mustRun(t, replayConfig(replayW, clock))
 			if !reflect.DeepEqual(live, replayed) {
 				t.Fatalf("%s (clock %d): replay diverged from live run:\nlive   %+v\nreplay %+v",
 					name, clock, live, replayed)
@@ -88,11 +88,11 @@ func TestTraceFileConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := Run(replayConfig(w, ClockEventDriven))
+	live := mustRun(t, replayConfig(w, ClockEventDriven))
 	cfg := replayConfig(trace.Workload{}, ClockEventDriven)
 	cfg.TraceFile = path
 	cfg.Cores = 0 // the trace's recorded core count takes over
-	replayed := Run(cfg)
+	replayed := mustRun(t, cfg)
 	if !reflect.DeepEqual(live, replayed) {
 		t.Fatalf("TraceFile replay diverged from live run:\nlive   %+v\nreplay %+v", live, replayed)
 	}
@@ -117,12 +117,12 @@ func TestTraceFileUsesRecordedSeed(t *testing.T) {
 	liveCfg := replayConfig(w, ClockEventDriven)
 	liveCfg.Tracker = TrackerPARA
 	liveCfg.Seed = seed
-	live := Run(liveCfg)
+	live := mustRun(t, liveCfg)
 
 	replayCfg := replayConfig(trace.Workload{}, ClockEventDriven)
 	replayCfg.Tracker = TrackerPARA
 	replayCfg.TraceFile = path // leaves replayCfg.Seed at the default 1
-	replayed := Run(replayCfg)
+	replayed := mustRun(t, replayCfg)
 	if !reflect.DeepEqual(live, replayed) {
 		t.Fatalf("replay ignored the recorded seed:\nlive   %+v\nreplay %+v", live, replayed)
 	}
@@ -138,7 +138,7 @@ func TestAttackTrafficReachesDRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(replayConfig(w, ClockEventDriven))
+	res := mustRun(t, replayConfig(w, ClockEventDriven))
 	if res.Mem.DemandACTs < 3000 {
 		t.Errorf("aggressor generated only %d demand ACTs; its traffic is not reaching DRAM", res.Mem.DemandACTs)
 	}
@@ -168,8 +168,8 @@ func TestMixedAttackScenarioRuns(t *testing.T) {
 	if attacked.Stream || benign.Stream {
 		t.Fatal("mixes containing SPEC sources must classify as SPEC")
 	}
-	resA := Run(replayConfig(attacked, ClockEventDriven))
-	resB := Run(replayConfig(benign, ClockEventDriven))
+	resA := mustRun(t, replayConfig(attacked, ClockEventDriven))
+	resB := mustRun(t, replayConfig(benign, ClockEventDriven))
 	if len(resA.IPC) != 8 {
 		t.Fatalf("mixed run produced %d cores, want 8", len(resA.IPC))
 	}
@@ -203,12 +203,12 @@ func TestTraceFileAllClockModes(t *testing.T) {
 	for _, clock := range []ClockMode{ClockEventDriven, ClockCycleAccurate, ClockLockstep} {
 		liveCfg := replayConfig(w, clock)
 		liveCfg.Cores = 4
-		live := Run(liveCfg)
+		live := mustRun(t, liveCfg)
 
 		cfg := replayConfig(trace.Workload{}, clock)
 		cfg.TraceFile = path
 		cfg.Cores = 0 // the trace's recorded core count takes over
-		replayed := Run(cfg)
+		replayed := mustRun(t, cfg)
 		if !reflect.DeepEqual(live, replayed) {
 			t.Fatalf("clock %d: streaming TraceFile replay diverged from live run:\nlive   %+v\nreplay %+v",
 				clock, live, replayed)

@@ -83,10 +83,10 @@ type Config struct {
 	// recorded seed — the Seed override keeps randomized trackers
 	// (PARA/MINT) on the same RNG chain as the live run, which the
 	// replay-equivalence contract requires. An unreadable or corrupt
-	// file is a typed error from RunContext (a panic from the deprecated
-	// Run); callers wanting a different tracker seed over the same
-	// recorded stream should load the trace themselves (trace.ReadFile +
-	// Trace.Workload) and set Workload directly.
+	// file is a typed error from RunContext; callers wanting a
+	// different tracker seed over the same recorded stream should load
+	// the trace themselves (trace.ReadFile + Trace.Workload) and set
+	// Workload directly.
 	TraceFile string
 	Cores     int
 	CPU       cpu.Config
@@ -236,28 +236,6 @@ func (r Result) NormalizeTo(baseline Result) float64 {
 	return stats.NormalizedWeightedSpeedup(r.IPC, baseline.IPC)
 }
 
-// Run executes the simulation. It panics on invalid input and cannot be
-// cancelled; it is kept so pre-Lab call sites keep compiling and behaving
-// bit-identically. New callers should use RunContext (or impress.Lab.Run),
-// which returns typed errors and honors context cancellation.
-//
-// Run is safe for concurrent use: every call builds a private simulator —
-// its own RNG chain seeded from cfg.Seed, trace generators, cores, LLC
-// and memory controller — and the package keeps no mutable global state.
-// Results depend only on cfg, never on what other goroutines are doing,
-// which is what lets the experiment runner (internal/experiments) fan
-// independent runs out over a worker pool while remaining bit-for-bit
-// deterministic. The Config value itself must not be mutated while Run
-// uses it; Design, Workload and cpu/cache configs are plain values, so
-// sharing one Config template across goroutines by copy is fine.
-func Run(cfg Config) Result {
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
 // RunContext executes the simulation under a context. Invalid caller
 // input — a config failing Validate, an unreadable or corrupt trace
 // file — returns a typed error wrapping errs.ErrBadSpec; internal
@@ -270,8 +248,18 @@ func Run(cfg Config) Result {
 // matching both errs.ErrCancelled and ctx.Err() — while the hot loop
 // pays only a nil-check when the context cannot be cancelled (the
 // event-driven clock's idle skips fast-forward past the poll exactly as
-// they fast-forward past the cycles themselves). RunContext has the same
-// concurrency contract as Run.
+// they fast-forward past the cycles themselves).
+//
+// RunContext is safe for concurrent use: every call builds a private
+// simulator — its own RNG chain seeded from cfg.Seed, trace generators,
+// cores, LLC and memory controller — and the package keeps no mutable
+// global state. Results depend only on cfg, never on what other
+// goroutines are doing, which is what lets the experiment runner
+// (internal/experiments) fan independent runs out over a worker pool
+// while remaining bit-for-bit deterministic. The Config value itself
+// must not be mutated while a run uses it; Design, Workload and
+// cpu/cache configs are plain values, so sharing one Config template
+// across goroutines by copy is fine.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.TraceFile != "" {
 		// The streaming reader loads only the header and frame index here;
@@ -341,9 +329,8 @@ type simulator struct {
 	shadow *simulator
 
 	// done and ctxErr carry the run's cancellation signal (RunContext).
-	// done is nil for uncancellable contexts — context.Background() and
-	// the deprecated Run path — so the per-macro-cycle poll degenerates
-	// to one nil-check. The shadow simulator never carries them: it is
+	// done is nil for uncancellable contexts (context.Background()), so
+	// the per-macro-cycle poll degenerates to one nil-check. The shadow simulator never carries them: it is
 	// stepped by the primary, which polls for both.
 	done   <-chan struct{}
 	ctxErr func() error
@@ -393,10 +380,10 @@ func newSimulator(cfg Config) *simulator {
 // trackerFactory builds per-bank trackers tuned to the design's T*.
 //
 // The captured rng is owned by exactly one simulator: it is created in
-// newSimulator per Run call and only ever advanced from that simulator's
+// newSimulator per RunContext call and only ever advanced from that simulator's
 // single goroutine (bank construction inside memctrl.New is sequential,
 // and PARA/MINT draw from their own Split() streams afterwards). Nothing
-// here may be shared across concurrent Run calls — stats.Rand is not
+// here may be shared across concurrent RunContext calls — stats.Rand is not
 // goroutine-safe.
 func trackerFactory(cfg Config, rng *stats.Rand) memctrl.TrackerFactory {
 	if cfg.Tracker == TrackerNone {
@@ -764,8 +751,8 @@ func (s *simulator) assertLockstep(skipped int64) {
 }
 
 // cancelled polls the run's context at a macro-cycle boundary. The
-// fast path — no cancellable context — is a single nil-check, so the
-// deprecated Run path and the cycle-accurate reference clock pay nothing
+// fast path — no cancellable context — is a single nil-check, so
+// uncancellable runs and the cycle-accurate reference clock pay nothing
 // measurable for cancellability.
 func (s *simulator) cancelled() bool {
 	if s.done == nil {

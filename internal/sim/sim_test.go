@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"impress/internal/core"
@@ -20,7 +21,7 @@ func quickConfig(name string, design core.Design, tracker TrackerKind) Config {
 }
 
 func TestRunCompletes(t *testing.T) {
-	res := Run(quickConfig("gcc", core.NewDesign(core.NoRP), TrackerNone))
+	res := mustRun(t, quickConfig("gcc", core.NewDesign(core.NoRP), TrackerNone))
 	if len(res.IPC) != 8 {
 		t.Fatalf("want 8 per-core IPCs, got %d", len(res.IPC))
 	}
@@ -38,8 +39,8 @@ func TestRunCompletes(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := Run(quickConfig("mcf", core.NewDesign(core.ImpressP), TrackerGraphene))
-	b := Run(quickConfig("mcf", core.NewDesign(core.ImpressP), TrackerGraphene))
+	a := mustRun(t, quickConfig("mcf", core.NewDesign(core.ImpressP), TrackerGraphene))
+	b := mustRun(t, quickConfig("mcf", core.NewDesign(core.ImpressP), TrackerGraphene))
 	if a.WeightedIPCSum != b.WeightedIPCSum || a.Mem != b.Mem {
 		t.Fatalf("simulation not deterministic:\n%+v\n%+v", a.Mem, b.Mem)
 	}
@@ -49,15 +50,15 @@ func TestSeedChangesResult(t *testing.T) {
 	cfgA := quickConfig("mcf", core.NewDesign(core.NoRP), TrackerPARA)
 	cfgB := cfgA
 	cfgB.Seed = 99
-	a, b := Run(cfgA), Run(cfgB)
+	a, b := mustRun(t, cfgA), mustRun(t, cfgB)
 	if a.Mem == b.Mem {
 		t.Fatal("different seeds should perturb PARA mitigations / traces")
 	}
 }
 
 func TestStreamIsMemoryBound(t *testing.T) {
-	gcc := Run(quickConfig("gcc", core.NewDesign(core.NoRP), TrackerNone))
-	copyRes := Run(quickConfig("copy", core.NewDesign(core.NoRP), TrackerNone))
+	gcc := mustRun(t, quickConfig("gcc", core.NewDesign(core.NoRP), TrackerNone))
+	copyRes := mustRun(t, quickConfig("copy", core.NewDesign(core.NoRP), TrackerNone))
 	if copyRes.WeightedIPCSum >= gcc.WeightedIPCSum {
 		t.Fatalf("copy (%.2f) should be far more memory-bound than gcc (%.2f)",
 			copyRes.WeightedIPCSum, gcc.WeightedIPCSum)
@@ -69,8 +70,8 @@ func TestStreamIsMemoryBound(t *testing.T) {
 }
 
 func TestTMROReducesRowHitsOnStream(t *testing.T) {
-	base := Run(quickConfig("copy", core.NewDesign(core.NoRP), TrackerNone))
-	lim := Run(quickConfig("copy",
+	base := mustRun(t, quickConfig("copy", core.NewDesign(core.NoRP), TrackerNone))
+	lim := mustRun(t, quickConfig("copy",
 		core.NewDesign(core.ExPress).WithTMRO(dram.Ns(36)), TrackerNone))
 	rb := func(r Result) float64 {
 		return float64(r.Mem.RowHits) / float64(r.Mem.RowHits+r.Mem.RowMisses)
@@ -86,8 +87,8 @@ func TestTMROReducesRowHitsOnStream(t *testing.T) {
 func TestImpressPMatchesNoRPPerformance(t *testing.T) {
 	// The headline perf claim: ImPress-P ~ No-RP on benign workloads.
 	for _, name := range []string{"gcc", "copy"} {
-		base := Run(quickConfig(name, core.NewDesign(core.NoRP), TrackerGraphene))
-		p := Run(quickConfig(name, core.NewDesign(core.ImpressP), TrackerGraphene))
+		base := mustRun(t, quickConfig(name, core.NewDesign(core.NoRP), TrackerGraphene))
+		p := mustRun(t, quickConfig(name, core.NewDesign(core.ImpressP), TrackerGraphene))
 		rel := p.NormalizeTo(base)
 		if rel < 0.95 || rel > 1.05 {
 			t.Fatalf("%s: ImPress-P perf %.3f vs No-RP; want ~1.0", name, rel)
@@ -101,7 +102,7 @@ func TestMitigationsOccurUnderGraphene(t *testing.T) {
 	// therefore trip Graphene mitigations.
 	cfg := quickConfig("copy", core.NewDesign(core.NoRP), TrackerGraphene)
 	cfg.DesignTRH = 30 // internal threshold 10 < 16 ACTs per row pass
-	res := Run(cfg)
+	res := mustRun(t, cfg)
 	if res.Mem.Mitigations == 0 {
 		t.Fatalf("no mitigations at TRH=30 under copy: %+v", res.Mem)
 	}
@@ -113,14 +114,14 @@ func TestMitigationsOccurUnderGraphene(t *testing.T) {
 func TestMINTRunsWithRFM(t *testing.T) {
 	cfg := quickConfig("copy", core.NewDesign(core.ImpressP), TrackerMINT)
 	cfg.DesignTRH = 1600
-	res := Run(cfg)
+	res := mustRun(t, cfg)
 	if res.Mem.RFMs == 0 {
 		t.Fatalf("in-DRAM tracker got no RFMs: %+v", res.Mem)
 	}
 }
 
 func TestNormalizeToSelfIsOne(t *testing.T) {
-	res := Run(quickConfig("gcc", core.NewDesign(core.NoRP), TrackerNone))
+	res := mustRun(t, quickConfig("gcc", core.NewDesign(core.NoRP), TrackerNone))
 	if v := res.NormalizeTo(res); v != 1 {
 		t.Fatalf("self-normalization = %v", v)
 	}
@@ -132,7 +133,7 @@ func TestAllTrackersRun(t *testing.T) {
 		if tr == TrackerMINT {
 			cfg.DesignTRH = 1600
 		}
-		res := Run(cfg)
+		res := mustRun(t, cfg)
 		if res.WeightedIPCSum <= 0 {
 			t.Fatalf("%s: no progress", tr)
 		}
@@ -141,23 +142,29 @@ func TestAllTrackersRun(t *testing.T) {
 
 // TestConcurrentRunsAreIsolated runs the same seeded config from several
 // goroutines alongside a serial reference and checks every result is
-// identical: Run must not share RNG streams, generators or any other
+// identical: RunContext must not share RNG streams, generators or any other
 // mutable state across calls (the contract the parallel experiment runner
 // in internal/experiments depends on). Meaningful under -race.
 func TestConcurrentRunsAreIsolated(t *testing.T) {
 	cfg := quickConfig("gcc", core.NewDesign(core.ImpressP), TrackerPARA)
-	want := Run(cfg)
+	want := mustRun(t, cfg)
 	const goroutines = 4
 	results := make([]Result, goroutines)
+	runErrs := make([]error, goroutines)
 	done := make(chan int, goroutines)
 	for i := 0; i < goroutines; i++ {
 		go func() {
-			results[i] = Run(cfg)
+			results[i], runErrs[i] = RunContext(context.Background(), cfg)
 			done <- i
 		}()
 	}
 	for i := 0; i < goroutines; i++ {
 		<-done
+	}
+	for i, err := range runErrs {
+		if err != nil {
+			t.Fatalf("concurrent run %d: %v", i, err)
+		}
 	}
 	for i, got := range results {
 		if got.Cycles != want.Cycles || got.WeightedIPCSum != want.WeightedIPCSum ||

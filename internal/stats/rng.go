@@ -19,8 +19,8 @@ import (
 // The zero value is not usable; construct with NewRand. Rand is not safe
 // for concurrent use; give each goroutine its own generator (see Split).
 // The parallel experiment runner relies on this discipline: every
-// sim.Run call constructs its own Rand from Config.Seed, so concurrent
-// simulations never contend on (or perturb) each other's streams, which
+// sim.RunContext call constructs its own Rand from Config.Seed, so
+// concurrent simulations never contend on (or perturb) each other's streams, which
 // keeps parallel execution bit-for-bit identical to serial execution.
 type Rand struct {
 	s [4]uint64

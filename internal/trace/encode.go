@@ -56,8 +56,8 @@ const (
 // Trace is a recorded multi-core request stream: the header identifies
 // what was captured and PerCore holds each core's full stream in issue
 // order. A Trace is immutable once built; replaying it (Workload) is safe
-// from concurrent sim.Run calls because every replay generator keeps its
-// own cursor.
+// from concurrent sim.RunContext calls because every replay generator
+// keeps its own cursor.
 type Trace struct {
 	// Name is the recorded workload's name (a plain workload, a
 	// "mix:..." spec or an "attack:..." pattern — WorkloadByName resolves
@@ -85,7 +85,7 @@ func (t *Trace) Requests() int {
 
 // Record drains perCore requests from each of cores fresh generators of w
 // (seeded exactly as a live simulation would seed them) into a Trace.
-// Replaying the result through sim.Run reproduces the live run
+// Replaying the result through sim.RunContext reproduces the live run
 // bit-identically as long as perCore covers every request the simulated
 // cores consume; the replay generator fails loudly if it does not.
 func Record(w Workload, cores, perCore int, seed uint64) *Trace {

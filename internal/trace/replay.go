@@ -4,8 +4,8 @@ import "fmt"
 
 // Workload converts a recorded trace into a replayable Workload: the
 // returned workload's per-core generators return the recorded requests in
-// order, so it drops into sim.Run (or any other Generator consumer)
-// unchanged. The replay-equivalence contract (DESIGN.md §7): a simulation
+// order, so it drops into sim.RunContext (or any other Generator
+// consumer) unchanged. The replay-equivalence contract (DESIGN.md §7): a simulation
 // of the replayed workload is bit-identical — same Result, same Stats, in
 // every clock mode — to the live-generator run the trace was recorded
 // from, provided the recording covers at least as many requests per core

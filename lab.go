@@ -68,8 +68,8 @@ const (
 
 // ---- The Lab ----
 
-// Lab is a handle on the reproduction's run machinery — the one way in
-// for new code. It owns the resources runs share (the persistent result
+// Lab is a handle on the reproduction's run machinery — the one way in.
+// It owns the resources runs share (the persistent result
 // store, the simulation worker pool, the progress stream) and exposes
 // every run kind as a context-first, error-returning method: Run
 // (performance simulation), Attack (security harness), Experiments
@@ -423,9 +423,10 @@ func DefaultAttackZooDir() string { return attack.DefaultZooDir() }
 func AttackZooEntries(dir string) ([]AttackZooEntry, error) { return attack.ZooEntries(dir) }
 
 // Record drains perCore requests per core from the workload's
-// generators into a replayable trace (see RecordTrace for the
-// replay-equivalence contract). Invalid counts return ErrBadSpec;
-// cancellation is honored every few thousand generated requests.
+// generators (seeded as a live simulation would seed them) into a
+// replayable trace whose simulation is bit-identical to the live run
+// (see WorkloadTrace). Invalid counts return ErrBadSpec; cancellation
+// is honored every few thousand generated requests.
 func (l *Lab) Record(ctx context.Context, w Workload, cores, perCore int, seed uint64) (*WorkloadTrace, error) {
 	return trace.RecordContext(ctx, w, cores, perCore, seed)
 }
@@ -449,8 +450,3 @@ func (l *Lab) Replay(ctx context.Context, path string, cfg SimConfig) (SimResult
 	cfg.TraceFile = path
 	return l.Run(ctx, cfg)
 }
-
-// defaultLab serves the deprecated free-function wrappers: no store, no
-// progress stream, GOMAXPROCS parallelism — exactly the behavior the
-// free functions always had.
-var defaultLab = &Lab{}

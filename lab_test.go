@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"impress"
 )
@@ -19,24 +20,6 @@ func labTestConfig(t *testing.T) impress.SimConfig {
 	cfg.WarmupInstructions = 5_000
 	cfg.RunInstructions = 20_000
 	return cfg
-}
-
-// TestLabRunMatchesDeprecatedRunSim pins the migration contract: the
-// deprecated free function and the Lab produce bit-identical results.
-func TestLabRunMatchesDeprecatedRunSim(t *testing.T) {
-	lab, err := impress.NewLab()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := labTestConfig(t)
-	got, err := lab.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the migration contract compares against the deprecated wrapper
-	if want := impress.RunSim(cfg); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Lab.Run diverged from RunSim:\n got %+v\nwant %+v", got, want)
-	}
 }
 
 // TestLabRunStoreRoundTrip: a Lab with a store serves the second run
@@ -165,6 +148,28 @@ func TestLabCancellation(t *testing.T) {
 	}
 	if _, err := lab.Record(ctx, w, 2, 100_000, 1); !errors.Is(err, impress.ErrCancelled) {
 		t.Fatalf("Lab.Record cancelled: %v", err)
+	}
+}
+
+// TestLabExperimentsCancelsHarnessTables: the security-harness tables
+// run under the sweep's context. Cancelled 100 ms into the security
+// matrix (seconds of harness work), Lab.Experiments must return the
+// typed cancellation error within a second instead of finishing the
+// matrix and reporting success.
+func TestLabExperimentsCancelsHarnessTables(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	defer time.AfterFunc(100*time.Millisecond, cancel).Stop()
+	tables, err := newLab(t).Experiments(ctx, impress.QuickScale(), impress.ExperimentsOnly("security"))
+	if err == nil {
+		t.Fatalf("cancelled security sweep returned %d tables and no error", len(tables))
+	}
+	if !errors.Is(err, impress.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled security sweep: %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond+time.Second {
+		t.Fatalf("security sweep returned %v after start, want within 1s of the 100ms cancel", elapsed)
 	}
 }
 
