@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	tm := dram.DDR5()
-	design, err := parseDesign(*designFlag, *alphaDesign, *fracBits)
+	design, err := core.ParseDesign(*designFlag, *alphaDesign, 0, *fracBits)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -151,23 +151,6 @@ func runFailed(stderr io.Writer, err error) int {
 	}
 	fmt.Fprintln(stderr, err)
 	return 2
-}
-
-func parseDesign(name string, alpha float64, fracBits int) (core.Design, error) {
-	var d core.Design
-	switch name {
-	case "no-rp":
-		d = core.NewDesign(core.NoRP)
-	case "express":
-		d = core.NewDesign(core.ExPress).WithAlpha(alpha)
-	case "impress-n":
-		d = core.NewDesign(core.ImpressN).WithAlpha(alpha)
-	case "impress-p":
-		d = core.NewDesign(core.ImpressP).WithFracBits(fracBits)
-	default:
-		return d, fmt.Errorf("unknown design %q", name)
-	}
-	return d, d.Validate()
 }
 
 // parseTracker resolves -tracker through the tracker registry, so every

@@ -64,7 +64,7 @@ func TestSearchReportsInterrupt(t *testing.T) {
 }
 
 // TestRunExitCodes: a completed search exits 0 and names its worst
-// case; unknown patterns exit 2.
+// case; unknown patterns and designs exit 2.
 func TestRunExitCodes(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"-pattern", "search", "-design", "impress-p"}, &stdout, &stderr); code != 0 {
@@ -75,5 +75,14 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	if code := run(context.Background(), []string{"-pattern", "bogus"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown pattern exit %d, want 2", code)
+	}
+	// -design resolves through core.ParseDesign, whose error lists the
+	// known designs.
+	stderr.Reset()
+	if code := run(context.Background(), []string{"-design", "bogus"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown design exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "no-rp, express, impress-n or impress-p") {
+		t.Errorf("unknown design: stderr %q does not list the known designs", stderr.String())
 	}
 }

@@ -294,14 +294,13 @@ const (
 type SimClockMode = sim.ClockMode
 
 // Simulator clocking choices: the event-driven clock (default) skips
-// provably idle cycles and is bit-identical to cycle-accurate stepping;
-// lockstep runs both and panics on the first divergence (debug); sampled
-// is the explicitly approximate interval-sampling mode, reporting
-// estimates with 95% confidence intervals (SimResult.Estimates).
+// provably idle cycles and is bit-identical to cycle-accurate stepping,
+// the reference it is tested against; sampled is the explicitly
+// approximate interval-sampling mode, reporting estimates with 95%
+// confidence intervals (SimResult.Estimates).
 const (
 	SimClockEventDriven   = sim.ClockEventDriven
 	SimClockCycleAccurate = sim.ClockCycleAccurate
-	SimClockLockstep      = sim.ClockLockstep
 	SimClockSampled       = sim.ClockSampled
 )
 

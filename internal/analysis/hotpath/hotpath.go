@@ -7,12 +7,9 @@
 // dynamic-dispatch constructs whose cost the event-driven clock exists
 // to avoid paying per cycle.
 //
-// Two deliberate exemptions keep the rule honest rather than noisy:
+// One deliberate exemption keeps the rule honest rather than noisy:
 // arguments to panic are exempt (invariant-violation messages may
-// format freely — the process is dying), and a callee annotated
-// //impress:coldpath is not descended into (for diagnostic-only
-// machinery like the lockstep divergence reporter, which runs at most
-// once per process on a path that ends in a panic).
+// format freely — the process is dying).
 //
 // The walk resolves static calls only: calls through interfaces
 // (tracker methods, the CPU's MemorySystem) and function values are
@@ -36,9 +33,6 @@ import (
 // HotDirective marks a function as a hot-path root.
 const HotDirective = "//impress:hotpath"
 
-// ColdDirective stops the callee walk at a diagnostic-only function.
-const ColdDirective = "//impress:coldpath"
-
 // New returns the hotpath analyzer.
 func New() *analysis.Analyzer {
 	return &analysis.Analyzer{
@@ -54,7 +48,6 @@ type funcNode struct {
 	pkg  *analysis.Package
 	decl *ast.FuncDecl
 	obj  *types.Func
-	cold bool
 	// root names the annotated function this one is reachable from
 	// ("" while not known to be hot).
 	root string
@@ -75,16 +68,8 @@ func run(pass *analysis.Pass) error {
 					continue
 				}
 				node := &funcNode{pkg: pkg, decl: fn, obj: obj}
-				hot := hasDirective(fn, HotDirective)
-				node.cold = hasDirective(fn, ColdDirective)
-				if hot && node.cold {
-					if pkg == pass.Pkg {
-						pass.Reportf(fn.Name.Pos(), "%s is annotated both %s and %s", funcName(obj), HotDirective, ColdDirective)
-					}
-					continue
-				}
 				index[obj] = node
-				if hot {
+				if hasDirective(fn, HotDirective) {
 					node.root = funcName(obj)
 					roots = append(roots, node)
 				}
@@ -100,7 +85,7 @@ func run(pass *analysis.Pass) error {
 		node := queue[0]
 		queue = queue[1:]
 		for _, callee := range callees(node, index) {
-			if callee.root != "" || callee.cold {
+			if callee.root != "" {
 				continue
 			}
 			callee.root = node.root

@@ -23,7 +23,6 @@ func Step(n int) int {
 	f := func() int { return n + 1 } // want `closure in hot function .* escapes`
 	out.put(n)                       // want `argument boxes a concrete value`
 	inline := func() int { return n * 2 }()
-	report(n)
 	return helper(f() + inline)
 }
 
@@ -31,13 +30,6 @@ func Step(n int) int {
 func helper(n int) int {
 	defer trace() // want `defer in hot function .*reachable from`
 	return n
-}
-
-// report is diagnostic-only: the walk must not descend into it.
-//
-//impress:coldpath
-func report(n int) {
-	fmt.Println("diverged at", n)
 }
 
 func trace() {}

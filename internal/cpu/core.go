@@ -29,7 +29,7 @@ type Config struct {
 	// Step runs the full fetch/retire machinery. The fast path is
 	// bit-identical by construction; this flag exists for the
 	// cycle-accurate reference mode that the event-driven clock is
-	// cross-checked against (sim.ClockCycleAccurate / ClockLockstep).
+	// checked against (sim.ClockCycleAccurate).
 	NoFastPath bool
 }
 
@@ -540,10 +540,12 @@ func (c *Core) WakesOnCompletion() bool {
 		(c.hint.FetchPerStep == 0 && !c.hint.memBlocked)
 }
 
-// Fetched returns total fetched instructions (lockstep cross-checking).
+// Fetched returns total fetched instructions (the clock cross-check in
+// sim's tests compares it).
 func (c *Core) Fetched() int64 { return c.fetched }
 
-// Outstanding returns in-flight reads (lockstep cross-checking).
+// Outstanding returns in-flight reads (the clock cross-check in sim's
+// tests compares it).
 func (c *Core) Outstanding() int { return c.outstanding }
 
 func (c *Core) advanceRetired(n int64) {

@@ -139,9 +139,9 @@ type Runner struct {
 	// duplicate).
 	Parallelism int
 	// Clock selects the simulator clocking for every spec this runner
-	// materializes. The exact modes (event-driven, cycle-accurate,
-	// lockstep) are bit-identical and share result-store keys, so among
-	// them this changes speed and cross-checking only. ClockSampled is
+	// materializes. The exact modes (event-driven, cycle-accurate) are
+	// bit-identical and share result-store keys, so between them this
+	// changes speed only. ClockSampled is
 	// explicitly approximate: its results carry confidence intervals and
 	// are keyed separately in the store (resultstore.Spec.Sampled), so a
 	// sampled sweep can never contaminate exact baselines.
@@ -522,8 +522,8 @@ func pool[S any](r *Runner, specs []S, key func(S) string, fn func(S)) {
 			defer wg.Done()
 			// Cancellation makes every in-flight worker panic with a
 			// routine runAbort at once, so keep the first panic but let
-			// a genuine invariant panic (lockstep divergence, replay
-			// exhaustion) from a sibling displace a routine
+			// a genuine invariant panic (replay exhaustion, the
+			// deadlock bound) from a sibling displace a routine
 			// cancellation — it must not be masked behind a benign
 			// "interrupted" report.
 			defer func() {

@@ -366,6 +366,9 @@ func (st *Store) walk(valid func(path string, size int64, rec record), invalid f
 			return nil
 		}
 		info, err := d.Info()
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // renamed into place or removed since the directory was read
+		}
 		if err != nil {
 			return err
 		}

@@ -92,7 +92,6 @@ func TestKeyExcludesClockIrrelevantFields(t *testing.T) {
 	want := mustSpec(t, base).Key()
 	for name, mutate := range map[string]func(*sim.Config){
 		"clock cycle-accurate": func(c *sim.Config) { c.Clock = sim.ClockCycleAccurate },
-		"clock lockstep":       func(c *sim.Config) { c.Clock = sim.ClockLockstep },
 		"cpu NoFastPath":       func(c *sim.Config) { c.CPU.NoFastPath = true },
 		"max cycles":           func(c *sim.Config) { c.MaxCycles = 12345 },
 	} {

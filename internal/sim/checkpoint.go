@@ -348,15 +348,7 @@ func (s *simulator) warmup() error {
 		if err := ck.CompatibleWith(s.cfg); err != nil {
 			return err
 		}
-		if err := s.restoreCheckpoint(ck); err != nil {
-			return err
-		}
-		if s.shadow != nil {
-			if err := s.shadow.restoreCheckpoint(ck); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.restoreCheckpoint(ck)
 	}
 	if s.cfg.WarmupInstructions <= 0 {
 		return nil

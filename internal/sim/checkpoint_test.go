@@ -60,9 +60,9 @@ func capture(t *testing.T, cfg Config) (Result, []byte) {
 // produces a Result byte-identical to the straight-through run — and the
 // capturing run itself is unperturbed by capturing. One checkpoint
 // (captured under the default clock) serves all exact modes, because the
-// modes are bit-identical at the warmup boundary.
+// modes are bit-identical at the warmup boundary; the lockstep
+// cross-check restores it into both of its simulators.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	modes := []ClockMode{ClockEventDriven, ClockCycleAccurate, ClockLockstep}
 	for _, tc := range checkpointCases {
 		cfg := checkpointConfig(t, tc.workload, tc.kind, tc.tracker, tc.trh)
 		straight := mustRun(t, cfg)
@@ -72,14 +72,13 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				tc.workload, tc.kind, tc.tracker, straight, captured)
 			continue
 		}
-		for _, mode := range modes {
+		for _, m := range exactRuns {
 			mcfg := cfg
-			mcfg.Clock = mode
+			mcfg.Clock = m.clock
 			mcfg.RestoreCheckpoint = data
-			restored := mustRun(t, mcfg)
-			if !reflect.DeepEqual(straight, restored) {
-				t.Errorf("%s/%v/%s clock=%d: restored run diverged from straight-through:\nstraight %+v\nrestored %+v",
-					tc.workload, tc.kind, tc.tracker, mode, straight, restored)
+			if restored := m.run(t, mcfg); !reflect.DeepEqual(straight, restored) {
+				t.Errorf("%s/%v/%s clock=%s: restored run diverged from straight-through:\nstraight %+v\nrestored %+v",
+					tc.workload, tc.kind, tc.tracker, m.name, straight, restored)
 			}
 		}
 	}

@@ -48,25 +48,18 @@ func clockConfig(t *testing.T, workload string, kind core.Kind, tracker TrackerK
 }
 
 // TestClockEquivalence is the tentpole guarantee: the event-driven clock
-// produces byte-identical Results to cycle-accurate stepping, and the
-// lockstep debug mode (which cross-checks state every macro cycle) runs
-// the same configurations to completion.
+// produces byte-identical Results to cycle-accurate stepping.
+// TestLockstepClockCases runs the same configurations under the
+// per-macro-cycle cross-check.
 func TestClockEquivalence(t *testing.T) {
 	for _, tc := range clockCases {
 		cfg := clockConfig(t, tc.workload, tc.kind, tc.tracker, tc.trh)
 		cfg.Clock = ClockCycleAccurate
 		ca := mustRun(t, cfg)
 		cfg.Clock = ClockEventDriven
-		ev := mustRun(t, cfg)
-		if !reflect.DeepEqual(ca, ev) {
+		if ev := mustRun(t, cfg); !reflect.DeepEqual(ca, ev) {
 			t.Errorf("%s/%v/%s: event-driven diverged from cycle-accurate:\nCA %+v\nEV %+v",
 				tc.workload, tc.kind, tc.tracker, ca, ev)
-			continue
-		}
-		cfg.Clock = ClockLockstep
-		if ls := mustRun(t, cfg); !reflect.DeepEqual(ca, ls) {
-			t.Errorf("%s/%v/%s: lockstep result differs from cycle-accurate",
-				tc.workload, tc.kind, tc.tracker)
 		}
 	}
 }
@@ -89,48 +82,19 @@ func TestSkipWindowsAreProvablyIdle(t *testing.T) {
 	}
 }
 
+// auditSkips runs cfg, stepping through every window the event clock
+// would skip instead of applying it, and fails t if anything the skip
+// ignores happens inside the window.
 func auditSkips(t *testing.T, cfg Config) {
 	t.Helper()
 	s := newSimulator(cfg)
 	name := cfg.Workload.Name + "/" + cfg.Design.Name() + "/" + string(cfg.Tracker)
-	budgetSet := false
-	for iter := 0; iter < 5_000_000; iter++ {
-		if !budgetSet {
-			done := true
-			for _, c := range s.cores {
-				if c.Retired() < cfg.WarmupInstructions {
-					done = false
-					break
-				}
-			}
-			if done {
-				for _, c := range s.cores {
-					c.ResetStats()
-					c.SetBudget(cfg.RunInstructions)
-				}
-				budgetSet = true
-			}
-		} else {
-			done := true
-			for _, c := range s.cores {
-				if !c.Finished() {
-					done = false
-					break
-				}
-			}
-			if done {
-				return
-			}
-		}
-		target := int64(0)
-		if !budgetSet {
-			target = cfg.WarmupInstructions
-		}
+	runLoop(t, s, func(target int64) {
 		base := s.tick
 		k := s.skippableMacroCycles(target)
 		if k == 0 {
 			s.step()
-			continue
+			return
 		}
 		// Step through the window the skip would have jumped over and
 		// verify nothing the skip ignores actually happens in it.
@@ -165,8 +129,7 @@ func auditSkips(t *testing.T, cfg Config) {
 			t.Fatalf("%s: base=%d k=%d: writebacks drained inside a skip window (%d -> %d)",
 				name, base, k, wbLen, len(s.pendingWB))
 		}
-	}
-	t.Fatalf("%s: did not finish", name)
+	}, nil)
 }
 
 // fillStallGen warms one line with a posted write, then issues LLC-hit
@@ -210,26 +173,7 @@ func TestClockEquivalenceFillRegimeCompletion(t *testing.T) {
 	if !reflect.DeepEqual(ca, ev) {
 		t.Fatalf("fill-regime completion diverged:\nCA %+v\nEV %+v", ca, ev)
 	}
-	cfg.Clock = ClockLockstep
-	mustRun(t, cfg) // panics on the first divergent macro cycle
-}
-
-// TestLockstepCatchesDivergence makes sure the cross-check mode is not
-// vacuous: a simulator whose clock is force-desynchronized from its
-// shadow must panic.
-func TestLockstepCatchesDivergence(t *testing.T) {
-	cfg := clockConfig(t, "gcc", core.NoRP, TrackerNone, 4000)
-	cfg.Clock = ClockLockstep
-	s := newSimulator(cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lockstep did not detect a desynchronized shadow")
-		}
-	}()
-	s.shadow.step() // desynchronize: shadow is one macro cycle ahead
-	for i := 0; i < 10_000; i++ {
-		s.advance(0)
-	}
+	runLockstep(t, cfg) // fails on the first divergent macro cycle
 }
 
 // TestEventClockSkips asserts the event-driven clock actually skips work
@@ -238,26 +182,10 @@ func TestLockstepCatchesDivergence(t *testing.T) {
 func TestEventClockSkips(t *testing.T) {
 	cfg := clockConfig(t, "gcc", core.NoRP, TrackerNone, 4000)
 	s := newSimulator(cfg)
-	skipped := int64(0)
-	for i := 0; i < 20_000; i++ {
-		done := true
-		for _, c := range s.cores {
-			if c.Retired() < cfg.WarmupInstructions {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if k := s.skippableMacroCycles(cfg.WarmupInstructions); k > 0 {
-			s.applySkip(k)
-			skipped += k
-		}
-		s.step()
-	}
+	var skipped int64
+	runLoop(t, s, func(target int64) { skipped += eventAdvance(s, target) }, nil)
 	if skipped == 0 {
-		t.Fatal("event-driven clock never skipped a macro cycle on gcc warmup")
+		t.Fatal("event-driven clock never skipped a macro cycle on gcc")
 	}
 	// dram.TickMax is the documented "never" horizon; make sure an idle
 	// controller reports a finite one (the refresh cadence bounds it).

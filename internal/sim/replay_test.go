@@ -189,8 +189,9 @@ func TestMixedAttackScenarioRuns(t *testing.T) {
 // contract in every clock mode: a file recorded with the streaming
 // writer and replayed through Config.TraceFile — header + frame index
 // at open, frames pulled from disk as the run consumes them — is
-// bit-identical to the live-generator run under the event-driven,
-// cycle-accurate and lockstep clocks alike.
+// bit-identical to the live-generator run and to the same file replayed
+// from memory, under the event-driven and cycle-accurate clocks alike,
+// and all three runs pass the lockstep cross-check.
 func TestTraceFileAllClockModes(t *testing.T) {
 	w, err := trace.WorkloadByName("mix:mcf,copy,attack:hammer")
 	if err != nil {
@@ -200,18 +201,30 @@ func TestTraceFileAllClockModes(t *testing.T) {
 	if err := trace.RecordFile(t.Context(), w, 4, replayRecordBudget, 1, path); err != nil {
 		t.Fatal(err)
 	}
-	for _, clock := range []ClockMode{ClockEventDriven, ClockCycleAccurate, ClockLockstep} {
-		liveCfg := replayConfig(w, clock)
+	tr, err := trace.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialized, err := tr.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range exactRuns {
+		liveCfg := replayConfig(w, m.clock)
 		liveCfg.Cores = 4
-		live := mustRun(t, liveCfg)
-
-		cfg := replayConfig(trace.Workload{}, clock)
-		cfg.TraceFile = path
-		cfg.Cores = 0 // the trace's recorded core count takes over
-		replayed := mustRun(t, cfg)
-		if !reflect.DeepEqual(live, replayed) {
-			t.Fatalf("clock %d: streaming TraceFile replay diverged from live run:\nlive   %+v\nreplay %+v",
-				clock, live, replayed)
+		memCfg := liveCfg
+		memCfg.Workload = materialized
+		fileCfg := replayConfig(trace.Workload{}, m.clock)
+		fileCfg.TraceFile = path
+		fileCfg.Cores = 0 // the trace's recorded core count takes over
+		live := m.run(t, liveCfg)
+		if streamed := m.run(t, fileCfg); !reflect.DeepEqual(live, streamed) {
+			t.Fatalf("clock %s: streaming TraceFile replay diverged from live run:\nlive   %+v\nreplay %+v",
+				m.name, live, streamed)
+		}
+		if inMemory := m.run(t, memCfg); !reflect.DeepEqual(live, inMemory) {
+			t.Fatalf("clock %s: materialized replay diverged from live run:\nlive   %+v\nreplay %+v",
+				m.name, live, inMemory)
 		}
 	}
 }

@@ -56,13 +56,8 @@ const (
 	// change besides the clocks themselves.
 	ClockEventDriven ClockMode = iota
 	// ClockCycleAccurate ticks every CPU and DRAM cycle (the reference
-	// semantics).
+	// semantics the event-driven clock is checked against).
 	ClockCycleAccurate
-	// ClockLockstep is the debug mode: it runs an event-driven simulator
-	// and a cycle-accurate shadow in tandem and panics on the first
-	// macro cycle where their states diverge. ~2x the cost of
-	// ClockCycleAccurate; use it to localize clocking bugs.
-	ClockLockstep
 	// ClockSampled is the explicitly approximate mode: SMARTS-style
 	// interval sampling alternates short detailed windows (event-driven,
 	// exact) with functionally fast-forwarded gaps in which only the LLC
@@ -72,6 +67,16 @@ const (
 	// (TestSampledErrorBounds) quantifies the error. See DESIGN.md §12.
 	ClockSampled
 )
+
+// Validate rejects a clock mode outside the list above with a typed
+// errs.ErrBadSpec error. It is the one place the modes are enumerated.
+func (m ClockMode) Validate() error {
+	switch m {
+	case ClockEventDriven, ClockCycleAccurate, ClockSampled:
+		return nil
+	}
+	return fmt.Errorf("sim: %w: unknown clock mode %d", errs.ErrBadSpec, m)
+}
 
 // Config describes one simulation run.
 type Config struct {
@@ -156,10 +161,8 @@ func (cfg Config) Validate() error {
 				errs.ErrBadSpec, cfg.Tracker, strings.Join(trackers.Names(), ", "))
 		}
 	}
-	switch cfg.Clock {
-	case ClockEventDriven, ClockCycleAccurate, ClockLockstep, ClockSampled:
-	default:
-		return fmt.Errorf("sim: %w: unknown clock mode %d", errs.ErrBadSpec, cfg.Clock)
+	if err := cfg.Clock.Validate(); err != nil {
+		return err
 	}
 	if cfg.WarmupInstructions < 0 || cfg.RunInstructions < 0 {
 		return fmt.Errorf("sim: %w: negative instruction budget (warmup %d, run %d)",
@@ -239,8 +242,8 @@ func (r Result) NormalizeTo(baseline Result) float64 {
 // RunContext executes the simulation under a context. Invalid caller
 // input — a config failing Validate, an unreadable or corrupt trace
 // file — returns a typed error wrapping errs.ErrBadSpec; internal
-// invariant violations (lockstep divergence, the MaxCycles deadlock
-// bound, a replay recording exhausted mid-run) still panic.
+// invariant violations (the MaxCycles deadlock bound, a replay
+// recording exhausted mid-run) still panic.
 //
 // Cancellation is honored at macro-cycle boundaries: the done channel is
 // polled once per 6-tick macro cycle, before any component steps, so the
@@ -262,21 +265,11 @@ func (r Result) NormalizeTo(baseline Result) float64 {
 // across goroutines by copy is fine.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.TraceFile != "" {
-		// The streaming reader loads only the header and frame index here;
-		// the replay generators pull frames from the file as the run
-		// consumes them, so replay memory does not scale with trace size.
-		r, err := trace.OpenReader(cfg.TraceFile)
+		r, err := openTraceFile(&cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("sim: %w: %w", errs.ErrBadSpec, err)
+			return Result{}, err
 		}
 		defer r.Close()
-		w, err := r.Workload()
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: %w: %w", errs.ErrBadSpec, err)
-		}
-		cfg.Workload = w
-		cfg.Cores = r.Header().Cores
-		cfg.Seed = r.Header().Seed
 	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -288,6 +281,28 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return s.runSampled()
 	}
 	return s.run()
+}
+
+// openTraceFile points cfg at the recorded trace named by cfg.TraceFile:
+// the recording's workload, core count and seed replace cfg's. The
+// streaming reader loads only the header and frame index here; the
+// replay generators pull frames from the file as the run consumes them,
+// so replay memory does not scale with trace size. The caller closes the
+// reader once the run ends.
+func openTraceFile(cfg *Config) (*trace.Reader, error) {
+	r, err := trace.OpenReader(cfg.TraceFile)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w: %w", errs.ErrBadSpec, err)
+	}
+	w, err := r.Workload()
+	if err != nil {
+		r.Close()
+		return nil, fmt.Errorf("sim: %w: %w", errs.ErrBadSpec, err)
+	}
+	cfg.Workload = w
+	cfg.Cores = r.Header().Cores
+	cfg.Seed = r.Header().Seed
+	return r, nil
 }
 
 // simulator holds the wired system.
@@ -325,13 +340,9 @@ type simulator struct {
 	mcBusy    bool
 	mcHorizon dram.Tick
 
-	// shadow is the cycle-accurate twin driven in ClockLockstep mode.
-	shadow *simulator
-
 	// done and ctxErr carry the run's cancellation signal (RunContext).
 	// done is nil for uncancellable contexts (context.Background()), so
-	// the per-macro-cycle poll degenerates to one nil-check. The shadow simulator never carries them: it is
-	// stepped by the primary, which polls for both.
+	// the per-macro-cycle poll degenerates to one nil-check.
 	done   <-chan struct{}
 	ctxErr func() error
 }
@@ -369,11 +380,6 @@ func newSimulator(cfg Config) *simulator {
 		s.cores = append(s.cores, cpu.New(i, coreCfg, gen, s))
 	}
 	s.mcBusy = true // force the first DRAM cycle to tick
-	if cfg.Clock == ClockLockstep {
-		shadowCfg := cfg
-		shadowCfg.Clock = ClockCycleAccurate
-		s.shadow = newSimulator(shadowCfg)
-	}
 	return s
 }
 
@@ -583,19 +589,12 @@ func (s *simulator) step() {
 //
 //impress:hotpath
 func (s *simulator) advance(retireTarget int64) {
-	var k int64
-	if s.cfg.Clock != ClockCycleAccurate {
-		if k = s.skippableMacroCycles(retireTarget); k > 0 {
+	if s.eventClock() {
+		if k := s.skippableMacroCycles(retireTarget); k > 0 {
 			s.applySkip(k)
 		}
 	}
 	s.step()
-	if s.shadow != nil {
-		for i := int64(0); i <= k; i++ {
-			s.shadow.step()
-		}
-		s.assertLockstep(k)
-	}
 }
 
 // skippableMacroCycles returns how many whole macro cycles can be
@@ -698,58 +697,6 @@ func (s *simulator) applySkip(k int64) {
 	s.tick += 6 * k
 }
 
-// assertLockstep compares the event-driven simulator against its
-// cycle-accurate shadow after both advanced through the same macro
-// cycles; any mismatch is a clocking bug, reported with enough state to
-// localize it. It runs only under ClockLockstep, at most once per
-// divergence, on a path that ends in a panic — diagnostic machinery,
-// not simulation.
-//
-//impress:coldpath
-func (s *simulator) assertLockstep(skipped int64) {
-	fail := func(what string, ev, ca any) {
-		panic(fmt.Sprintf(
-			"sim: lockstep divergence after tick %d (skipped %d macro cycles): %s: event-driven %v vs cycle-accurate %v",
-			s.tick, skipped, what, ev, ca))
-	}
-	sh := s.shadow
-	if s.tick != sh.tick {
-		fail("tick", s.tick, sh.tick)
-	}
-	for i, c := range s.cores {
-		cs := sh.cores[i]
-		if c.Cycles() != cs.Cycles() {
-			fail(fmt.Sprintf("core %d cycles", i), c.Cycles(), cs.Cycles())
-		}
-		if c.Fetched() != cs.Fetched() {
-			fail(fmt.Sprintf("core %d fetched", i), c.Fetched(), cs.Fetched())
-		}
-		if c.Retired() != cs.Retired() {
-			fail(fmt.Sprintf("core %d retired", i), c.Retired(), cs.Retired())
-		}
-		if c.Outstanding() != cs.Outstanding() {
-			fail(fmt.Sprintf("core %d outstanding", i), c.Outstanding(), cs.Outstanding())
-		}
-		if c.FinishCycle() != cs.FinishCycle() {
-			fail(fmt.Sprintf("core %d finish cycle", i), c.FinishCycle(), cs.FinishCycle())
-		}
-	}
-	if len(s.hitQ) != len(sh.hitQ) {
-		fail("hit-queue length", len(s.hitQ), len(sh.hitQ))
-	}
-	if len(s.pendingWB) != len(sh.pendingWB) {
-		fail("pending writebacks", len(s.pendingWB), len(sh.pendingWB))
-	}
-	if ev, ca := s.mc.Stats(), sh.mc.Stats(); ev != ca {
-		fail("memory stats", fmt.Sprintf("%+v", ev), fmt.Sprintf("%+v", ca))
-	}
-	if s.llc.Hits() != sh.llc.Hits() || s.llc.Misses() != sh.llc.Misses() {
-		fail("LLC hits/misses",
-			fmt.Sprintf("%d/%d", s.llc.Hits(), s.llc.Misses()),
-			fmt.Sprintf("%d/%d", sh.llc.Hits(), sh.llc.Misses()))
-	}
-}
-
 // cancelled polls the run's context at a macro-cycle boundary. The
 // fast path — no cancellable context — is a single nil-check, so
 // uncancellable runs and the cycle-accurate reference clock pay nothing
@@ -800,12 +747,6 @@ func (s *simulator) run() (Result, error) {
 	for _, c := range s.cores {
 		c.ResetStats()
 		c.SetBudget(s.cfg.RunInstructions)
-	}
-	if s.shadow != nil {
-		for _, c := range s.shadow.cores {
-			c.ResetStats()
-			c.SetBudget(s.cfg.RunInstructions)
-		}
 	}
 	maxCycles := s.cfg.MaxCycles
 	if maxCycles == 0 {

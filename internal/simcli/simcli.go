@@ -64,7 +64,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Int64Var(&f.Run, "instructions", 500_000, "measured instructions per core")
 	fs.Uint64Var(&f.Seed, "seed", 1, "simulation seed")
 	fs.StringVar(&f.Clock, "clock", "event",
-		"clocking: event (skip idle cycles), cycle (tick every cycle), lockstep (cross-check both), sampled (approximate interval sampling with 95% CIs)")
+		"clocking: event (skip idle cycles), cycle (tick every cycle), sampled (approximate interval sampling with 95% CIs)")
 	fs.Float64Var(&f.MaxRelError, "max-error", 0,
 		"sampled-mode convergence target: stop early once every metric's 95% CI relative half-width is at or below this (0 = fixed interval count)")
 	fs.StringVar(&f.CacheDir, "cache-dir", os.Getenv("IMPRESS_CACHE"),
@@ -88,12 +88,10 @@ func ParseClock(name string) (sim.ClockMode, error) {
 		return sim.ClockEventDriven, nil
 	case "cycle":
 		return sim.ClockCycleAccurate, nil
-	case "lockstep":
-		return sim.ClockLockstep, nil
 	case "sampled":
 		return sim.ClockSampled, nil
 	default:
-		return 0, fmt.Errorf("unknown -clock %q (want event, cycle, lockstep or sampled)", name)
+		return 0, fmt.Errorf("unknown -clock %q (want event, cycle or sampled)", name)
 	}
 }
 
@@ -262,8 +260,8 @@ func NewLab(store *resultstore.Store, counts *Counts) (*impress.Lab, error) {
 }
 
 // Run executes the simulation under ctx, converting internal panics — a
-// replay recording too short for the run, a lockstep divergence — into
-// errors so CLIs report one clean line and exit non-zero instead of
+// replay recording too short for the run, the deadlock cycle bound —
+// into errors so CLIs report one clean line and exit non-zero instead of
 // dumping a stack trace. Invalid input and cancellation come back as
 // sim.RunContext's typed errors.
 func Run(ctx context.Context, cfg sim.Config) (res sim.Result, err error) {

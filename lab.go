@@ -19,8 +19,8 @@ import (
 //
 // Every context-first entry point classifies caller-input failures under
 // these sentinels, matchable with errors.Is. Internal invariant
-// violations (lockstep divergence, replay exhaustion, deadlock bounds)
-// still panic — they are bugs, not inputs.
+// violations (replay exhaustion, deadlock bounds) still panic — they
+// are bugs, not inputs.
 var (
 	// ErrUnknownWorkload marks a workload spec that resolves to nothing:
 	// a misspelled built-in name, an unknown "attack:<pattern>", or a
@@ -151,18 +151,16 @@ func WithParallelism(n int) LabOption {
 // WithClock sets the default simulator clocking for configs that leave
 // Clock at its zero value (explicitly non-zero configs win). The exact
 // modes are bit-identical; the choice trades speed against the
-// cycle-accurate reference and the lockstep cross-check. SimClockSampled
-// is explicitly approximate — interval sampling with 95% confidence
-// intervals on the estimates (see WithMaxRelError).
+// cycle-accurate reference. SimClockSampled is explicitly approximate —
+// interval sampling with 95% confidence intervals on the estimates (see
+// WithMaxRelError). An unknown mode fails with ErrBadSpec.
 func WithClock(mode SimClockMode) LabOption {
 	return func(l *Lab) error {
-		switch mode {
-		case SimClockEventDriven, SimClockCycleAccurate, SimClockLockstep, SimClockSampled:
-			l.clock = mode
-			return nil
-		default:
-			return fmt.Errorf("impress: %w: unknown clock mode %d", ErrBadSpec, mode)
+		if err := mode.Validate(); err != nil {
+			return err
 		}
+		l.clock = mode
+		return nil
 	}
 }
 

@@ -101,9 +101,11 @@ func TestLabTypedErrors(t *testing.T) {
 		t.Fatalf("Lab.Record zero cores: %v, want ErrBadSpec", err)
 	}
 
-	// Bad option.
-	if _, err := impress.NewLab(impress.WithClock(impress.SimClockMode(99))); !errors.Is(err, impress.ErrBadSpec) {
-		t.Fatalf("WithClock(99): %v, want ErrBadSpec", err)
+	// Bad option: 3 is the first value past SimClockSampled.
+	for _, mode := range []impress.SimClockMode{3, 99} {
+		if _, err := impress.NewLab(impress.WithClock(mode)); !errors.Is(err, impress.ErrBadSpec) {
+			t.Fatalf("WithClock(%d): %v, want ErrBadSpec", mode, err)
+		}
 	}
 }
 
