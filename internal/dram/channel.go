@@ -135,13 +135,24 @@ func NewChannel(cfg ChannelConfig) *Channel {
 	return ch
 }
 
-// subChannel returns the sub-channel index of a bank (lower half of the
-// banks on sub-channel 0, upper half on 1).
-func (c *Channel) subChannel(bank int) int {
+// SubChannel returns the sub-channel index of a bank: the lower half of
+// the banks is on sub-channel 0, the upper half on 1. The channel applies
+// tRRD/tFAW per sub-channel and the controller gates each sub-channel's
+// data bus, so both must split the banks by this one function.
+func (c *Channel) SubChannel(bank int) int {
 	if bank < c.cfg.Banks/2 {
 		return 0
 	}
 	return 1
+}
+
+// ActivateFloor returns the earliest tick at which sub-channel sub's
+// activation-rate limits (tRRD after its last ACT and the tFAW window
+// over its last four) allow another ACT, absent further commands. It is
+// the same for every bank of the sub-channel, so a scheduler can compute
+// it once per decision instead of once per bank.
+func (c *Channel) ActivateFloor(sub int) Tick {
+	return max(c.lastSubACT[sub]+c.cfg.Timings.TRRD, c.actRing[sub][c.actRingPos[sub]]+c.cfg.Timings.TFAW)
 }
 
 // Timings returns the channel's timing set.
@@ -177,13 +188,9 @@ func (c *Channel) CanActivate(now Tick, bank int) bool {
 	if !c.banks[bank].CanActivate(now) {
 		return false
 	}
-	s := c.subChannel(bank)
-	if now < c.lastSubACT[s]+c.cfg.Timings.TRRD {
-		return false
-	}
-	// The oldest of the last 4 ACTs must be at least tFAW in the past.
-	oldest := c.actRing[s][c.actRingPos[s]]
-	return now >= oldest+c.cfg.Timings.TFAW
+	// tRRD after the sub-channel's last ACT, and the oldest of its last 4
+	// ACTs at least tFAW in the past.
+	return now >= c.ActivateFloor(c.SubChannel(bank))
 }
 
 // Activate issues ACT(bank,row). mitigative marks mitigation traffic.
@@ -192,7 +199,7 @@ func (c *Channel) Activate(now Tick, bank int, row int64, mitigative bool) {
 		panic("dram: illegal ACT (bank timing or tRRD/tFAW violated)")
 	}
 	c.banks[bank].Activate(now, row)
-	s := c.subChannel(bank)
+	s := c.SubChannel(bank)
 	c.actRing[s][c.actRingPos[s]] = now
 	c.actRingPos[s] = (c.actRingPos[s] + 1) % len(c.actRing[s])
 	c.lastSubACT[s] = now
@@ -218,17 +225,7 @@ func (c *Channel) EarliestActivate(now Tick, bank int) Tick {
 	if e == TickMax {
 		return e
 	}
-	s := c.subChannel(bank)
-	if t := c.lastSubACT[s] + c.cfg.Timings.TRRD; t > e {
-		e = t
-	}
-	if t := c.actRing[s][c.actRingPos[s]] + c.cfg.Timings.TFAW; t > e {
-		e = t
-	}
-	if now > e {
-		e = now
-	}
-	return e
+	return max(e, c.ActivateFloor(c.SubChannel(bank)), now)
 }
 
 // CanPrecharge reports whether bank can accept PRE at now.

@@ -6,7 +6,10 @@
 // events, tMRO enforcement for ExPress, victim-refresh mitigations).
 package memctrl
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Location identifies where a cache line lives in the memory system.
 type Location struct {
@@ -39,6 +42,11 @@ func (m Mapper) Validate() error {
 	switch {
 	case m.Channels <= 0 || m.BanksPerChannel <= 0:
 		return fmt.Errorf("memctrl: non-positive geometry: %+v", m)
+	case m.BanksPerChannel%2 != 0:
+		// The banks split evenly into two sub-channels
+		// (dram.Channel.SubChannel).
+		return fmt.Errorf("memctrl: odd bank count %d cannot split into two sub-channels",
+			m.BanksPerChannel)
 	case m.MOPLines <= 0 || m.LinesPerRow <= 0:
 		return fmt.Errorf("memctrl: non-positive row geometry: %+v", m)
 	case m.LinesPerRow%m.MOPLines != 0:
@@ -82,4 +90,56 @@ func (m Mapper) Unmap(loc Location) uint64 {
 	grp = grp*uint64(m.Channels) + uint64(loc.Channel)
 	line := grp*uint64(m.MOPLines) + uint64(loc.Col%m.MOPLines)
 	return line * 64
+}
+
+// lineMap is a Mapper compiled once per controller. When every geometry
+// field is a power of two, Map's divisions and remainders become shifts
+// and masks; any other geometry keeps Mapper.Map's division path.
+type lineMap struct {
+	m    Mapper
+	pow2 bool
+
+	mopShift, chShift, bankShift, grpShift uint
+	mopMask, chMask, bankMask, grpMask     uint64
+}
+
+func newLineMap(m Mapper) lineMap {
+	groupsPerRow := m.LinesPerRow / m.MOPLines
+	lm := lineMap{m: m}
+	for _, v := range []int{m.MOPLines, m.Channels, m.BanksPerChannel, groupsPerRow} {
+		if v <= 0 || v&(v-1) != 0 {
+			return lm
+		}
+	}
+	lm.pow2 = true
+	lm.mopShift, lm.mopMask = log2(m.MOPLines)
+	lm.chShift, lm.chMask = log2(m.Channels)
+	lm.bankShift, lm.bankMask = log2(m.BanksPerChannel)
+	lm.grpShift, lm.grpMask = log2(groupsPerRow)
+	return lm
+}
+
+// log2 returns the shift and mask of a power of two v.
+func log2(v int) (uint, uint64) {
+	return uint(bits.TrailingZeros64(uint64(v))), uint64(v) - 1
+}
+
+// Map is Mapper.Map, by shifts and masks when the geometry allows.
+func (lm *lineMap) Map(addr uint64) Location {
+	if !lm.pow2 {
+		return lm.m.Map(addr)
+	}
+	line := addr / 64
+	mopOff := int(line & lm.mopMask)
+	grp := line >> lm.mopShift
+	channel := int(grp & lm.chMask)
+	grp >>= lm.chShift
+	bank := int(grp & lm.bankMask)
+	grp >>= lm.bankShift
+	return Location{
+		Channel: channel,
+		Bank:    bank,
+		Row:     int64(grp >> lm.grpShift),
+		Col:     int(grp&lm.grpMask)<<lm.mopShift + mopOff,
+	}
 }

@@ -82,6 +82,47 @@ func TestMapperValidate(t *testing.T) {
 	if err := DefaultMapper().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	odd := DefaultMapper()
+	odd.BanksPerChannel = 63 // cannot split into two sub-channels
+	if odd.Validate() == nil {
+		t.Fatal("odd bank count must be rejected")
+	}
+}
+
+// TestLineMapMatchesDivision checks the controller's compiled mapper
+// against Mapper.Map's division formula over random addresses, for
+// power-of-two geometries (shift-and-mask path) and others (division
+// path), and that Unmap inverts it to the line address.
+func TestLineMapMatchesDivision(t *testing.T) {
+	geometries := []struct {
+		m    Mapper
+		pow2 bool
+	}{
+		{DefaultMapper(), true},
+		{Mapper{Channels: 1, BanksPerChannel: 32, MOPLines: 4, LinesPerRow: 256}, true},
+		{Mapper{Channels: 4, BanksPerChannel: 128, MOPLines: 1, LinesPerRow: 1}, true},
+		{Mapper{Channels: 3, BanksPerChannel: 64, MOPLines: 8, LinesPerRow: 128}, false},
+		{Mapper{Channels: 2, BanksPerChannel: 48, MOPLines: 8, LinesPerRow: 128}, false},
+		{Mapper{Channels: 2, BanksPerChannel: 64, MOPLines: 8, LinesPerRow: 96}, false},
+	}
+	for _, g := range geometries {
+		lm := newLineMap(g.m)
+		if lm.pow2 != g.pow2 {
+			t.Fatalf("%+v: pow2 = %v, want %v", g.m, lm.pow2, g.pow2)
+		}
+		f := func(addr uint64) bool {
+			loc := lm.Map(addr)
+			return loc == g.m.Map(addr) && g.m.Unmap(loc) == addr&^63
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+			t.Fatalf("%+v: %v", g.m, err)
+		}
+		for _, addr := range []uint64{0, 63, 64, 1<<40 + 12345, ^uint64(0)} {
+			if !f(addr) {
+				t.Fatalf("%+v: address %#x maps differently", g.m, addr)
+			}
+		}
+	}
 }
 
 func TestMapperRowCapacity64GB(t *testing.T) {

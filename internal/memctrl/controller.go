@@ -1,7 +1,7 @@
 package memctrl
 
 import (
-	"fmt"
+	"math/bits"
 
 	"impress/internal/clm"
 	"impress/internal/core"
@@ -10,17 +10,16 @@ import (
 )
 
 // Request is one memory transaction handed to the controller by the LLC.
-// Read completion is reported through Config.OnReadComplete rather than
-// a per-request callback: a closure per request would be an allocation
-// on the miss path (hotpath rule, DESIGN.md §10), and the owner that
-// pushed the request can recover its own state from the *Request it
-// already holds.
+// Push copies it into the controller's queues, so the caller may reuse
+// or stack-allocate it. Read completion is reported through
+// Config.OnReadComplete rather than a per-request callback: a closure per
+// request would be an allocation on the miss path (hotpath rule,
+// DESIGN.md §10), and the owner that pushed the request can recover its
+// own state from the completed request's address.
 type Request struct {
 	Addr  uint64
 	Write bool
 	Loc   Location
-
-	arrive dram.Tick
 }
 
 // TrackerFactory builds one tracker instance per bank.
@@ -52,7 +51,7 @@ type Config struct {
 	// with the finished request and its data-return tick. It replaces a
 	// per-request callback field: one controller-level function pointer
 	// costs nothing per request, where a closure per miss would allocate
-	// on the hot path.
+	// on the hot path. The *Request is valid only during the call.
 	OnReadComplete func(req *Request, done dram.Tick)
 }
 
@@ -228,11 +227,21 @@ type bankCtl struct {
 
 // channelCtl is the controller's per-channel state.
 type channelCtl struct {
+	id    int
 	ch    *dram.Channel
 	banks []bankCtl
 
-	readQ  []*Request
-	writeQ []*Request
+	readQ  reqQueue
+	writeQ reqQueue
+
+	// idleAt is the tick of the last Tick that left this channel idle, or
+	// -1 once anything has changed since (a Push, an active Tick,
+	// DropQueued, Restore). While it is valid, demandAt holds the demand
+	// horizon of the last scheduling passes: no queued request can issue
+	// before it, so an idle Tick before demandAt skips the passes, and
+	// NextEvent(idleAt+1) reuses it instead of recomputing.
+	idleAt   dram.Tick
+	demandAt dram.Tick
 
 	// busFreeAt gates column commands per sub-channel data bus.
 	busFreeAt [2]dram.Tick
@@ -253,8 +262,10 @@ type channelCtl struct {
 	// rfmBanks lists banks whose weighted ACT counter crossed RFMTH.
 	rfmBanks []int
 
-	// openBanks counts banks with open rows (refresh drain fast path).
+	// openBanks counts banks with open rows (refresh drain fast path);
+	// openMask is the bitmap of those banks, walked in ascending order.
 	openBanks int
+	openMask  bankSet
 	// idleDeadline is a lower bound on the earliest tick any open row's
 	// idle-close timeout can fire. Activations and column commands
 	// min it down; the sweep at expiry either closes a row or recomputes
@@ -268,6 +279,7 @@ type channelCtl struct {
 // Controller is the multi-channel DDR5 memory controller.
 type Controller struct {
 	cfg      Config
+	amap     lineMap
 	channels []*channelCtl
 
 	windowEnd  dram.Tick
@@ -277,6 +289,10 @@ type Controller struct {
 
 	// issues counts column commands (reads + writes) across channels.
 	issues uint64
+
+	// completed holds the read handed to OnReadComplete; a controller
+	// field rather than a local, so passing its address does not allocate.
+	completed Request
 }
 
 // New builds a controller; panics on invalid configuration.
@@ -292,17 +308,24 @@ func New(cfg Config) *Controller {
 	}
 	c := &Controller{
 		cfg:        cfg,
+		amap:       newLineMap(cfg.Mapper),
 		windowEnd:  cfg.Timings.TREFW,
 		openLimit:  cfg.Design.RowOpenLimit(),
 		isImpressN: cfg.Design.Kind == core.ImpressN,
 	}
 	for chID := 0; chID < cfg.Mapper.Channels; chID++ {
+		nb := cfg.Mapper.BanksPerChannel
 		cc := &channelCtl{
+			id: chID,
 			ch: dram.NewChannel(dram.ChannelConfig{
-				Banks:   cfg.Mapper.BanksPerChannel,
+				Banks:   nb,
 				Timings: cfg.Timings,
 			}),
-			banks:        make([]bankCtl, cfg.Mapper.BanksPerChannel),
+			banks:        make([]bankCtl, nb),
+			readQ:        newReqQueue(nb),
+			writeQ:       newReqQueue(nb),
+			idleAt:       -1,
+			openMask:     newBankSet(nb),
 			idleDeadline: dram.TickMax,
 		}
 		for b := range cc.banks {
@@ -320,7 +343,7 @@ func New(cfg Config) *Controller {
 }
 
 // Map exposes the address mapping.
-func (c *Controller) Map(addr uint64) Location { return c.cfg.Mapper.Map(addr) }
+func (c *Controller) Map(addr uint64) Location { return c.amap.Map(addr) }
 
 // DropQueued discards every queued demand request in every channel. The
 // sampled clock's quiesce calls it after force-completing all in-flight
@@ -330,8 +353,9 @@ func (c *Controller) Map(addr uint64) Location { return c.cfg.Mapper.Map(addr) }
 // detailed window continues from them.
 func (c *Controller) DropQueued() {
 	for _, cc := range c.channels {
-		cc.readQ = cc.readQ[:0]
-		cc.writeQ = cc.writeQ[:0]
+		cc.readQ.reset()
+		cc.writeQ.reset()
+		cc.idleAt = -1
 	}
 }
 
@@ -340,9 +364,9 @@ func (c *Controller) DropQueued() {
 func (c *Controller) CanPush(loc Location, write bool) bool {
 	cc := c.channels[loc.Channel]
 	if write {
-		return len(cc.writeQ) < c.cfg.WriteQueueCap
+		return cc.writeQ.n < c.cfg.WriteQueueCap
 	}
-	return len(cc.readQ) < c.cfg.ReadQueueCap
+	return cc.readQ.n < c.cfg.ReadQueueCap
 }
 
 // Push enqueues a request; callers must check CanPush first (it panics on
@@ -351,20 +375,22 @@ func (c *Controller) Push(now dram.Tick, req *Request) {
 	if !c.CanPush(req.Loc, req.Write) {
 		panic("memctrl: push into full queue")
 	}
-	req.arrive = now
 	cc := c.channels[req.Loc.Channel]
+	q := &cc.readQ
 	if req.Write {
-		cc.writeQ = append(cc.writeQ, req)
-	} else {
-		cc.readQ = append(cc.readQ, req)
+		q = &cc.writeQ
 	}
+	b := req.Loc.Bank
+	q.push(b, queued{addr: req.Addr, row: req.Loc.Row, col: req.Loc.Col, arrive: now},
+		cc.banks[b].openValid, cc.banks[b].openRow)
+	cc.idleAt = -1
 }
 
 // PendingReads returns the total queued read count (for drain loops).
 func (c *Controller) PendingReads() int {
 	n := 0
 	for _, cc := range c.channels {
-		n += len(cc.readQ)
+		n += cc.readQ.n
 	}
 	return n
 }
@@ -438,6 +464,7 @@ func (c *Controller) Tick(now dram.Tick) bool {
 	for _, cc := range c.channels {
 		if c.tickChannel(cc, now) {
 			active = true
+			cc.idleAt = -1
 		}
 	}
 	return active
@@ -468,20 +495,25 @@ func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 			return true
 		}
 		// Precharge one open row per cycle (command-bus limit).
-		for b := range cc.banks {
-			if cc.banks[b].openValid && cc.ch.CanPrecharge(now, b) {
-				c.closeRow(cc, b, now, cc.banks[b].mitigOpen)
-				return true
+		for w, word := range cc.openMask {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				if cc.ch.CanPrecharge(now, b) {
+					c.closeRow(cc, b, now, cc.banks[b].mitigOpen)
+					return true
+				}
 			}
 		}
 		return true // waiting for tRAS of some open row
 	}
 
 	// 2. ImPress-N window advancement for open banks (cheap early-out per
-	// bank: a comparison against the next window boundary).
+	// bank: a comparison against the next window boundary). Ascending bank
+	// order fixes the order of mitigBanks appends.
 	if c.isImpressN && cc.openBanks > 0 {
-		for b := range cc.banks {
-			if cc.banks[b].openValid {
+		for w, word := range cc.openMask {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
 				c.feed(cc, b, cc.banks[b].policy.Advance(now), false)
 			}
 		}
@@ -510,25 +542,25 @@ func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 	// scans periodically nor closes late.
 	if c.cfg.IdleCloseAfter > 0 && cc.openBanks > 0 && now >= cc.idleDeadline {
 		next := dram.TickMax
-		for b := range cc.banks {
-			bank := &cc.banks[b]
-			if !bank.openValid || bank.mitigOpen {
-				continue
-			}
-			due := bank.lastUse + c.cfg.IdleCloseAfter
-			if due > now {
-				if due < next {
-					next = due
+		for w, word := range cc.openMask {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				bank := &cc.banks[b]
+				if bank.mitigOpen {
+					continue
 				}
-				continue
-			}
-			if cc.ch.CanPrecharge(now, b) {
-				cc.stats.IdleClosures++
-				c.closeRow(cc, b, now, false)
-				return true
-			}
-			if ep := cc.ch.Bank(b).EarliestPrecharge(); ep < next {
-				next = ep // tRAS-held: retry at the earliest legal PRE
+				due := bank.lastUse + c.cfg.IdleCloseAfter
+				if due > now {
+					next = min(next, due)
+					continue
+				}
+				if cc.ch.CanPrecharge(now, b) {
+					cc.stats.IdleClosures++
+					c.closeRow(cc, b, now, false)
+					return true
+				}
+				// tRAS-held: retry at the earliest legal PRE.
+				next = min(next, cc.ch.Bank(b).EarliestPrecharge())
 			}
 		}
 		cc.idleDeadline = next
@@ -550,19 +582,21 @@ func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 	// re-evaluated every cycle flipped the controller in and out of
 	// write mode at the boundary, and a steady read stream could starve
 	// a watermarked write queue indefinitely; see nextWriteDrain.
-	cc.writeDrain = nextWriteDrain(cc.writeDrain, len(cc.writeQ), c.cfg.WriteQueueCap)
-	if cc.writeDrain {
-		if c.schedule(cc, now, cc.writeQ, true) {
+	cc.writeDrain = nextWriteDrain(cc.writeDrain, cc.writeQ.n, c.cfg.WriteQueueCap)
+	if cc.idleAt < 0 || now >= cc.demandAt {
+		cc.demandAt = dram.TickMax
+		if cc.writeDrain {
+			if c.schedule(cc, now, &cc.writeQ, true) || c.schedule(cc, now, &cc.readQ, false) {
+				return true
+			}
+		} else if c.schedule(cc, now, &cc.readQ, false) ||
+			cc.readQ.n == 0 && c.schedule(cc, now, &cc.writeQ, true) {
 			return true
 		}
-		return c.schedule(cc, now, cc.readQ, false)
 	}
-	if c.schedule(cc, now, cc.readQ, false) {
-		return true
-	}
-	if len(cc.readQ) == 0 {
-		return c.schedule(cc, now, cc.writeQ, true)
-	}
+	// Nothing issued: the passes saw every candidate NextEvent would, so
+	// demandAt is the demand horizon until the next change.
+	cc.idleAt = now
 	return false
 }
 
@@ -625,11 +659,9 @@ func (c *Controller) channelNextEvent(cc *channelCtl, now dram.Tick) dram.Tick {
 			return h
 		}
 		h := dram.TickMax
-		for b := range cc.banks {
-			if cc.banks[b].openValid {
-				if e := cc.ch.Bank(b).EarliestPrecharge(); e < h {
-					h = e
-				}
+		for w, word := range cc.openMask {
+			for ; word != 0; word &= word - 1 {
+				h = min(h, cc.ch.Bank(w<<6|bits.TrailingZeros64(word)).EarliestPrecharge())
 			}
 		}
 		return max(h, now)
@@ -641,11 +673,9 @@ func (c *Controller) channelNextEvent(cc *channelCtl, now dram.Tick) dram.Tick {
 	// 2. ImPress-N window boundaries of open banks: the Advance feed can
 	// emit (and queue mitigations) exactly at these ticks.
 	if c.isImpressN && cc.openBanks > 0 {
-		for b := range cc.banks {
-			if cc.banks[b].openValid {
-				if e := cc.banks[b].policy.NextEvent(); e < h {
-					h = e
-				}
+		for w, word := range cc.openMask {
+			for ; word != 0; word &= word - 1 {
+				h = min(h, cc.banks[w<<6|bits.TrailingZeros64(word)].policy.NextEvent())
 			}
 		}
 	}
@@ -713,54 +743,63 @@ func (c *Controller) channelNextEvent(cc *channelCtl, now dram.Tick) dram.Tick {
 
 	// 6. Demand queues. Write candidates only count when the next Tick
 	// would serve writes; queue lengths cannot change during a skip, so
-	// the prediction is exact.
-	if e := c.queueNextEvent(cc, now, cc.readQ); e < h {
-		h = e
+	// the prediction is exact. Right after an idle Tick the scheduling
+	// passes already computed this horizon, and nothing has changed since.
+	if cc.idleAt >= 0 && now == cc.idleAt+1 {
+		return max(min(h, cc.demandAt), now)
 	}
-	if nextWriteDrain(cc.writeDrain, len(cc.writeQ), c.cfg.WriteQueueCap) || len(cc.readQ) == 0 {
-		if e := c.queueNextEvent(cc, now, cc.writeQ); e < h {
-			h = e
-		}
+	h = min(h, c.queueHorizon(cc, &cc.readQ))
+	if nextWriteDrain(cc.writeDrain, cc.writeQ.n, c.cfg.WriteQueueCap) || cc.readQ.n == 0 {
+		h = min(h, c.queueHorizon(cc, &cc.writeQ))
 	}
 	return max(h, now)
 }
 
-// queueNextEvent returns the earliest tick at which any queued request
+// queueHorizon returns the earliest tick at which any queued request
 // could make schedule issue a command: a column command once the open row
 // and data bus allow, a conflict PRE once tRAS expires, or an ACT once
-// the bank and sub-channel rate limits allow. Requests parked behind an
-// open mitigation row contribute nothing; the mitigation horizon covers
-// their bank. The result may be earlier than the actual issue tick
-// (FR-FCFS picks one command per cycle and the anti-starvation cap can
-// restrict service to the oldest request) — an early wake-up is a no-op,
-// never a divergence. The scan short-circuits once the horizon reaches
-// now, the floor below which nothing can tighten it.
-func (c *Controller) queueNextEvent(cc *channelCtl, now dram.Tick, q []*Request) dram.Tick {
+// the bank and sub-channel rate limits allow. A bank's oldest hit and
+// oldest miss bound every request behind them, so only the cached
+// candidates are visited. Banks parked behind an open mitigation row
+// contribute nothing; the mitigation horizon covers them. The result may
+// be earlier than the actual issue tick (FR-FCFS picks one command per
+// cycle and the anti-starvation cap can restrict service to the oldest
+// request) — an early wake-up is a no-op, never a divergence.
+func (c *Controller) queueHorizon(cc *channelCtl, q *reqQueue) dram.Tick {
+	floor := [2]dram.Tick{cc.ch.ActivateFloor(0), cc.ch.ActivateFloor(1)}
 	h := dram.TickMax
-	for _, req := range q {
-		b := req.Loc.Bank
-		bank := &cc.banks[b]
-		if bank.mitigOpen {
-			continue
-		}
-		var e dram.Tick
-		if bank.openValid {
-			if bank.openRow == req.Loc.Row {
-				e = max(cc.ch.Bank(b).EarliestColumn(), cc.busFreeAt[b>>5])
-			} else {
-				e = cc.ch.Bank(b).EarliestPrecharge()
-			}
-		} else {
-			e = cc.ch.EarliestActivate(now, b)
-		}
-		if e < h {
-			h = e
-			if h <= now {
-				return h
+	for w, word := range q.pending {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			if !cc.banks[b].mitigOpen {
+				hitAt, workAt := c.candidateTicks(cc, &q.banks[b], b, &floor)
+				h = min(h, hitAt, workAt)
 			}
 		}
 	}
 	return h
+}
+
+// candidateTicks returns the earliest ticks at which bank b's cached
+// candidates could issue: its oldest hit a column command (hitAt), and
+// its oldest miss a conflict PRE or an ACT (workAt). An absent candidate
+// gives dram.TickMax. floor holds the sub-channels' ACT rate floors
+// (dram.Channel.ActivateFloor). Each tick is exact: the command is legal
+// at it and at no earlier tick, so "ready at now" is hitAt <= now.
+func (c *Controller) candidateTicks(cc *channelCtl, bq *bankQueue, b int, floor *[2]dram.Tick) (hitAt, workAt dram.Tick) {
+	hitAt, workAt = dram.TickMax, dram.TickMax
+	bank := cc.ch.Bank(b)
+	sub := cc.ch.SubChannel(b)
+	if !cc.banks[b].openValid {
+		return hitAt, max(bank.EarliestActivate(), floor[sub])
+	}
+	if bq.hit >= 0 {
+		hitAt = max(bank.EarliestColumn(), cc.busFreeAt[sub])
+	}
+	if bq.miss >= 0 {
+		workAt = bank.EarliestPrecharge()
+	}
+	return hitAt, workAt
 }
 
 // mitigationStep performs one command of mitigation work; returns true if
@@ -840,79 +879,93 @@ func (c *Controller) rfmStep(cc *channelCtl, now dram.Tick) bool {
 }
 
 // schedule attempts to issue one command for the given queue in a single
-// FR-FCFS pass: the oldest ready row-hit wins; otherwise the oldest
-// request that needs an ACT (idle bank) or a conflict PRE.
-func (c *Controller) schedule(cc *channelCtl, now dram.Tick, q []*Request, isWrite bool) bool {
-	if len(q) == 0 {
+// FR-FCFS pass over the banks with queued requests, in ascending order:
+// the oldest ready row hit wins; otherwise the oldest request whose bank
+// can take its ACT (idle bank) or conflict PRE. Readiness is per bank, so
+// each bank's cached oldest hit and oldest miss stand for all of its
+// requests. When nothing issues, the pass has computed every candidate's
+// ready tick, and their minimum joins cc.demandAt (see channelNextEvent).
+func (c *Controller) schedule(cc *channelCtl, now dram.Tick, q *reqQueue, isWrite bool) bool {
+	if q.n == 0 {
 		return false
+	}
+	floor := [2]dram.Tick{cc.ch.ActivateFloor(0), cc.ch.ActivateFloor(1)}
+	h := dram.TickMax
+	hitBank, workBank, oldBank := -1, -1, -1
+	hitSeq, workSeq, oldSeq := uint64(noSeq), uint64(noSeq), uint64(noSeq)
+	for w, word := range q.pending {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			bq := &q.banks[b]
+			if s := min(bq.hitSeq, bq.missSeq); s < oldSeq {
+				oldBank, oldSeq = b, s
+			}
+			if cc.banks[b].mitigOpen {
+				continue
+			}
+			hitAt, workAt := c.candidateTicks(cc, bq, b, &floor)
+			h = min(h, hitAt, workAt)
+			if hitAt <= now && bq.hitSeq < hitSeq {
+				hitBank, hitSeq = b, bq.hitSeq
+			}
+			if workAt <= now && bq.missSeq < workSeq {
+				workBank, workSeq = b, bq.missSeq
+			}
+		}
 	}
 	// Anti-starvation age cap: once the oldest request has waited past the
 	// threshold, service is restricted to it so a stream of younger
 	// row hits cannot defer it indefinitely (standard FR-FCFS guard).
-	if now-q[0].arrive > starvationTicks {
-		q = q[:1]
-	}
-	var hit *Request
-	workBank := -1 // bank of the oldest request needing ACT/PRE
-	var workRow int64
-	workIsACT := false
-	for _, req := range q {
-		b := req.Loc.Bank
-		bank := &cc.banks[b]
-		if bank.mitigOpen {
-			continue
-		}
-		if bank.openValid {
-			if bank.openRow == req.Loc.Row {
-				sub := b >> 5 // banks 0-31 on sub-channel 0, 32-63 on 1
-				if now >= cc.busFreeAt[sub] && cc.ch.CanColumn(now, b, req.Loc.Row) {
-					hit = req
-					break // oldest ready hit wins immediately
-				}
-			} else if workBank < 0 && cc.ch.CanPrecharge(now, b) {
-				workBank, workIsACT = b, false
+	if bq := &q.banks[oldBank]; now-bq.reqs[0].arrive > starvationTicks {
+		hitBank, workBank = -1, -1
+		if !cc.banks[oldBank].mitigOpen {
+			hitAt, workAt := c.candidateTicks(cc, bq, oldBank, &floor)
+			if bq.hit == 0 && hitAt <= now {
+				hitBank = oldBank
+			} else if bq.miss == 0 && workAt <= now {
+				workBank = oldBank
 			}
-		} else if workBank < 0 && cc.ch.CanActivate(now, b) {
-			workBank, workRow, workIsACT = b, req.Loc.Row, true
 		}
 	}
-	if hit != nil {
-		c.issueColumn(cc, hit, now, isWrite)
-		return true
+	switch {
+	case hitBank >= 0:
+		c.issueColumn(cc, q, hitBank, now, isWrite)
+	case workBank < 0:
+		cc.demandAt = min(cc.demandAt, h)
+		return false
+	case cc.banks[workBank].openValid:
+		cc.stats.RowConflicts++
+		c.closeRow(cc, workBank, now, false)
+	default:
+		bq := &q.banks[workBank]
+		c.activate(cc, workBank, bq.reqs[bq.miss].row, now, false)
+		cc.stats.DemandACTs++
+		cc.stats.RowMisses++
 	}
-	if workBank >= 0 {
-		if workIsACT {
-			c.activate(cc, workBank, workRow, now, false)
-			cc.stats.DemandACTs++
-			cc.stats.RowMisses++
-		} else {
-			cc.stats.RowConflicts++
-			c.closeRow(cc, workBank, now, false)
-		}
-		return true
-	}
-	return false
+	return true
 }
 
-func (c *Controller) issueColumn(cc *channelCtl, req *Request, now dram.Tick, isWrite bool) {
-	b := req.Loc.Bank
-	done := cc.ch.Column(now, b, req.Loc.Row, isWrite)
-	sub := b >> 5
-	cc.busFreeAt[sub] = now + c.cfg.Timings.TBurst
-	cc.banks[b].lastUse = now
+// issueColumn serves bank b's oldest row hit.
+func (c *Controller) issueColumn(cc *channelCtl, q *reqQueue, b int, now dram.Tick, isWrite bool) {
+	bq := &q.banks[b]
+	req := bq.reqs[bq.hit]
+	done := cc.ch.Column(now, b, req.row, isWrite)
+	cc.busFreeAt[cc.ch.SubChannel(b)] = now + c.cfg.Timings.TBurst
+	bank := &cc.banks[b]
+	bank.lastUse = now
 	c.touchIdleDeadline(cc, now)
 	c.issues++
 	cc.stats.RowHits++
+	q.remove(b, bq.hit, bank.openValid, bank.openRow)
 	if isWrite {
 		cc.stats.Writes++
-		cc.writeQ = removeReq(cc.writeQ, req)
-	} else {
-		cc.stats.Reads++
-		cc.stats.ReadLatencySum += uint64(done - req.arrive)
-		cc.readQ = removeReq(cc.readQ, req)
-		if c.cfg.OnReadComplete != nil {
-			c.cfg.OnReadComplete(req, done)
-		}
+		return
+	}
+	cc.stats.Reads++
+	cc.stats.ReadLatencySum += uint64(done - req.arrive)
+	if c.cfg.OnReadComplete != nil {
+		c.completed = Request{Addr: req.addr, Loc: Location{Channel: cc.id, Bank: b, Row: req.row, Col: req.col}}
+		c.cfg.OnReadComplete(&c.completed, done)
 	}
 }
 
@@ -937,6 +990,8 @@ func (c *Controller) activate(cc *channelCtl, b int, row int64, now dram.Tick, m
 	bank.lastUse = now
 	c.touchIdleDeadline(cc, now)
 	cc.openBanks++
+	cc.openMask.add(b)
+	c.refreshCandidates(cc, b)
 	cc.forcedClose.push(closeEvent{at: now + c.openLimit, bank: b, gen: bank.actGen})
 	if !mitigative {
 		c.feed(cc, b, bank.policy.OnActivate(now, row), true)
@@ -952,16 +1007,17 @@ func (c *Controller) closeRow(cc *channelCtl, b int, now dram.Tick, mitigative b
 	bank.openValid = false
 	bank.mitigOpen = false // stale mitigBanks entries are pruned lazily
 	cc.openBanks--
+	cc.openMask.remove(b)
+	c.refreshCandidates(cc, b)
 	if !mitigative {
 		c.feed(cc, b, bank.policy.OnPrecharge(now, row, tON), false)
 	}
 }
 
-func removeReq(q []*Request, target *Request) []*Request {
-	for i, r := range q {
-		if r == target {
-			return append(q[:i], q[i+1:]...)
-		}
-	}
-	panic(fmt.Sprintf("memctrl: request %p not in queue", target))
+// refreshCandidates recomputes bank b's FR-FCFS candidates in both
+// queues after its row state changed.
+func (c *Controller) refreshCandidates(cc *channelCtl, b int) {
+	bank := &cc.banks[b]
+	cc.readQ.banks[b].refresh(bank.openValid, bank.openRow)
+	cc.writeQ.banks[b].refresh(bank.openValid, bank.openRow)
 }

@@ -1,10 +1,13 @@
 package memctrl
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"impress/internal/core"
 	"impress/internal/dram"
+	"impress/internal/errs"
 	"impress/internal/stats"
 	"impress/internal/trackers"
 )
@@ -357,5 +360,110 @@ func TestStatsSubRoundTrip(t *testing.T) {
 	sum.Add(d)
 	if sum != a {
 		t.Fatalf("Add(Sub) does not round-trip: %+v vs %+v", sum, a)
+	}
+}
+
+// TestSubChannelGeometry pins the controller's data-bus sub-channels to
+// the DRAM's: both split the banks at BanksPerChannel/2. With 32 banks,
+// the last bank of sub-channel 0 and the first of sub-channel 1 must
+// issue their reads one command slot apart, not a burst apart on a shared
+// bus; with 128 banks, a read to the upper half must not index past the
+// controller's two data buses.
+func TestSubChannelGeometry(t *testing.T) {
+	for _, banks := range []int{32, 128} {
+		t.Run(fmt.Sprintf("banks=%d", banks), func(t *testing.T) {
+			cfg := DefaultConfig(core.NewDesign(core.NoRP), nil, 0)
+			cfg.Mapper.BanksPerChannel = banks
+			done := 0
+			cfg.OnReadComplete = func(*Request, dram.Tick) { done++ }
+			c := New(cfg)
+			var reads []dram.CommandEvent
+			c.Channel(0).AddObserver(dram.ObserverFunc(func(ev dram.CommandEvent) {
+				if ev.Cmd == dram.CmdRD {
+					reads = append(reads, ev)
+				}
+			}))
+			lo, hi := banks/2-1, banks/2
+			for _, b := range []int{lo, hi, banks - 1} {
+				addr := cfg.Mapper.Unmap(Location{Channel: 0, Bank: b})
+				c.Push(0, &Request{Addr: addr, Loc: c.Map(addr)})
+			}
+			tick(c, 0, 200)
+			if done != 3 {
+				t.Fatalf("completed %d of 3 reads", done)
+			}
+			if reads[0].Bank != lo || reads[1].Bank != hi {
+				t.Fatalf("read order %d, %d; want banks %d, %d", reads[0].Bank, reads[1].Bank, lo, hi)
+			}
+			tm := dram.DDR5()
+			if gap := reads[1].Now - reads[0].Now; gap >= tm.TBurst {
+				t.Fatalf("reads on different sub-channels %d ticks apart, want < tBurst (%d): "+
+					"the data buses are not split like the DRAM's sub-channels", gap, tm.TBurst)
+			}
+		})
+	}
+}
+
+// TestSteadyStatePushTickAllocs holds the controller's queue and
+// scheduling path to zero allocations: a row-hit stream pushed and served
+// in steady state on a controller without a tracker. ImPress-P emits no
+// events at ACT, and the measured window stays between the warmup's ACTs
+// and the first refresh, so the policy's per-PRE event slice is not
+// measured (asserted below).
+func TestSteadyStatePushTickAllocs(t *testing.T) {
+	c := simpleController(core.NewDesign(core.ImpressP), nil, 0)
+	m := DefaultMapper()
+	var addrs []uint64
+	for b := 0; b < 12; b++ {
+		for col := 0; col < 8; col++ {
+			addrs = append(addrs, m.Unmap(Location{Channel: 0, Bank: b, Col: col}))
+		}
+	}
+	now := dram.Tick(0)
+	next := 0
+	step := func() {
+		for c.PendingReads() < 40 {
+			addr := addrs[next%len(addrs)]
+			c.Push(now, &Request{Addr: addr, Loc: c.Map(addr)})
+			next++
+		}
+		c.Tick(now)
+		now += dram.TicksPerDRAMCycle
+	}
+	for c.Stats().DemandACTs < 12 { // open every row
+		step()
+	}
+	for i := 0; i < 200; i++ { // size every slice
+		step()
+	}
+	before := c.Stats()
+	allocs := testing.AllocsPerRun(500, step)
+	after := c.Stats()
+	if after.DemandACTs != before.DemandACTs || after.RowConflicts != before.RowConflicts ||
+		after.Refreshes != before.Refreshes || after.IdleClosures != before.IdleClosures {
+		t.Fatalf("measured window was not a pure row-hit stream: %+v -> %+v", before, after)
+	}
+	if after.Reads == before.Reads {
+		t.Fatal("measured window served no reads")
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state Push+Tick allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
+// TestRestoreRejectsMisroutedRequest: a checkpoint whose queue holds an
+// address that maps to another channel is corrupt, and Restore reports it
+// as a bad spec instead of queueing the request on the wrong channel.
+func TestRestoreRejectsMisroutedRequest(t *testing.T) {
+	c := simpleController(core.NewDesign(core.NoRP), nil, 0)
+	addr := c.cfg.Mapper.Unmap(Location{Channel: 1, Bank: 3})
+	c.Push(0, &Request{Addr: addr, Loc: c.Map(addr)})
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Channels[0].ReadQ, snap.Channels[1].ReadQ = snap.Channels[1].ReadQ, nil
+	if err := simpleController(core.NewDesign(core.NoRP), nil, 0).Restore(snap); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("Restore of a misrouted queue entry = %v, want ErrBadSpec", err)
 	}
 }

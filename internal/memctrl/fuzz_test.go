@@ -3,6 +3,7 @@ package memctrl
 import (
 	"testing"
 
+	"impress/internal/clm"
 	"impress/internal/core"
 	"impress/internal/dram"
 	"impress/internal/stats"
@@ -115,5 +116,365 @@ func TestConflictStormTimingLegality(t *testing.T) {
 				t.Fatal("tMRO storm produced no forced closures")
 			}
 		})
+	}
+}
+
+// refReq is the reference scheduler's copy of one queued request.
+type refReq struct {
+	addr   uint64
+	loc    Location
+	arrive dram.Tick
+}
+
+// refPick is one demand decision of the reference scheduler: the command,
+// its bank and row, and for a column command the index of the request it
+// serves in its queue.
+type refPick struct {
+	ok   bool
+	cmd  dram.Command
+	bank int
+	row  int64
+	idx  int
+}
+
+// scanPick is the reference FR-FCFS decision for one queue: a single scan
+// of every request in arrival order. The oldest ready row hit wins;
+// otherwise the oldest request whose bank can take its ACT or conflict
+// PRE. Once the oldest request has waited past the starvation cap, only
+// it is considered.
+func scanPick(cc *channelCtl, now dram.Tick, q []refReq, write bool) refPick {
+	if len(q) > 0 && now-q[0].arrive > starvationTicks {
+		q = q[:1]
+	}
+	var work refPick
+	for i, r := range q {
+		b := r.loc.Bank
+		bank := &cc.banks[b]
+		switch {
+		case bank.mitigOpen:
+		case bank.openValid && bank.openRow == r.loc.Row:
+			if now >= cc.busFreeAt[cc.ch.SubChannel(b)] && cc.ch.CanColumn(now, b, r.loc.Row) {
+				cmd := dram.CmdRD
+				if write {
+					cmd = dram.CmdWR
+				}
+				return refPick{ok: true, cmd: cmd, bank: b, row: r.loc.Row, idx: i}
+			}
+		case bank.openValid:
+			if !work.ok && cc.ch.CanPrecharge(now, b) {
+				work = refPick{ok: true, cmd: dram.CmdPRE, bank: b, row: bank.openRow}
+			}
+		default:
+			if !work.ok && cc.ch.CanActivate(now, b) {
+				work = refPick{ok: true, cmd: dram.CmdACT, bank: b, row: r.loc.Row}
+			}
+		}
+	}
+	return work
+}
+
+// scanHorizon is the reference per-request demand horizon of one queue:
+// the earliest tick at which any request's next command becomes legal.
+func scanHorizon(cc *channelCtl, now dram.Tick, q []refReq) dram.Tick {
+	h := dram.TickMax
+	for _, r := range q {
+		b := r.loc.Bank
+		bank := &cc.banks[b]
+		switch {
+		case bank.mitigOpen:
+		case bank.openValid && bank.openRow == r.loc.Row:
+			h = min(h, max(cc.ch.Bank(b).EarliestColumn(), cc.busFreeAt[cc.ch.SubChannel(b)]))
+		case bank.openValid:
+			h = min(h, cc.ch.Bank(b).EarliestPrecharge())
+		default:
+			h = min(h, cc.ch.EarliestActivate(now, b))
+		}
+	}
+	return h
+}
+
+// refChannel mirrors one channel's demand queues in arrival order.
+type refChannel struct{ reads, writes []refReq }
+
+// pick is the reference demand step of tickChannel: write drain with
+// watermark hysteresis, otherwise reads first and writes when no read is
+// queued.
+func (rc *refChannel) pick(c *Controller, cc *channelCtl, now dram.Tick) (refPick, bool) {
+	if nextWriteDrain(cc.writeDrain, len(rc.writes), c.cfg.WriteQueueCap) {
+		if p := scanPick(cc, now, rc.writes, true); p.ok {
+			return p, true
+		}
+		return scanPick(cc, now, rc.reads, false), false
+	}
+	if p := scanPick(cc, now, rc.reads, false); p.ok || len(rc.reads) > 0 {
+		return p, false
+	}
+	return scanPick(cc, now, rc.writes, true), true
+}
+
+func (rc *refChannel) horizon(c *Controller, cc *channelCtl, now dram.Tick) dram.Tick {
+	h := scanHorizon(cc, now, rc.reads)
+	if nextWriteDrain(cc.writeDrain, len(rc.writes), c.cfg.WriteQueueCap) || len(rc.reads) == 0 {
+		h = min(h, scanHorizon(cc, now, rc.writes))
+	}
+	return h
+}
+
+// FuzzScheduleMatchesScan drives the bank-indexed scheduler and the
+// reference arrival-order scan side by side: seeded random Push, Tick,
+// DropQueued and mid-stream Snapshot/Restore, with and without a tracker,
+// under ImPress-N and ExPress. Every demand command the controller issues
+// (seen through a DRAM observer) must be the reference's pick, an idle
+// demand step must match an empty pick, the queues must hold the same
+// requests in the same order, and NextEvent must never be later than the
+// reference per-request horizon.
+func FuzzScheduleMatchesScan(f *testing.F) {
+	for mode := uint8(0); mode < 8; mode++ {
+		f.Add(uint64(mode)*7919+1, mode, uint16(8000))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, mode uint8, steps uint16) {
+		checkScheduleMatchesScan(t, seed, mode, int(steps%12000)+1)
+	})
+}
+
+// checkScheduleMatchesScan is one differential run. mode bit 0 selects
+// ExPress (else ImPress-N), bit 1 attaches a tracker to every bank, and
+// bit 2 makes that tracker in-DRAM MINT with RFM (else Graphene, whose
+// mitigations the controller issues).
+func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) {
+	rng := stats.NewRand(seed)
+	design := core.NewDesign(core.ImpressN)
+	if mode&1 != 0 {
+		design = core.NewDesign(core.ExPress).WithTMRO(dram.Ns(96))
+	}
+	var factory TrackerFactory
+	rfmth := 0
+	if mode&2 != 0 {
+		if mode&4 != 0 {
+			trng := rng.Split()
+			factory = func(int) trackers.Tracker { return trackers.NewMINT(8, trng.Split()) }
+			rfmth = 8
+		} else {
+			factory = func(int) trackers.Tracker { return trackers.NewGrapheneRaw(8, 8*clm.One) }
+		}
+	}
+	cfg := DefaultConfig(design, factory, rfmth)
+	var served []Request
+	cfg.OnReadComplete = func(req *Request, _ dram.Tick) { served = append(served, *req) }
+
+	type observed struct {
+		ch int
+		ev dram.CommandEvent
+	}
+	var events []observed
+	build := func() *Controller {
+		c := New(cfg)
+		for ch := range c.channels {
+			c.Channel(ch).AddObserver(dram.ObserverFunc(func(ev dram.CommandEvent) {
+				events = append(events, observed{ch, ev})
+			}))
+		}
+		return c
+	}
+	c := build()
+	ref := make([]refChannel, len(c.channels))
+	banks := []int{0, 1, 2, 5, 31, 32, 33, 63}
+	// The load comes in phases, each with its own push share (per mille
+	// of steps): a heavy phase keeps reads queued so writes wait, and an
+	// idle one drains the reads so writes that waited past the starvation
+	// cap get served. A run's write share is low or high, so the write
+	// queue either stays below the drain watermark or crosses it.
+	shares := []uint64{0, 150, 450}
+	pushShare := shares[rng.Intn(len(shares))]
+	writeP := []float64{0.02, 0.3}[rng.Intn(2)]
+	now := dram.Tick(0)
+
+	checkHorizon := func(at dram.Tick) {
+		t.Helper()
+		got := c.NextEvent(at)
+		want := dram.TickMax
+		for ch, cc := range c.channels {
+			if cc.refreshing || cc.ch.RefreshDue(at) {
+				return // the refresh drain horizon governs
+			}
+			want = min(want, ref[ch].horizon(c, cc, at))
+		}
+		if want = max(want, at); got > want {
+			t.Fatalf("tick %d: NextEvent(%d) = %d, later than the per-request horizon %d", now, at, got, want)
+		}
+	}
+
+	pushBurst := func() {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			loc := Location{
+				Channel: rng.Intn(2),
+				Bank:    banks[rng.Intn(len(banks))],
+				Row:     int64(rng.Intn(4)),
+				Col:     rng.Intn(cfg.Mapper.LinesPerRow),
+			}
+			write := rng.Bernoulli(writeP)
+			if !c.CanPush(loc, write) {
+				continue
+			}
+			addr := cfg.Mapper.Unmap(loc)
+			// Now and then a request arrives with a past tick, as if it
+			// had waited upstream; it reaches the starvation cap soon.
+			arrive := now
+			if rng.Bernoulli(0.02) {
+				arrive = max(0, now-dram.Tick(rng.Uint64n(uint64(2*starvationTicks))))
+			}
+			c.Push(arrive, &Request{Addr: addr, Write: write, Loc: c.Map(addr)})
+			r := refReq{addr: addr, loc: loc, arrive: arrive}
+			if write {
+				ref[loc.Channel].writes = append(ref[loc.Channel].writes, r)
+			} else {
+				ref[loc.Channel].reads = append(ref[loc.Channel].reads, r)
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		if rng.Uint64n(1000) == 0 {
+			pushShare = shares[rng.Intn(len(shares))]
+		}
+		switch op := rng.Uint64n(1000); {
+		case op < pushShare:
+			pushBurst()
+		case op < 995: // one Tick, then the event clock's skip to the horizon
+			type expect struct {
+				check bool
+				pick  refPick
+				write bool
+				evict map[int]bool // banks a mitigation or RFM may precharge
+				stats Stats
+			}
+			exp := make([]expect, len(c.channels))
+			for ch, cc := range c.channels {
+				e := &exp[ch]
+				e.check = !cc.refreshing && !cc.ch.RefreshDue(now)
+				e.pick, e.write = ref[ch].pick(c, cc, now)
+				e.stats = cc.stats
+			}
+			events, served = events[:0], served[:0]
+			active := c.Tick(now)
+			for ch, cc := range c.channels {
+				e := &exp[ch]
+				// The ImPress-N window feed at the start of Tick can queue
+				// mitigation or RFM work that evicts a demand row before
+				// the demand step runs; such banks stay listed after Tick.
+				e.evict = map[int]bool{}
+				for _, b := range cc.mitigBanks {
+					e.evict[b] = true
+				}
+				for _, b := range cc.rfmBanks {
+					e.evict[b] = true
+				}
+				var evs []dram.CommandEvent
+				for _, o := range events {
+					if o.ch == ch {
+						evs = append(evs, o.ev)
+					}
+				}
+				if len(evs) > 1 {
+					t.Fatalf("tick %d channel %d: %d commands in one cycle", now, ch, len(evs))
+				}
+				if !e.check {
+					continue
+				}
+				if len(evs) == 0 {
+					if e.pick.ok {
+						t.Fatalf("tick %d channel %d: issued nothing, reference picks %+v", now, ch, e.pick)
+					}
+					continue
+				}
+				ev := evs[0]
+				demand := false
+				switch ev.Cmd {
+				case dram.CmdRD, dram.CmdWR:
+					demand = true
+				case dram.CmdACT:
+					demand = !ev.Mitigative
+				case dram.CmdPRE:
+					demand = !ev.Mitigative && !e.evict[ev.Bank] &&
+						cc.stats.ForcedClosures == e.stats.ForcedClosures &&
+						cc.stats.IdleClosures == e.stats.IdleClosures
+				}
+				if !demand {
+					continue
+				}
+				if !e.pick.ok || ev.Cmd != e.pick.cmd || ev.Bank != e.pick.bank || ev.Row != e.pick.row {
+					t.Fatalf("tick %d channel %d: issued %v bank %d row %d, reference picks %+v",
+						now, ch, ev.Cmd, ev.Bank, ev.Row, e.pick)
+				}
+				if ev.Cmd == dram.CmdRD || ev.Cmd == dram.CmdWR {
+					q := &ref[ch].reads
+					if e.write {
+						q = &ref[ch].writes
+					}
+					if ev.Cmd == dram.CmdRD {
+						want := Request{Addr: (*q)[e.pick.idx].addr, Loc: (*q)[e.pick.idx].loc}
+						var got []Request
+						for _, r := range served {
+							if r.Loc.Channel == ch {
+								got = append(got, r)
+							}
+						}
+						if len(got) != 1 || got[0] != want {
+							t.Fatalf("tick %d channel %d: completed %+v, reference serves %+v", now, ch, got, want)
+						}
+					}
+					*q = append((*q)[:e.pick.idx], (*q)[e.pick.idx+1:]...)
+				}
+			}
+			for ch, cc := range c.channels {
+				for _, qs := range []struct {
+					got  *reqQueue
+					want []refReq
+				}{{&cc.readQ, ref[ch].reads}, {&cc.writeQ, ref[ch].writes}} {
+					got := qs.got.ordered()
+					if len(got) != len(qs.want) || len(got) != qs.got.n {
+						t.Fatalf("tick %d channel %d: controller queues %d requests (n=%d), reference %d",
+							now, ch, len(got), qs.got.n, len(qs.want))
+					}
+					for i := range got {
+						if got[i].addr != qs.want[i].addr || got[i].arrive != qs.want[i].arrive {
+							t.Fatalf("tick %d channel %d: queue position %d holds %#x@%d, reference %#x@%d",
+								now, ch, i, got[i].addr, got[i].arrive, qs.want[i].addr, qs.want[i].arrive)
+						}
+					}
+				}
+			}
+			if active {
+				now += dram.TicksPerDRAMCycle
+				continue
+			}
+			// The event clock asks for the horizon right after an idle
+			// Tick (the pass's recorded one) and may skip to it. A Push
+			// in between must void the recorded horizon.
+			if rng.Bernoulli(0.1) {
+				pushBurst()
+			}
+			checkHorizon(now + 1)
+			next := now + dram.TicksPerDRAMCycle
+			if h := c.NextEvent(now + 1); h > next && rng.Bernoulli(0.5) {
+				next = h + (dram.TicksPerDRAMCycle-h%dram.TicksPerDRAMCycle)%dram.TicksPerDRAMCycle
+			}
+			now = next
+			checkHorizon(now) // a recomputed horizon
+		case op < 997:
+			c.DropQueued()
+			for ch := range ref {
+				ref[ch] = refChannel{}
+			}
+		default: // checkpoint and continue on a fresh controller
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = build()
+			if err := c.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -85,8 +85,8 @@ func (c *Controller) Snapshot() (ControllerSnapshot, error) {
 		cs := ChannelCtlSnapshot{
 			DRAM:         cc.ch.Snapshot(),
 			Banks:        make([]BankCtlSnapshot, len(cc.banks)),
-			ReadQ:        snapshotQueue(cc.readQ),
-			WriteQ:       snapshotQueue(cc.writeQ),
+			ReadQ:        snapshotQueue(&cc.readQ),
+			WriteQ:       snapshotQueue(&cc.writeQ),
 			BusFreeAt:    cc.busFreeAt,
 			Refreshing:   cc.refreshing,
 			WriteDrain:   cc.writeDrain,
@@ -195,8 +195,19 @@ func (c *Controller) Restore(s ControllerSnapshot) error {
 			bank.actGen = bs.ActGen
 			bank.lastUse = bs.LastUse
 		}
-		cc.readQ = c.restoreQueue(cc.readQ[:0], cs.ReadQ, false)
-		cc.writeQ = c.restoreQueue(cc.writeQ[:0], cs.WriteQ, true)
+		clear(cc.openMask)
+		for b := range cc.banks {
+			if cc.banks[b].openValid {
+				cc.openMask.add(b)
+			}
+		}
+		if err := c.restoreQueue(cc, &cc.readQ, cs.ReadQ); err != nil {
+			return err
+		}
+		if err := c.restoreQueue(cc, &cc.writeQ, cs.WriteQ); err != nil {
+			return err
+		}
+		cc.idleAt = -1
 		cc.busFreeAt = cs.BusFreeAt
 		cc.refreshing = cs.Refreshing
 		cc.writeDrain = cs.WriteDrain
@@ -215,27 +226,29 @@ func (c *Controller) Restore(s ControllerSnapshot) error {
 	return nil
 }
 
-func snapshotQueue(q []*Request) []RequestSnapshot {
-	out := make([]RequestSnapshot, len(q))
-	for i, req := range q {
-		out[i] = RequestSnapshot{Addr: req.Addr, Arrive: req.arrive}
+func snapshotQueue(q *reqQueue) []RequestSnapshot {
+	reqs := q.ordered()
+	out := make([]RequestSnapshot, len(reqs))
+	for i, r := range reqs {
+		out[i] = RequestSnapshot{Addr: r.addr, Arrive: r.arrive}
 	}
 	return out
 }
 
-// restoreQueue rebuilds a demand queue from a snapshot. The requests are
-// fresh objects — pointer identity does not survive a checkpoint — which
-// is sound because the only pointer-dependent operation (removeReq)
-// compares against pointers taken from the same queue after restore, and
-// read completions are routed by address, not identity.
-func (c *Controller) restoreQueue(q []*Request, snap []RequestSnapshot, write bool) []*Request {
+// restoreQueue rebuilds a demand queue from a snapshot, in arrival order,
+// against the channel's already-restored bank row state. An address that
+// maps to another channel is a corrupt checkpoint.
+func (c *Controller) restoreQueue(cc *channelCtl, q *reqQueue, snap []RequestSnapshot) error {
+	q.reset()
 	for _, rs := range snap {
-		q = append(q, &Request{
-			Addr:   rs.Addr,
-			Write:  write,
-			Loc:    c.cfg.Mapper.Map(rs.Addr),
-			arrive: rs.Arrive,
-		})
+		loc := c.amap.Map(rs.Addr)
+		if loc.Channel != cc.id {
+			return fmt.Errorf("memctrl: %w: queued address %#x maps to channel %d, not %d",
+				errs.ErrBadSpec, rs.Addr, loc.Channel, cc.id)
+		}
+		bank := &cc.banks[loc.Bank]
+		q.push(loc.Bank, queued{addr: rs.Addr, row: loc.Row, col: loc.Col, arrive: rs.Arrive},
+			bank.openValid, bank.openRow)
 	}
-	return q
+	return nil
 }

@@ -324,7 +324,7 @@ func (s *simulator) restoreCheckpoint(ck *Checkpoint) error {
 	}
 	s.pendingWB = nil
 	for _, addr := range ck.PendingWB {
-		s.pendingWB = append(s.pendingWB, &memctrl.Request{
+		s.pendingWB = append(s.pendingWB, memctrl.Request{
 			Addr: addr, Write: true, Loc: s.mc.Map(addr),
 		})
 	}

@@ -322,7 +322,7 @@ type simulator struct {
 
 	// pendingWB holds writebacks awaiting write-queue space (pre-mapped,
 	// drained FIFO).
-	pendingWB []*memctrl.Request
+	pendingWB []memctrl.Request
 
 	now    dram.Tick
 	tick   int64
@@ -456,8 +456,7 @@ func (s *simulator) Access(op *cpu.MemOp) {
 	s.mshrs[line] = m
 	s.memVersion++ // a new MSHR can unblock merges
 	addr := lineAddr(line)
-	req := &memctrl.Request{Addr: addr, Loc: s.mc.Map(addr)}
-	s.mc.Push(s.now, req)
+	s.mc.Push(s.now, &memctrl.Request{Addr: addr, Loc: s.mc.Map(addr)})
 	s.mcBusy = true
 }
 
@@ -481,14 +480,14 @@ func (s *simulator) fill(m *mshr) {
 		// LLC bypass: no fill, no eviction. A dirty uncached line is
 		// written straight back to memory (write-through after fetch).
 		if m.dirty {
-			s.pendingWB = append(s.pendingWB, &memctrl.Request{
+			s.pendingWB = append(s.pendingWB, memctrl.Request{
 				Addr: lineAddr(m.line), Write: true, Loc: s.mc.Map(lineAddr(m.line)),
 			})
 		}
 	} else {
 		victim, evicted := s.llc.Fill(lineAddr(m.line), m.dirty)
 		if evicted && victim.Dirty {
-			s.pendingWB = append(s.pendingWB, &memctrl.Request{
+			s.pendingWB = append(s.pendingWB, memctrl.Request{
 				Addr: victim.Addr, Write: true, Loc: s.mc.Map(victim.Addr),
 			})
 		}
@@ -502,7 +501,7 @@ func (s *simulator) fill(m *mshr) {
 func (s *simulator) drainWritebacks() {
 	n := 0
 	for n < len(s.pendingWB) {
-		req := s.pendingWB[n]
+		req := &s.pendingWB[n]
 		if !s.mc.CanPush(req.Loc, true) {
 			break // FIFO: head-of-line blocking keeps order and work bounded
 		}
