@@ -23,32 +23,45 @@ func TestReplayGeneratorsAreHotRoots(t *testing.T) {
 		{"replay.go", "replayGen"},
 		{"reader.go", "streamGen"},
 	} {
-		path := filepath.Join("..", "..", "trace", tc.file)
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		found := false
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != "Next" || fn.Recv == nil || fn.Doc == nil {
-				continue
-			}
-			if recvNames(fn) != tc.recv {
-				continue
-			}
-			for _, c := range fn.Doc.List {
-				if strings.TrimSpace(c.Text) == hotpath.HotDirective {
-					found = true
-				}
-			}
-		}
-		if !found {
+		if !isHotRoot(t, filepath.Join("..", "..", "trace", tc.file), tc.recv, "Next") {
 			t.Errorf("%s: (%s).Next lost its %s directive; the replay hot loop would go unlinted",
 				tc.file, tc.recv, hotpath.HotDirective)
 		}
 	}
+}
+
+// TestSecurityHarnessStepIsHotRoot pins the security harness's
+// per-access step as a hot-path root, so impress-lint walks it and the
+// paged damage table it calls with the hot-loop rules. The step runs
+// hundreds of millions of times per attack search.
+func TestSecurityHarnessStepIsHotRoot(t *testing.T) {
+	if !isHotRoot(t, filepath.Join("..", "..", "security", "harness.go"), "harness", "step") {
+		t.Errorf("harness.go: (harness).step lost its %s directive; the harness loop would go unlinted",
+			hotpath.HotDirective)
+	}
+}
+
+// isHotRoot reports whether the file at path declares method name on
+// receiver recv with the hotpath directive in its doc comment.
+func isHotRoot(t *testing.T, path, recv, name string) bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != name || fn.Recv == nil || fn.Doc == nil || recvNames(fn) != recv {
+			continue
+		}
+		for _, c := range fn.Doc.List {
+			if strings.TrimSpace(c.Text) == hotpath.HotDirective {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestLegacyNoCtxNamesLiveFunctions keeps the ctx-first allowlist

@@ -255,7 +255,7 @@ func (p *Program) AggressorRows() []int64 {
 func (p *Program) Next(earliest dram.Tick) Access {
 	s := p.g.Slots[p.idx%len(p.g.Slots)]
 	p.idx++
-	t := p.t
+	t := &p.t
 	actAt := earliest + dram.Tick(s.GapTrc)*t.TRC
 	if s.Align {
 		// The Fig. 10 alignment: land the ACT within tPRE of the next

@@ -102,7 +102,7 @@ func (d *Decoy) Name() string { return "impress-n-decoy" }
 
 // Next implements Pattern.
 func (d *Decoy) Next(earliest dram.Tick) Access {
-	t := d.Timings
+	t := &d.Timings
 	if d.decoyTurn {
 		// Close was forced by this decoy ACT; the decoy itself is a plain
 		// Rowhammer-style access to a rotating far-away row.

@@ -30,14 +30,17 @@ func (e EACT) FloatAt(b int) float64 { return float64(e) / float64(uint64(1)<<b)
 // Calculator converts measured row-open times into EACT values. It is the
 // software model of the per-bank 10-bit timer plus shifter that ImPress-P
 // adds to the DRAM chip or memory controller.
+//
+// It keeps only the three timings it reads, not a dram.Timings, so the
+// value receiver stays a few words wide on the per-access path.
 type Calculator struct {
-	t        dram.Timings
-	fracBits int
+	tRAS, tPRE, tRC dram.Tick
+	fracBits        int
 }
 
 // NewCalculator returns a Calculator at the default 7-bit precision.
 func NewCalculator(t dram.Timings) Calculator {
-	return Calculator{t: t, fracBits: FracBits}
+	return NewCalculatorWithPrecision(t, FracBits)
 }
 
 // NewCalculatorWithPrecision returns a Calculator that truncates EACT to b
@@ -48,7 +51,7 @@ func NewCalculatorWithPrecision(t dram.Timings, b int) Calculator {
 	if b < 0 || b > FracBits {
 		panic(fmt.Sprintf("clm: fractional bits %d out of range [0,%d]", b, FracBits))
 	}
-	return Calculator{t: t, fracBits: b}
+	return Calculator{tRAS: t.TRAS, tPRE: t.TPRE, tRC: t.TRC, fracBits: b}
 }
 
 // FracBits returns the configured precision.
@@ -65,15 +68,15 @@ func (c Calculator) FracBits() int { return c.fracBits }
 // rounding, because hardware drops the low bits; the security impact of
 // the floor is what Fig. 12 quantifies.
 func (c Calculator) FromTON(tON dram.Tick) EACT {
-	if tON < c.t.TRAS {
+	if tON < c.tRAS {
 		// A legal access always spans at least tRAS; clamping also makes
 		// the function total for attack-analysis callers that probe
 		// shorter values.
-		tON = c.t.TRAS
+		tON = c.tRAS
 	}
-	total := uint64(tON + c.t.TPRE)
+	total := uint64(tON + c.tPRE)
 	// Fixed point at full precision first: (total << FracBits) / tRC.
-	full := EACT((total << FracBits) / uint64(c.t.TRC))
+	full := EACT((total << FracBits) / uint64(c.tRC))
 	if full < One {
 		full = One
 	}
@@ -96,5 +99,5 @@ func (c Calculator) FromTON(tON dram.Tick) EACT {
 // bound to verify that claim.
 func (c Calculator) MaxTimerTON() dram.Tick {
 	const timerBits = 10
-	return dram.Tick((1<<timerBits)-1) * c.t.TRC
+	return dram.Tick((1<<timerBits)-1) * c.tRC
 }

@@ -65,11 +65,29 @@ func (m Model) Validate() error {
 // tRAS is clamped to tRAS: a legal access cannot close earlier, and the
 // activation itself always costs one full unit.
 func (m Model) AccessTCL(tON dram.Tick) float64 {
-	if tON < m.Timings.TRAS {
-		tON = m.Timings.TRAS
+	return m.Access().TCL(tON)
+}
+
+// AccessModel is the part of a Model that AccessTCL reads — alpha, tRAS
+// and tRC — for per-access loops: its value receiver is three words,
+// where calling AccessTCL copies the whole dram.Timings.
+type AccessModel struct {
+	alpha     float64
+	tRAS, tRC dram.Tick
+}
+
+// Access returns m's AccessModel.
+func (m Model) Access() AccessModel {
+	return AccessModel{alpha: m.Alpha, tRAS: m.Timings.TRAS, tRC: m.Timings.TRC}
+}
+
+// TCL is Model.AccessTCL, bit for bit.
+func (a AccessModel) TCL(tON dram.Tick) float64 {
+	if tON < a.tRAS {
+		tON = a.tRAS
 	}
-	extra := float64(tON-m.Timings.TRAS) / float64(m.Timings.TRC)
-	return 1 + m.Alpha*extra
+	extra := float64(tON-a.tRAS) / float64(a.tRC)
+	return 1 + a.alpha*extra
 }
 
 // RowhammerTCL returns the charge loss after k pure Rowhammer activations

@@ -17,6 +17,12 @@ type Event struct {
 // machines; the caller must deliver OnActivate/OnPrecharge in time order
 // and may call Advance at any time to flush time-driven events (ImPress-N
 // window boundaries).
+//
+// The event slice OnActivate, OnPrecharge and Advance return is a buffer
+// the policy owns: it is valid only until the next call on the same
+// policy, so callers consume it (or copy it) at once. A call that emits
+// nothing returns nil. Owning the buffer keeps the per-access path free
+// of allocations.
 type BankPolicy interface {
 	// OnActivate is invoked when an ACT opens row at time now. The
 	// returned events must be fed to the tracker immediately.
@@ -74,10 +80,13 @@ func NewBankPolicy(d Design) BankPolicy {
 }
 
 // perActPolicy implements the classic Rowhammer feed: weight One at ACT.
-type perActPolicy struct{}
+type perActPolicy struct {
+	buf [1]Event
+}
 
 func (p *perActPolicy) OnActivate(_ dram.Tick, row int64) []Event {
-	return []Event{{Row: row, Weight: clm.One}}
+	p.buf[0] = Event{Row: row, Weight: clm.One}
+	return p.buf[:]
 }
 
 func (p *perActPolicy) OnPrecharge(dram.Tick, int64, dram.Tick) []Event { return nil }
@@ -95,12 +104,14 @@ func (p *perActPolicy) Restore(PolicyState) {}
 // precision (Fig. 11).
 type impressPPolicy struct {
 	calc clm.Calculator
+	buf  [1]Event
 }
 
 func (p *impressPPolicy) OnActivate(dram.Tick, int64) []Event { return nil }
 
 func (p *impressPPolicy) OnPrecharge(_ dram.Tick, row int64, tON dram.Tick) []Event {
-	return []Event{{Row: row, Weight: p.calc.FromTON(tON)}}
+	p.buf[0] = Event{Row: row, Weight: p.calc.FromTON(tON)}
+	return p.buf[:]
 }
 
 func (p *impressPPolicy) Advance(dram.Tick) []Event { return nil }
@@ -130,6 +141,8 @@ type impressNPolicy struct {
 	openRow   int64
 	openValid bool
 	openAt    dram.Tick // when the row finished activating (ACT time + tACT)
+
+	buf []Event // the returned events; reused across calls
 }
 
 func newImpressNPolicy(t dram.Timings) *impressNPolicy {
@@ -147,8 +160,11 @@ func newImpressNPolicy(t dram.Timings) *impressNPolicy {
 // completed (ACT time + tACT): this is what the Fig. 10 decoy pattern
 // exploits — an ACT issued just before the boundary is "still not yet
 // opened" and evades the ORA latch.
+//
+// The events are appended to the policy's buffer, which flush resets;
+// the result may be empty but not nil, so OnActivate can append to it.
 func (p *impressNPolicy) flush(now dram.Tick) []Event {
-	var events []Event
+	events := p.buf[:0]
 	for p.nextBoundary <= now {
 		b := p.nextBoundary
 		if p.openValid && p.openAt <= b {
@@ -162,6 +178,7 @@ func (p *impressNPolicy) flush(now dram.Tick) []Event {
 		}
 		p.nextBoundary += p.t.TRC
 	}
+	p.buf = events
 	return events
 }
 
@@ -170,18 +187,27 @@ func (p *impressNPolicy) OnActivate(now dram.Tick, row int64) []Event {
 	p.openRow = row
 	p.openValid = true
 	p.openAt = now + p.t.TACT
-	events = append(events, Event{Row: row, Weight: clm.One})
-	return events
+	p.buf = append(events, Event{Row: row, Weight: clm.One})
+	return p.buf
 }
 
 func (p *impressNPolicy) OnPrecharge(now dram.Tick, _ int64, _ dram.Tick) []Event {
 	events := p.flush(now)
 	p.openValid = false
-	return events
+	return nilIfEmpty(events)
 }
 
 func (p *impressNPolicy) Advance(now dram.Tick) []Event {
-	return p.flush(now)
+	return nilIfEmpty(p.flush(now))
+}
+
+// nilIfEmpty keeps the "nothing emitted is nil" contract for a
+// buffer-backed result.
+func nilIfEmpty(events []Event) []Event {
+	if len(events) == 0 {
+		return nil
+	}
+	return events
 }
 
 func (p *impressNPolicy) NextEvent() dram.Tick { return p.nextBoundary }

@@ -279,3 +279,37 @@ func TestDesignNames(t *testing.T) {
 		t.Fatal("ImPress-N name: " + NewDesign(ImpressN).Name())
 	}
 }
+
+// TestPolicyEventsDoNotAllocate pins the owned-buffer contract: once
+// warm, no policy allocates per OnActivate, OnPrecharge or Advance, and a
+// call that emits nothing returns nil. Each run replays the same
+// accesses — a plain hammer, then holds of three and eight tRC windows
+// (ImPress-N emits several events at the long hold's PRE), each spanning
+// a whole number of windows so ImPress-N's window phase repeats — and
+// must emit events, so the buffers are exercised.
+func TestPolicyEventsDoNotAllocate(t *testing.T) {
+	tm := dram.DDR5()
+	for _, k := range []Kind{NoRP, ImpressN, ImpressP} {
+		p := NewBankPolicy(NewDesign(k))
+		now := dram.Tick(0)
+		events := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, windows := range []dram.Tick{1, 3, 8} {
+				tON := windows*tm.TRC - tm.TPRE
+				events += len(p.OnActivate(now, 9))
+				events += len(p.Advance(now + tm.TRC))
+				events += len(p.OnPrecharge(now+tON, 9, tON))
+				now += tON + tm.TPRE
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocations per run of three accesses, want 0", k, allocs)
+		}
+		if events == 0 {
+			t.Errorf("%v: no events emitted; the buffers went unexercised", k)
+		}
+		if evs := p.Advance(now); evs != nil {
+			t.Errorf("%v: Advance with the bank closed returned %v, want nil", k, evs)
+		}
+	}
+}

@@ -117,7 +117,6 @@ func (cfg Config) Validate() error {
 // row is open are applied when it closes, since victim rows share the
 // bank and cannot be activated while another row is open.
 func RunContext(ctx context.Context, cfg Config, pattern attack.Pattern) (Result, error) {
-	t := cfg.Design.Timings
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -125,124 +124,169 @@ func RunContext(ctx context.Context, cfg Config, pattern attack.Pattern) (Result
 	accesses := 0
 	duration := cfg.Duration
 	if duration == 0 {
-		duration = t.TREFW
+		duration = cfg.Design.Timings.TREFW
 	}
+	h := newHarness(cfg, pattern)
+	for h.now < duration {
+		if done != nil && accesses&0xff == 0 {
+			select {
+			case <-done:
+				return Result{}, fmt.Errorf("security: %s stopped at tick %d: %w",
+					pattern.Name(), h.now, errs.Cancelled(ctx.Err()))
+			default:
+			}
+		}
+		accesses++
+		h.step()
+	}
+	h.res.Elapsed = h.now
+	return h.res, nil
+}
 
-	policy := core.NewBankPolicy(cfg.Design)
-	tr := cfg.Tracker(cfg.Design.TrackerTRH(cfg.DesignTRH))
-	model := clm.Model{Alpha: cfg.AlphaTrue, Timings: t}
-	openLimit := cfg.Design.RowOpenLimit()
+// harness is one RunContext replay: a single bank under one defense
+// policy and tracker, with the per-victim damage table.
+type harness struct {
+	t         dram.Timings
+	policy    core.BankPolicy
+	tr        trackers.Tracker
+	pattern   attack.Pattern
+	tcl       clm.AccessModel
+	openLimit dram.Tick
+	// rfmDue is the weighted-activation count that makes an RFM due, or
+	// zero when RFM is off (no RFMTH, or a memory-controller tracker).
+	rfmDue    clm.EACT
+	rawPacing bool
 
-	res := Result{Pattern: pattern.Name()}
-	damage := make(map[int64]float64)
-	now := dram.Tick(0)
-	served := int64(0)
-	windowEnd := t.TREFW
+	res       Result
+	damage    damageTable
+	now       dram.Tick
+	served    int64 // tREFI refreshes served so far
+	windowEnd dram.Tick
 	// RFM pacing operates on the same weighted activation stream the
 	// tracker sees: under No-RP and ExPress every ACT contributes exactly
 	// One, reproducing the plain DDR5 RAA counter; under ImPress the
 	// Row-Press-equivalent activity also advances the counter, so a
 	// pressing attacker cannot starve an in-DRAM tracker of mitigation
 	// opportunities.
-	var eactSinceRFM clm.EACT
+	eactSinceRFM clm.EACT
+	pending      []int64 // aggressor rows awaiting victim refresh
+}
 
-	var pending []int64 // aggressor rows awaiting victim refresh
+func newHarness(cfg Config, pattern attack.Pattern) *harness {
+	t := cfg.Design.Timings
+	h := &harness{
+		t:         t,
+		policy:    core.NewBankPolicy(cfg.Design),
+		tr:        cfg.Tracker(cfg.Design.TrackerTRH(cfg.DesignTRH)),
+		pattern:   pattern,
+		tcl:       clm.Model{Alpha: cfg.AlphaTrue, Timings: t}.Access(),
+		openLimit: cfg.Design.RowOpenLimit(),
+		rawPacing: cfg.RFMPaceOnRawACTs,
+		res:       Result{Pattern: pattern.Name()},
+		damage:    damageTable{index: make(map[int64]*damagePage)},
+		windowEnd: t.TREFW,
+	}
+	if h.tr.InDRAM() && cfg.RFMTH > 0 {
+		h.rfmDue = clm.EACT(cfg.RFMTH) * clm.One
+	}
+	return h
+}
 
-	feed := func(events []core.Event) {
-		for _, ev := range events {
-			if cfg.RFMPaceOnRawACTs {
-				eactSinceRFM += clm.One
-			} else {
-				eactSinceRFM += ev.Weight
-			}
-			pending = append(pending, tr.OnActivation(ev.Row, ev.Weight)...)
+// step replays one attack access: due refreshes, the window reset, the
+// access itself with its damage, then any mitigations it triggered.
+//
+//impress:hotpath
+func (h *harness) step() {
+	t := &h.t
+	// Serve any refreshes that have come due while the bank is idle.
+	if due := int64(h.now/t.TREFI) - h.served; due > 0 {
+		h.now += dram.Tick(due) * t.TRFC
+		h.served += due
+		h.res.Refreshes += uint64(due)
+	}
+	// Refresh-window boundary: every victim has been refreshed.
+	if h.now >= h.windowEnd {
+		h.damage.reset()
+		h.tr.ResetWindow()
+		h.windowEnd += t.TREFW
+	}
+
+	acc := h.pattern.Next(h.now)
+	actAt := acc.ActAt
+	if actAt < h.now {
+		actAt = h.now
+	}
+	tON := acc.TON
+	if tON < t.TRAS {
+		tON = t.TRAS
+	}
+	if tON > h.openLimit {
+		// ExPress's tMRO (or the DDR5 tONMax) forces the row closed.
+		tON = h.openLimit
+	}
+
+	h.feed(h.policy.OnActivate(actAt, acc.Row))
+	h.res.DemandACTs++
+
+	closeAt := actAt + tON
+	h.accrue(acc.Row, tON)
+	h.feed(h.policy.OnPrecharge(closeAt, acc.Row, tON))
+	h.now = closeAt + t.TPRE
+
+	// Apply memory-controller mitigations queued during this access.
+	for _, aggressor := range h.pending {
+		h.refreshVictims(aggressor)
+		h.res.Mitigations++
+		h.res.MitigativeACTs += trackers.ActsPerMitigation
+		cost := dram.Tick(trackers.ActsPerMitigation) * t.TRC
+		h.now += cost
+		h.res.MitigationTime += cost
+	}
+	h.pending = h.pending[:0]
+
+	// RFM cadence for in-DRAM trackers: due every RFMTH units of
+	// weighted activation.
+	if h.rfmDue > 0 && h.eactSinceRFM >= h.rfmDue {
+		h.eactSinceRFM = 0
+		h.now += t.TRFM
+		h.res.RFMs++
+		for _, aggressor := range h.tr.OnRFM() {
+			h.refreshVictims(aggressor)
+			h.res.Mitigations++
 		}
 	}
-	refreshVictims := func(aggressor int64) {
-		for _, v := range trackers.VictimsOf(aggressor) {
-			damage[v] = 0
+}
+
+// feed routes policy events into the tracker and queues the mitigations
+// it requests (the events and the tracker's result are both consumed
+// before the next call that could overwrite them).
+func (h *harness) feed(events []core.Event) {
+	for _, ev := range events {
+		if h.rawPacing {
+			h.eactSinceRFM += clm.One
+		} else {
+			h.eactSinceRFM += ev.Weight
+		}
+		h.pending = append(h.pending, h.tr.OnActivation(ev.Row, ev.Weight)...)
+	}
+}
+
+// accrue adds one access's charge loss to each victim of row and tracks
+// the peak.
+func (h *harness) accrue(row int64, tON dram.Tick) {
+	d := h.tcl.TCL(tON)
+	for _, cell := range h.damage.victims(row) {
+		*cell += d
+		if *cell > h.res.MaxDamage {
+			h.res.MaxDamage = *cell
 		}
 	}
-	accrue := func(row int64, tON dram.Tick) {
-		d := model.AccessTCL(tON)
-		for _, v := range trackers.VictimsOf(row) {
-			damage[v] += d
-			if damage[v] > res.MaxDamage {
-				res.MaxDamage = damage[v]
-			}
-		}
+}
+
+// refreshVictims clears the damage of aggressor's victims: a mitigation
+// refreshed them.
+func (h *harness) refreshVictims(aggressor int64) {
+	for _, cell := range h.damage.victims(aggressor) {
+		*cell = 0
 	}
-
-	for now < duration {
-		if done != nil && accesses&0xff == 0 {
-			select {
-			case <-done:
-				return Result{}, fmt.Errorf("security: %s stopped at tick %d: %w",
-					pattern.Name(), now, errs.Cancelled(ctx.Err()))
-			default:
-			}
-		}
-		accesses++
-		// Serve any refreshes that have come due while the bank is idle.
-		if due := int64(now/t.TREFI) - served; due > 0 {
-			now += dram.Tick(due) * t.TRFC
-			served += due
-			res.Refreshes += uint64(due)
-		}
-		// Refresh-window boundary: every victim has been refreshed.
-		if now >= windowEnd {
-			for r := range damage {
-				damage[r] = 0
-			}
-			tr.ResetWindow()
-			windowEnd += t.TREFW
-		}
-
-		acc := pattern.Next(now)
-		actAt := acc.ActAt
-		if actAt < now {
-			actAt = now
-		}
-		tON := acc.TON
-		if tON < t.TRAS {
-			tON = t.TRAS
-		}
-		if tON > openLimit {
-			// ExPress's tMRO (or the DDR5 tONMax) forces the row closed.
-			tON = openLimit
-		}
-
-		feed(policy.OnActivate(actAt, acc.Row))
-		res.DemandACTs++
-
-		closeAt := actAt + tON
-		accrue(acc.Row, tON)
-		feed(policy.OnPrecharge(closeAt, acc.Row, tON))
-		now = closeAt + t.TPRE
-
-		// Apply memory-controller mitigations queued during this access.
-		for _, aggressor := range pending {
-			refreshVictims(aggressor)
-			res.Mitigations++
-			res.MitigativeACTs += trackers.ActsPerMitigation
-			cost := dram.Tick(trackers.ActsPerMitigation) * t.TRC
-			now += cost
-			res.MitigationTime += cost
-		}
-		pending = pending[:0]
-
-		// RFM cadence for in-DRAM trackers: due every RFMTH units of
-		// weighted activation.
-		if tr.InDRAM() && cfg.RFMTH > 0 && eactSinceRFM >= clm.EACT(cfg.RFMTH)*clm.One {
-			eactSinceRFM = 0
-			now += t.TRFM
-			res.RFMs++
-			for _, aggressor := range tr.OnRFM() {
-				refreshVictims(aggressor)
-				res.Mitigations++
-			}
-		}
-	}
-	res.Elapsed = now
-	return res, nil
 }

@@ -35,6 +35,7 @@ type ABACuS struct {
 	slotRow   []int64
 	slotCount []clm.EACT
 	slotUsed  []bool
+	out       [1]int64 // OnActivation's result buffer
 
 	mitigations uint64
 }
@@ -112,7 +113,7 @@ func (a *ABACuS) OnActivation(row int64, weight clm.EACT) []int64 {
 	if a.slotCount[slot] >= a.threshold {
 		a.slotCount[slot] = 0
 		a.mitigations++
-		return []int64{row}
+		return mitigate(&a.out, row)
 	}
 	return nil
 }
@@ -165,7 +166,7 @@ func (a *ABACuS) ResetWindow() {
 		a.slotUsed[i] = false
 		a.slotCount[i] = 0
 	}
-	a.rows = make(map[int64]int, a.entries)
+	clear(a.rows)
 }
 
 // String implements fmt.Stringer.

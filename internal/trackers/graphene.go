@@ -26,6 +26,7 @@ type Graphene struct {
 	slotCount []clm.EACT
 	slotUsed  []bool
 	spillover clm.EACT
+	out       [1]int64 // OnActivation's result buffer
 
 	mitigations uint64
 }
@@ -124,7 +125,7 @@ func (g *Graphene) OnActivation(row int64, weight clm.EACT) []int64 {
 	if g.slotCount[slot] >= g.threshold {
 		g.slotCount[slot] = 0
 		g.mitigations++
-		return []int64{row}
+		return mitigate(&g.out, row)
 	}
 	return nil
 }
@@ -178,7 +179,7 @@ func (g *Graphene) ResetWindow() {
 		g.slotUsed[i] = false
 		g.slotCount[i] = 0
 	}
-	g.rows = make(map[int64]int, g.entries)
+	clear(g.rows)
 	g.spillover = 0
 }
 

@@ -33,6 +33,7 @@ type Hydra struct {
 
 	gct  []clm.EACT
 	rows map[int64]clm.EACT // exact counters for rows of spilled groups
+	out  [1]int64           // OnActivation's result buffer
 
 	mitigations uint64
 }
@@ -106,7 +107,7 @@ func (h *Hydra) OnActivation(row int64, weight clm.EACT) []int64 {
 	if c >= h.rowThreshold {
 		h.rows[row] = 0
 		h.mitigations++
-		return []int64{row}
+		return mitigate(&h.out, row)
 	}
 	h.rows[row] = c
 	return nil
@@ -133,7 +134,7 @@ func (h *Hydra) ResetWindow() {
 	for i := range h.gct {
 		h.gct[i] = 0
 	}
-	h.rows = make(map[int64]clm.EACT)
+	clear(h.rows)
 }
 
 // String implements fmt.Stringer.

@@ -33,6 +33,7 @@ type MINT struct {
 	can      clm.EACT // accumulated weighted activations this interval
 	sar      int64
 	sarValid bool
+	out      [1]int64 // OnRFM's result buffer
 
 	mitigations uint64
 }
@@ -111,7 +112,7 @@ func (m *MINT) OnActivation(row int64, weight clm.EACT) []int64 {
 func (m *MINT) OnRFM() []int64 {
 	var out []int64
 	if m.sarValid {
-		out = []int64{m.sar}
+		out = mitigate(&m.out, m.sar)
 		m.mitigations++
 	}
 	m.sarValid = false

@@ -21,6 +21,7 @@ type Mithril struct {
 	slotRow   []int64
 	slotCount []clm.EACT
 	slotUsed  []bool
+	out       [1]int64 // OnRFM's result buffer
 
 	mitigations uint64
 }
@@ -135,7 +136,7 @@ func (m *Mithril) OnRFM() []int64 {
 	}
 	m.slotCount[best] = 0
 	m.mitigations++
-	return []int64{m.slotRow[best]}
+	return mitigate(&m.out, m.slotRow[best])
 }
 
 func (m *Mithril) freeSlot() int {
@@ -186,7 +187,7 @@ func (m *Mithril) ResetWindow() {
 		m.slotUsed[i] = false
 		m.slotCount[i] = 0
 	}
-	m.rows = make(map[int64]int, m.entries)
+	clear(m.rows)
 }
 
 // String implements fmt.Stringer.

@@ -20,6 +20,7 @@ import (
 type PARA struct {
 	p   float64
 	rng *stats.Rand
+	out [1]int64 // OnActivation's result buffer
 
 	mitigations uint64
 }
@@ -75,7 +76,7 @@ func (p *PARA) OnActivation(row int64, weight clm.EACT) []int64 {
 	prob := p.p * weight.Float()
 	if p.rng.Bernoulli(prob) {
 		p.mitigations++
-		return []int64{row}
+		return mitigate(&p.out, row)
 	}
 	return nil
 }

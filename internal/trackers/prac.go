@@ -91,7 +91,7 @@ func (p *PRAC) OnRFM() []int64 {
 		return nil
 	}
 	out := p.alerted
-	p.alerted = nil
+	p.alerted = out[:0] // reused: out is valid until the next call
 	for _, row := range out {
 		p.counts[row] = 0
 		p.mitigations++
@@ -103,8 +103,8 @@ func (p *PRAC) OnRFM() []int64 {
 // so all per-row counters clear (real PRAC resets counters as rows are
 // refreshed; the window model batches that).
 func (p *PRAC) ResetWindow() {
-	p.counts = make(map[int64]clm.EACT)
-	p.alerted = nil
+	clear(p.counts)
+	p.alerted = p.alerted[:0]
 }
 
 // Count returns the row's accumulated fixed-point activation count.

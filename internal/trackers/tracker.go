@@ -32,17 +32,29 @@ type Tracker interface {
 	// weight (clm.One for a plain ACT). For memory-controller trackers it
 	// returns the aggressor rows whose victims must be refreshed now; for
 	// in-DRAM trackers it always returns nil (they mitigate at RFM).
+	//
+	// The returned slice is a buffer the tracker owns, valid only until
+	// the next call on the same tracker: callers consume or copy it at
+	// once. This keeps a mitigation free of allocations.
 	OnActivation(row int64, weight clm.EACT) []int64
 
 	// OnRFM is invoked when an RFM command reaches the bank. In-DRAM
 	// trackers return the aggressor rows they mitigate under this RFM;
-	// memory-controller trackers ignore it.
+	// memory-controller trackers ignore it. The returned slice follows
+	// OnActivation's lifetime rule.
 	OnRFM() []int64
 
 	// ResetWindow is invoked once per refresh window (tREFW): victims have
 	// all been refreshed by the regular refresh sweep, so accumulated
 	// state is cleared.
 	ResetWindow()
+}
+
+// mitigate returns row as a one-row mitigation list held in the
+// tracker-owned buffer buf (see Tracker.OnActivation for its lifetime).
+func mitigate(buf *[1]int64, row int64) []int64 {
+	buf[0] = row
+	return buf[:]
 }
 
 // BlastRadius is the number of rows on each side of an aggressor that must

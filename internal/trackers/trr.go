@@ -26,6 +26,7 @@ type VendorTRR struct {
 	slotValid  []bool
 	sampleProb float64
 	rng        *stats.Rand
+	out        []int64 // OnRFM's result buffer
 
 	mitigations uint64
 }
@@ -70,13 +71,17 @@ func (v *VendorTRR) OnActivation(row int64, weight clm.EACT) []int64 {
 
 // OnRFM implements Tracker: refresh the victims of every sampled row.
 func (v *VendorTRR) OnRFM() []int64 {
-	var out []int64
+	out := v.out[:0]
 	for i := range v.slots {
 		if v.slotValid[i] {
 			out = append(out, v.slots[i])
 			v.slotValid[i] = false
 			v.mitigations++
 		}
+	}
+	v.out = out
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -21,6 +21,7 @@ type TWiCe struct {
 	pruneStep clm.EACT // minimum count growth per interval to survive
 
 	entries map[int64]*twiceEntry
+	out     [1]int64 // OnActivation's result buffer
 
 	intervals   uint64
 	mitigations uint64
@@ -90,7 +91,7 @@ func (w *TWiCe) OnActivation(row int64, weight clm.EACT) []int64 {
 		e.count = 0
 		e.born = w.intervals
 		w.mitigations++
-		return []int64{row}
+		return mitigate(&w.out, row)
 	}
 	return nil
 }
@@ -117,7 +118,7 @@ func (w *TWiCe) OnRFM() []int64 { return nil }
 
 // ResetWindow implements Tracker.
 func (w *TWiCe) ResetWindow() {
-	w.entries = make(map[int64]*twiceEntry)
+	clear(w.entries)
 	w.intervals = 0
 }
 

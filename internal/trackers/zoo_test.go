@@ -238,3 +238,36 @@ func TestZooSnapshotKindMismatch(t *testing.T) {
 		t.Fatalf("kind mismatch error = %v, want ErrBadSpec", err)
 	}
 }
+
+// TestZooActivationDoesNotAllocate: every registered tracker, once warm,
+// records activations without allocating, including the activations
+// that return a mitigation (and, for in-DRAM trackers, the RFM issued
+// every 80 activations). Mitigation rows live in a tracker-owned buffer
+// (the Tracker lifetime rule). Each measured run is a batch of
+// activations long enough to mitigate several times, because
+// AllocsPerRun truncates its per-run average.
+func TestZooActivationDoesNotAllocate(t *testing.T) {
+	rows := []int64{1, 3, 5, 7}
+	for _, info := range Registry() {
+		tr := info.New(4000, 80, stats.NewRand(1))
+		acts, mitigations := 0, 0
+		batch := func() {
+			for i := 0; i < 10000; i++ {
+				mitigations += len(tr.OnActivation(rows[acts%len(rows)], clm.One))
+				acts++
+				if acts%80 == 0 {
+					mitigations += len(tr.OnRFM())
+				}
+			}
+		}
+		batch()
+		before := mitigations
+		if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+			t.Errorf("%s: %v allocations per %d activations, want 0", info.Name, allocs, 10000)
+		}
+		if mitigations-before < 21 {
+			t.Errorf("%s: %d mitigations in 21 batches; the result buffer went unexercised",
+				info.Name, mitigations-before)
+		}
+	}
+}
