@@ -41,6 +41,25 @@ func TestSecurityHarnessStepIsHotRoot(t *testing.T) {
 	}
 }
 
+// TestSlotTrackersAreHotRoots pins the slot-table trackers' per-access
+// methods as hot-path roots. The harness and the memory controller call
+// them through the Tracker interface, which the hotpath walk does not
+// follow, so without their own directives the slot table would go
+// unlinted.
+func TestSlotTrackersAreHotRoots(t *testing.T) {
+	for _, tc := range []struct{ file, recv, name string }{
+		{"graphene.go", "Graphene", "OnActivation"},
+		{"mithril.go", "Mithril", "OnActivation"},
+		{"mithril.go", "Mithril", "OnRFM"},
+		{"abacus.go", "ABACuS", "OnActivation"},
+	} {
+		if !isHotRoot(t, filepath.Join("..", "..", "trackers", tc.file), tc.recv, tc.name) {
+			t.Errorf("%s: (%s).%s lost its %s directive; the slot table would go unlinted",
+				tc.file, tc.recv, tc.name, hotpath.HotDirective)
+		}
+	}
+}
+
 // isHotRoot reports whether the file at path declares method name on
 // receiver recv with the hotpath directive in its doc comment.
 func isHotRoot(t *testing.T, path, recv, name string) bool {

@@ -226,6 +226,7 @@ type Program struct {
 	g Genome
 	t dram.Timings
 
+	// Wrap-around cursors into g.Slots and the decoy rotation.
 	idx      int
 	decoyIdx int64
 }
@@ -253,8 +254,10 @@ func (p *Program) AggressorRows() []int64 {
 
 // Next implements Pattern.
 func (p *Program) Next(earliest dram.Tick) Access {
-	s := p.g.Slots[p.idx%len(p.g.Slots)]
-	p.idx++
+	s := p.g.Slots[p.idx]
+	if p.idx++; p.idx == len(p.g.Slots) {
+		p.idx = 0
+	}
 	t := &p.t
 	actAt := earliest + dram.Tick(s.GapTrc)*t.TRC
 	if s.Align {
@@ -269,8 +272,10 @@ func (p *Program) Next(earliest dram.Tick) Access {
 	}
 	var row int64
 	if s.Agg < 0 {
-		row = genomeDecoyBase + p.decoyIdx%int64(p.g.DecoySpread)
-		p.decoyIdx++
+		row = genomeDecoyBase + p.decoyIdx
+		if p.decoyIdx++; p.decoyIdx == int64(p.g.DecoySpread) {
+			p.decoyIdx = 0
+		}
 	} else {
 		row = p.g.AggressorRow(s.Agg)
 	}

@@ -273,15 +273,19 @@ func (st *Store) put(s Spec, res sim.Result) error {
 	}
 	path := st.path(k)
 	err = st.writeEntry(path, k, data)
-	if errors.Is(err, fs.ErrNotExist) {
-		// A concurrent GC's empty-directory sweep can remove a freshly
-		// created shard directory between this writer's MkdirAll and its
-		// rename. Retrying re-creates the directory, and the sweep never
-		// touches a non-empty one, so a single retry closes the race.
+	// A concurrent GC's empty-directory sweep can remove a freshly
+	// created shard directory between this writer's MkdirAll and its
+	// CreateTemp. Retrying re-creates the directory, and the sweep never
+	// touches a non-empty one. A GC running back to back can win that
+	// window more than once, so the retry is bounded, not single.
+	for retry := 0; retry < sweepRetries && errors.Is(err, fs.ErrNotExist); retry++ {
 		err = st.writeEntry(path, k, data)
 	}
 	return err
 }
+
+// sweepRetries bounds put's retries against concurrent directory sweeps.
+const sweepRetries = 8
 
 // writeEntry performs one atomic create-temp-then-rename attempt for an
 // entry file, creating its shard directory first.

@@ -495,36 +495,39 @@ func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 // deterministically: the afterMkdir hook removes the freshly created —
 // still empty — shard directory between Put's MkdirAll and its
 // CreateTemp, exactly what a concurrent GC's empty-directory sweep
-// does. The retried write must land the entry anyway. On the
-// pre-retry writer this fails with a "no such file or directory"
-// write error.
+// does, once or several times in a row (a GC looping back to back).
+// The retried write must land the entry anyway. On the pre-retry
+// writer this fails with a "no such file or directory" write error,
+// and on a single-retry writer it fails for three sweeps.
 func TestPutSurvivesGCDirectorySweep(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	swept := 0
-	st.afterMkdir = func(dir string) {
-		if swept > 0 {
-			return
+	for _, sweeps := range []int{1, 3} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-		swept++
-		if err := os.Remove(dir); err != nil {
-			t.Errorf("sweeping the empty shard directory: %v", err)
+		swept := 0
+		st.afterMkdir = func(dir string) {
+			if swept == sweeps {
+				return
+			}
+			swept++
+			if err := os.Remove(dir); err != nil {
+				t.Errorf("sweeping the empty shard directory: %v", err)
+			}
 		}
-	}
-	sp := mustSpec(t, testConfig(t))
-	if err := st.Put(sp, testResult()); err != nil {
-		t.Fatalf("Put against a concurrent directory sweep = %v, want success after one retry", err)
-	}
-	if swept != 1 {
-		t.Fatalf("sweep hook fired %d times, want exactly one simulated GC", swept)
-	}
-	if _, ok := st.Get(sp); !ok {
-		t.Fatal("entry unreadable after the retried write")
-	}
-	if c := st.Counters(); c.Writes != 1 || c.WriteErrors != 0 {
-		t.Fatalf("counters after retried write = %+v, want one clean write", c)
+		sp := mustSpec(t, testConfig(t))
+		if err := st.Put(sp, testResult()); err != nil {
+			t.Fatalf("Put against %d concurrent directory sweeps = %v, want success after retrying", sweeps, err)
+		}
+		if swept != sweeps {
+			t.Fatalf("sweep hook fired %d times, want %d simulated GCs", swept, sweeps)
+		}
+		if _, ok := st.Get(sp); !ok {
+			t.Fatal("entry unreadable after the retried write")
+		}
+		if c := st.Counters(); c.Writes != 1 || c.WriteErrors != 0 {
+			t.Fatalf("counters after retried write = %+v, want one clean write", c)
+		}
 	}
 }
 

@@ -8,15 +8,20 @@ import "impress/internal/trackers"
 // pageRows consecutive float64 cells. A page is found by its page number
 // (row >> pageBits, an arithmetic shift, so negative rows — the victims
 // of rows 0 and 1 — get negative page numbers) through a map, fronted by
-// a cache of the last page used. An aggressor's victims span rows
-// aggressor±BlastRadius, which touch at most two adjacent pages, so an
-// access makes at most one map lookup unless it straddles a page edge or
-// moves to a new page. Rows may be sparse and anywhere in int64: only the
+// a small cache of the pages used last. An aggressor's window, rows
+// aggressor±BlastRadius, touches at most two adjacent pages; aggressor
+// row 1 spans pages −1 and 0. A pattern that alternates such an
+// aggressor with decoys keeps three pages live, so the cache holds four
+// (least recently used out): nearly every access then finds its pages
+// without hashing. Rows may be sparse and anywhere in int64: only the
 // pages actually touched are allocated.
 
 const (
 	pageBits = 6
 	pageRows = 1 << pageBits
+	// windowRows is an aggressor's window: its victims and, in the
+	// middle, the aggressor itself.
+	windowRows = 2*trackers.BlastRadius + 1
 )
 
 type damagePage [pageRows]float64
@@ -25,15 +30,22 @@ type damageTable struct {
 	index map[int64]*damagePage // page number -> page
 	pages []*damagePage         // every page, for the window reset
 
-	lastNum  int64
-	lastPage *damagePage
+	cache [4]struct {
+		num  int64
+		page *damagePage
+		used uint64 // clock value at the last hit
+	}
+	clock uint64
 }
 
-// page returns the page holding row, allocating it on first use.
-func (t *damageTable) page(row int64) *damagePage {
-	num := row >> pageBits
-	if t.lastPage != nil && num == t.lastNum {
-		return t.lastPage
+// page returns page number num, allocating it on first use.
+func (t *damageTable) page(num int64) *damagePage {
+	t.clock++
+	for i := range t.cache {
+		if c := &t.cache[i]; c.page != nil && c.num == num {
+			c.used = t.clock
+			return c.page
+		}
 	}
 	p := t.index[num]
 	if p == nil {
@@ -41,30 +53,70 @@ func (t *damageTable) page(row int64) *damagePage {
 		t.index[num] = p
 		t.pages = append(t.pages, p)
 	}
-	t.lastNum, t.lastPage = num, p
+	lru := &t.cache[0]
+	for i := range t.cache {
+		if t.cache[i].used < lru.used {
+			lru = &t.cache[i]
+		}
+	}
+	lru.num, lru.page, lru.used = num, p, t.clock
 	return p
 }
 
-// victims returns a pointer to the damage cell of each victim of
-// aggressor, in trackers.VictimsOf order. The pointers stay valid for the
-// table's lifetime (pages never move).
-func (t *damageTable) victims(aggressor int64) (cells [2 * trackers.BlastRadius]*float64) {
+// window returns the damage cells of rows aggressor−BlastRadius …
+// aggressor+BlastRadius in row order, split at a page edge: lo runs from
+// the first row to the end of the window or of its page, and hi holds
+// the rest (empty unless the window crosses into the next page).
+func (t *damageTable) window(aggressor int64) (lo, hi []float64) {
 	first := aggressor - trackers.BlastRadius
-	base := first &^ (pageRows - 1) // first row of first's page
-	lo := t.page(first)
-	var hi *damagePage
-	for i, v := range trackers.VictimsOf(aggressor) {
-		off := v - base // in [0, pageRows+2*BlastRadius)
-		if off < pageRows {
-			cells[i] = &lo[off]
-			continue
-		}
-		if hi == nil {
-			hi = t.page(base + pageRows)
-		}
-		cells[i] = &hi[off-pageRows]
+	num, off := first>>pageBits, int(first&(pageRows-1))
+	p := t.page(num)
+	if end := off + windowRows; end <= pageRows {
+		return p[off:end], nil
 	}
-	return cells
+	return p[off:], t.page(num + 1)[:off+windowRows-pageRows]
+}
+
+// addVictims adds d to the damage of each victim of aggressor and
+// returns the largest victim damage after the addition.
+func (t *damageTable) addVictims(aggressor int64, d float64) float64 {
+	lo, hi := t.window(aggressor)
+	peak := 0.0
+	for i := range lo {
+		if i != trackers.BlastRadius {
+			v := lo[i] + d
+			lo[i] = v
+			if v > peak {
+				peak = v
+			}
+		}
+	}
+	for i := range hi {
+		if len(lo)+i != trackers.BlastRadius {
+			v := hi[i] + d
+			hi[i] = v
+			if v > peak {
+				peak = v
+			}
+		}
+	}
+	return peak
+}
+
+// clearVictims zeroes the damage of each victim of aggressor: a
+// mitigation refreshed them.
+func (t *damageTable) clearVictims(aggressor int64) {
+	lo, hi := t.window(aggressor)
+	for i := range lo {
+		if i != trackers.BlastRadius {
+			lo[i] = 0
+		}
+	}
+	for i := range hi {
+		if len(lo)+i != trackers.BlastRadius {
+			hi[i] = 0
+		}
+	}
 }
 
 // reset zeroes every row: the tREFW boundary, when the refresh sweep has

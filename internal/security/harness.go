@@ -235,7 +235,7 @@ func (h *harness) step() {
 
 	// Apply memory-controller mitigations queued during this access.
 	for _, aggressor := range h.pending {
-		h.refreshVictims(aggressor)
+		h.damage.clearVictims(aggressor)
 		h.res.Mitigations++
 		h.res.MitigativeACTs += trackers.ActsPerMitigation
 		cost := dram.Tick(trackers.ActsPerMitigation) * t.TRC
@@ -251,7 +251,7 @@ func (h *harness) step() {
 		h.now += t.TRFM
 		h.res.RFMs++
 		for _, aggressor := range h.tr.OnRFM() {
-			h.refreshVictims(aggressor)
+			h.damage.clearVictims(aggressor)
 			h.res.Mitigations++
 		}
 	}
@@ -274,19 +274,7 @@ func (h *harness) feed(events []core.Event) {
 // accrue adds one access's charge loss to each victim of row and tracks
 // the peak.
 func (h *harness) accrue(row int64, tON dram.Tick) {
-	d := h.tcl.TCL(tON)
-	for _, cell := range h.damage.victims(row) {
-		*cell += d
-		if *cell > h.res.MaxDamage {
-			h.res.MaxDamage = *cell
-		}
-	}
-}
-
-// refreshVictims clears the damage of aggressor's victims: a mitigation
-// refreshed them.
-func (h *harness) refreshVictims(aggressor int64) {
-	for _, cell := range h.damage.victims(aggressor) {
-		*cell = 0
+	if peak := h.damage.addVictims(row, h.tcl.TCL(tON)); peak > h.res.MaxDamage {
+		h.res.MaxDamage = peak
 	}
 }

@@ -28,16 +28,9 @@ import (
 // synthesis loop (internal/synth) exists to quantify; the attackzoo
 // table reports what it costs.
 type ABACuS struct {
-	entries   int
 	threshold clm.EACT // internal mitigation threshold, fixed point
 
-	rows      map[int64]int
-	slotRow   []int64
-	slotCount []clm.EACT
-	slotUsed  []bool
-	out       [1]int64 // OnActivation's result buffer
-
-	mitigations uint64
+	slotTable
 }
 
 // ABACuSInternalDivisor converts the tolerated threshold into the
@@ -65,15 +58,10 @@ func ABACuSEntries(trh float64) int {
 // NewABACuS builds a per-bank ABACuS shard tuned to the tolerated
 // threshold trh (in activations).
 func NewABACuS(trh float64) *ABACuS {
-	entries := ABACuSEntries(trh)
 	internal := trh / ABACuSInternalDivisor
 	return &ABACuS{
-		entries:   entries,
 		threshold: clm.EACT(math.Ceil(internal * float64(clm.One))),
-		rows:      make(map[int64]int, entries),
-		slotRow:   make([]int64, entries),
-		slotCount: make([]clm.EACT, entries),
-		slotUsed:  make([]bool, entries),
+		slotTable: newSlotTable(ABACuSEntries(trh), slotPolicy{restart: true}),
 	}
 }
 
@@ -83,93 +71,29 @@ func (a *ABACuS) Name() string { return "abacus" }
 // InDRAM implements Tracker.
 func (a *ABACuS) InDRAM() bool { return false }
 
-// Entries returns the table size.
-func (a *ABACuS) Entries() int { return a.entries }
-
-// Mitigations returns the number of mitigations issued so far.
-func (a *ABACuS) Mitigations() uint64 { return a.mitigations }
-
 // OnActivation implements Tracker.
+//
+//impress:hotpath
 func (a *ABACuS) OnActivation(row int64, weight clm.EACT) []int64 {
 	if weight == 0 {
 		panic("trackers: zero-weight activation")
 	}
-	slot, tracked := a.rows[row]
-	if !tracked {
-		if free := a.freeSlot(); free >= 0 {
-			slot = free
-		} else {
-			// Replace the lowest counter; the newcomer starts from its own
-			// activation (no inheritance — see the model note above).
-			slot = a.minSlot()
-			delete(a.rows, a.slotRow[slot])
-		}
-		a.slotUsed[slot] = true
-		a.slotRow[slot] = row
-		a.slotCount[slot] = 0
-		a.rows[row] = slot
-	}
-	a.slotCount[slot] += weight
-	if a.slotCount[slot] >= a.threshold {
-		a.slotCount[slot] = 0
-		a.mitigations++
-		return mitigate(&a.out, row)
+	// A newcomer to a full table replaces the lowest counter and starts
+	// from its own activation (no inheritance — see the model note above).
+	slot, _ := a.track(row, 0)
+	if a.add(slot, weight) >= a.threshold {
+		return a.mitigateSlot(slot)
 	}
 	return nil
-}
-
-func (a *ABACuS) freeSlot() int {
-	if len(a.rows) >= a.entries {
-		return -1
-	}
-	for i, used := range a.slotUsed {
-		if !used {
-			return i
-		}
-	}
-	return -1
-}
-
-func (a *ABACuS) minSlot() int {
-	best := -1
-	var bestCount clm.EACT
-	for i := range a.slotCount {
-		if !a.slotUsed[i] {
-			continue
-		}
-		if best == -1 || a.slotCount[i] < bestCount {
-			best = i
-			bestCount = a.slotCount[i]
-		}
-	}
-	if best < 0 {
-		panic("trackers: minSlot on empty table")
-	}
-	return best
-}
-
-// Count returns the tracked fixed-point count for row (zero if
-// untracked); exposed for tests.
-func (a *ABACuS) Count(row int64) clm.EACT {
-	if slot, ok := a.rows[row]; ok {
-		return a.slotCount[slot]
-	}
-	return 0
 }
 
 // OnRFM implements Tracker (no-op: ABACuS mitigates inline).
 func (a *ABACuS) OnRFM() []int64 { return nil }
 
 // ResetWindow implements Tracker.
-func (a *ABACuS) ResetWindow() {
-	for i := range a.slotUsed {
-		a.slotUsed[i] = false
-		a.slotCount[i] = 0
-	}
-	clear(a.rows)
-}
+func (a *ABACuS) ResetWindow() { a.reset() }
 
 // String implements fmt.Stringer.
 func (a *ABACuS) String() string {
-	return fmt.Sprintf("abacus(entries=%d, threshold=%.1f)", a.entries, a.threshold.Float())
+	return fmt.Sprintf("abacus(entries=%d, threshold=%.1f)", a.Entries(), a.threshold.Float())
 }

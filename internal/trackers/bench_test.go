@@ -29,6 +29,15 @@ func BenchmarkGrapheneAdversarialSpread(b *testing.B) {
 	}
 }
 
+// BenchmarkNewGraphene reports the footprint (B/op) of one per-bank
+// Graphene at TRH = 4K (448 entries); the simulator builds one per bank.
+func BenchmarkNewGraphene(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewGraphene(4000)
+	}
+}
+
 func BenchmarkPARAOnActivation(b *testing.B) {
 	p := NewPARA(4000, stats.NewRand(1))
 	b.ReportAllocs()
@@ -56,6 +65,26 @@ func BenchmarkMithrilRFM(b *testing.B) {
 		if i%80 == 79 {
 			m.OnRFM()
 		}
+	}
+}
+
+func BenchmarkMithrilAdversarialSpread(b *testing.B) {
+	// Every activation evicts; an RFM every 80 mitigates the maximum.
+	m := NewMithril(4000, 80)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.OnActivation(int64(i), clm.One)
+		if i%80 == 79 {
+			m.OnRFM()
+		}
+	}
+}
+
+func BenchmarkABACuSAdversarialSpread(b *testing.B) {
+	a := NewABACuS(4000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.OnActivation(int64(i), clm.One)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // SlotState is one occupied entry of a counter-table tracker (Graphene,
-// Mithril), identified by its slot index so a restore reproduces the
-// exact table layout — eviction scans walk slots in index order, so the
-// layout is observable.
+// Mithril, ABACuS), identified by its slot index so a restore reproduces
+// the exact table layout — eviction and mitigation break count ties
+// toward the lowest slot, so the layout is observable. A table's slots
+// are always the prefix 0..n−1; RestoreState rejects any other set.
 type SlotState struct {
 	Slot  int      `json:"slot"`
 	Row   int64    `json:"row"`
@@ -64,49 +65,25 @@ func restoreKindErr(want, got string) error {
 
 // Snapshot implements Snapshotter.
 func (g *Graphene) Snapshot() State {
-	return State{
-		Kind:        g.Name(),
-		Slots:       snapshotSlots(g.slotUsed, g.slotRow, g.slotCount),
-		Spillover:   g.spillover,
-		Mitigations: g.mitigations,
-	}
+	s := g.snapshot(g.Name())
+	s.Spillover = g.spillover
+	return s
 }
 
 // RestoreState implements Snapshotter.
 func (g *Graphene) RestoreState(s State) error {
-	if s.Kind != g.Name() {
-		return restoreKindErr(g.Name(), s.Kind)
-	}
-	g.ResetWindow()
-	if err := restoreSlots(s.Slots, g.rows, g.slotUsed, g.slotRow, g.slotCount); err != nil {
+	if err := g.restore(g.Name(), s); err != nil {
 		return err
 	}
 	g.spillover = s.Spillover
-	g.mitigations = s.Mitigations
 	return nil
 }
 
 // Snapshot implements Snapshotter.
-func (m *Mithril) Snapshot() State {
-	return State{
-		Kind:        m.Name(),
-		Slots:       snapshotSlots(m.slotUsed, m.slotRow, m.slotCount),
-		Mitigations: m.mitigations,
-	}
-}
+func (m *Mithril) Snapshot() State { return m.snapshot(m.Name()) }
 
 // RestoreState implements Snapshotter.
-func (m *Mithril) RestoreState(s State) error {
-	if s.Kind != m.Name() {
-		return restoreKindErr(m.Name(), s.Kind)
-	}
-	m.ResetWindow()
-	if err := restoreSlots(s.Slots, m.rows, m.slotUsed, m.slotRow, m.slotCount); err != nil {
-		return err
-	}
-	m.mitigations = s.Mitigations
-	return nil
-}
+func (m *Mithril) RestoreState(s State) error { return m.restore(m.Name(), s) }
 
 // Snapshot implements Snapshotter.
 func (p *PARA) Snapshot() State {
@@ -154,26 +131,10 @@ func (m *MINT) RestoreState(s State) error {
 }
 
 // Snapshot implements Snapshotter.
-func (a *ABACuS) Snapshot() State {
-	return State{
-		Kind:        a.Name(),
-		Slots:       snapshotSlots(a.slotUsed, a.slotRow, a.slotCount),
-		Mitigations: a.mitigations,
-	}
-}
+func (a *ABACuS) Snapshot() State { return a.snapshot(a.Name()) }
 
 // RestoreState implements Snapshotter.
-func (a *ABACuS) RestoreState(s State) error {
-	if s.Kind != a.Name() {
-		return restoreKindErr(a.Name(), s.Kind)
-	}
-	a.ResetWindow()
-	if err := restoreSlots(s.Slots, a.rows, a.slotUsed, a.slotRow, a.slotCount); err != nil {
-		return err
-	}
-	a.mitigations = s.Mitigations
-	return nil
-}
+func (a *ABACuS) RestoreState(s State) error { return a.restore(a.Name(), s) }
 
 // Snapshot implements Snapshotter. GCT counters are captured sparsely by
 // group index; per-row exact counters go into Slots keyed by row, sorted
@@ -217,40 +178,5 @@ func (h *Hydra) RestoreState(s State) error {
 		h.rows[r.Row] = r.Count
 	}
 	h.mitigations = s.Mitigations
-	return nil
-}
-
-func snapshotSlots(used []bool, rows []int64, counts []clm.EACT) []SlotState {
-	var out []SlotState
-	for i, u := range used {
-		if !u {
-			continue
-		}
-		out = append(out, SlotState{Slot: i, Row: rows[i], Count: counts[i]})
-	}
-	return out
-}
-
-// restoreSlots applies a slot snapshot onto a freshly reset table. The
-// caller's table maps must be empty (ResetWindow) before the call.
-func restoreSlots(slots []SlotState, index map[int64]int, used []bool, rows []int64, counts []clm.EACT) error {
-	for _, s := range slots {
-		if s.Slot < 0 || s.Slot >= len(used) {
-			return fmt.Errorf("trackers: %w: checkpoint slot %d out of range [0,%d)",
-				errs.ErrBadSpec, s.Slot, len(used))
-		}
-		if used[s.Slot] {
-			return fmt.Errorf("trackers: %w: checkpoint slot %d duplicated",
-				errs.ErrBadSpec, s.Slot)
-		}
-		if _, dup := index[s.Row]; dup {
-			return fmt.Errorf("trackers: %w: checkpoint row %d duplicated",
-				errs.ErrBadSpec, s.Row)
-		}
-		used[s.Slot] = true
-		rows[s.Slot] = s.Row
-		counts[s.Slot] = s.Count
-		index[s.Row] = s.Slot
-	}
 	return nil
 }

@@ -3,6 +3,7 @@ package trackers
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"impress/internal/clm"
@@ -236,6 +237,46 @@ func TestZooSnapshotKindMismatch(t *testing.T) {
 	a := NewABACuS(4000)
 	if err := a.RestoreState(State{Kind: "hydra"}); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("kind mismatch error = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestSlotRestoreRejectsNonPrefix: a counter-table snapshot must hold
+// exactly the slots 0..n−1 with distinct rows, the only layouts a table
+// reaches; anything else is a corrupt checkpoint and a typed error. A
+// permutation of the prefix is the same table and is accepted.
+func TestSlotRestoreRejectsNonPrefix(t *testing.T) {
+	two := []Snapshotter{ // two entries each
+		NewGrapheneRaw(2, 4*clm.One),
+		NewMithrilRaw(2, 80),
+		NewABACuS(abacusAnchor / 2),
+	}
+	bad := []struct {
+		name  string
+		slots []SlotState
+	}{
+		{"hole", []SlotState{{Slot: 0, Row: 1}, {Slot: 2, Row: 3}}},
+		{"no slot 0", []SlotState{{Slot: 1, Row: 1}}},
+		{"negative", []SlotState{{Slot: -1, Row: 1}}},
+		{"repeated slot", []SlotState{{Slot: 0, Row: 1}, {Slot: 0, Row: 2}}},
+		{"repeated row", []SlotState{{Slot: 0, Row: 1}, {Slot: 1, Row: 1}}},
+		{"over capacity", []SlotState{{Slot: 0, Row: 1}, {Slot: 1, Row: 2}, {Slot: 2, Row: 3}}},
+	}
+	for _, tr := range two {
+		kind := tr.(Tracker).Name()
+		for _, tc := range bad {
+			err := tr.RestoreState(State{Kind: kind, Slots: tc.slots})
+			if !errors.Is(err, errs.ErrBadSpec) {
+				t.Errorf("%s %s: RestoreState error = %v, want ErrBadSpec", kind, tc.name, err)
+			}
+		}
+		swapped := []SlotState{{Slot: 1, Row: 5, Count: clm.One}, {Slot: 0, Row: 7, Count: 2 * clm.One}}
+		if err := tr.RestoreState(State{Kind: kind, Slots: swapped}); err != nil {
+			t.Fatalf("%s: permuted prefix rejected: %v", kind, err)
+		}
+		want := []SlotState{swapped[1], swapped[0]}
+		if got := tr.Snapshot().Slots; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: restored slots %+v, want %+v", kind, got, want)
+		}
 	}
 }
 
