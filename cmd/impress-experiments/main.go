@@ -360,6 +360,13 @@ func cacheVerify(ctx context.Context, store *resultstore.Store, sample int, stdo
 		return 0
 	}
 	entries = results
+	// A store-less Lab: the re-simulation must not be served from the
+	// store it is checking.
+	lab, err := impress.NewLab()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	picked := sampleEntries(entries, sample)
 	mismatches, skipped := 0, 0
 	for _, e := range picked {
@@ -372,7 +379,7 @@ func cacheVerify(ctx context.Context, store *resultstore.Store, sample int, stdo
 			skipped++
 			continue
 		}
-		res, err := simcli.Run(ctx, cfg)
+		res, err := simcli.RunLab(ctx, lab, cfg)
 		if err != nil {
 			if simcli.ReportInterrupted(stderr, err, store.Dir()) {
 				return 1

@@ -39,12 +39,12 @@
 //     Lab.Replay, WorkloadTrace) with a bit-identical replay guarantee;
 //   - the experiment harness that regenerates every table and figure
 //     (Lab.Experiments, QuickScale, FullScale), backed by a concurrent
-//     memoizing run scheduler (ExperimentRunner);
+//     memoizing run scheduler;
 //   - a persistent, content-addressed result store (ResultStore,
 //     OpenResultStore) that caches simulation results on disk keyed by
 //     the fully-resolved run configuration, so repeated sweeps — and
-//     sweeps sharded across machines via ExperimentRunner.ShardSpecs —
-//     pay for each distinct simulation exactly once.
+//     sweeps sharded across machines (impress-experiments -shard, the
+//     sweep service) — pay for each distinct simulation exactly once.
 //
 // Quick start:
 //
@@ -362,9 +362,9 @@ func DefaultSimConfig(w Workload, d Design, tracker TrackerKind) SimConfig {
 
 // ResultStore is an on-disk, content-addressed cache of simulation
 // results, safe for concurrent use across goroutines, processes and
-// machines sharing one directory. Attach one to an ExperimentRunner
-// (its Store field) to make sweeps restartable and shardable, or drive
-// it directly with ResultSpecFor + Get/Put.
+// machines sharing one directory. Attach one to a Lab (WithResultStore)
+// to make runs and sweeps restartable, or drive it directly with
+// ResultSpecFor + Get/Put.
 type ResultStore = resultstore.Store
 
 // ResultSpec is the canonical, hashable description of one
@@ -391,30 +391,6 @@ type ExperimentTable = experiments.Table
 // ExperimentScale controls simulation length.
 type ExperimentScale = experiments.Scale
 
-// ExperimentRunner executes and memoizes simulation runs. It is safe for
-// concurrent use; set Parallelism to bound the PrefetchContext worker pool
-// (0 = GOMAXPROCS). Parallel execution is byte-identical to serial. Set
-// Store to persist results across processes, and use ShardSpecs to split
-// a sweep across machines merging through one store.
-type ExperimentRunner = experiments.Runner
-
-// ExperimentRunSpec fully describes one simulation run for memoization
-// and prefetching.
-type ExperimentRunSpec = experiments.RunSpec
-
-// ExperimentTRH returns an explicit DesignTRH override for a run spec
-// (the zero value of the field means "keep the sim default").
-func ExperimentTRH(v float64) experiments.Opt[float64] { return experiments.TRH(v) }
-
-// ExperimentRFM returns an explicit RFMTH override for a run spec.
-func ExperimentRFM(v int) experiments.Opt[int] { return experiments.RFM(v) }
-
-// NewExperimentRunner builds a concurrent-safe memoizing runner at the
-// given scale.
-func NewExperimentRunner(scale ExperimentScale) *ExperimentRunner {
-	return experiments.NewRunner(scale)
-}
-
 // QuickScale is the CI-sized experiment scale.
 func QuickScale() ExperimentScale { return experiments.QuickScale() }
 
@@ -427,8 +403,8 @@ func FullScale() ExperimentScale { return experiments.FullScale() }
 // ---- Sweep service (DESIGN.md §11) ----
 
 // SweepClient talks to an impress-labd daemon: the experiment sweeps a
-// local ExperimentRunner performs, submitted to a long-running service
-// instead. Errors reconstruct the same taxonomy local runs return, so
+// local Lab performs, submitted to a long-running service instead.
+// Errors reconstruct the same taxonomy local runs return, so
 // errors.Is(err, ErrBadSpec) works identically for a remote sweep.
 type SweepClient = labd.Client
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"impress"
@@ -184,27 +185,60 @@ func TestPublicPRAC(t *testing.T) {
 	p.OnRFM()
 }
 
+// TestPublicExperimentRunner: a custom sweep is concurrent Lab.Run calls
+// on one Lab, which is safe for concurrent use. With a store attached
+// through WithResultStore, the first pass simulates every config once
+// and a second concurrent pass is served from the store bit-identically.
 func TestPublicExperimentRunner(t *testing.T) {
-	scale := impress.ExperimentScale{
-		Name: "api-test", Warmup: 5_000, Run: 20_000, Workloads: []string{"gcc"},
+	store, err := impress.OpenResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := impress.NewExperimentRunner(scale)
-	r.Parallelism = 2
+	counts := map[impress.ProgressKind]int{}
+	lab := newLab(t, impress.WithResultStore(store),
+		impress.WithProgress(func(p impress.Progress) { counts[p.Kind]++ })) // serialized by the Lab
 	w, err := impress.WorkloadByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := impress.ExperimentRunSpec{
-		Workload: w, Design: impress.NewDesign(impress.ImpressP),
-		Tracker:   impress.TrackerGraphene,
-		DesignTRH: impress.ExperimentTRH(4000), RFMTH: impress.ExperimentRFM(80),
+	var cfgs []impress.SimConfig
+	for _, trh := range []float64{1000, 2000, 4000} {
+		cfg := impress.DefaultSimConfig(w, impress.NewDesign(impress.ImpressP), impress.TrackerGraphene)
+		cfg.WarmupInstructions, cfg.RunInstructions = 5_000, 20_000
+		cfg.DesignTRH, cfg.RFMTH = trh, 80
+		cfgs = append(cfgs, cfg)
 	}
-	if err := r.PrefetchContext(context.Background(), []impress.ExperimentRunSpec{spec}); err != nil {
-		t.Fatal(err)
+	sweep := func() []impress.SimResult {
+		results := make([]impress.SimResult, len(cfgs))
+		var wg sync.WaitGroup
+		for i, cfg := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := lab.Run(context.Background(), cfg)
+				if err != nil {
+					t.Error(err)
+				}
+				results[i] = res
+			}()
+		}
+		wg.Wait()
+		return results
 	}
-	res := r.Run(spec)
-	if len(res.IPC) != 8 || res.WeightedIPCSum <= 0 {
-		t.Fatalf("bad runner result: %+v", res)
+	cold := sweep()
+	for _, res := range cold {
+		if len(res.IPC) != 8 || res.WeightedIPCSum <= 0 {
+			t.Fatalf("bad concurrent run result: %+v", res)
+		}
+	}
+	warm := sweep()
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("store-served sweep is not bit-identical to the simulated one")
+	}
+	n := len(cfgs)
+	if counts[impress.ProgressSpecStarted] != 2*n || counts[impress.ProgressSpecFinished] != n ||
+		counts[impress.ProgressSpecCacheHit] != n {
+		t.Fatalf("progress counts %v, want %d started, %d finished, %d cache hits", counts, 2*n, n, n)
 	}
 }
 
@@ -246,22 +280,23 @@ func TestPublicResultStore(t *testing.T) {
 	if err := store.Put(sp, res); err != nil {
 		t.Fatal(err)
 	}
-	// A scale-scoped runner sharing the directory serves the result
-	// without simulating.
-	scale := impress.ExperimentScale{
-		Name: "store-api-test", Warmup: 1_000, Run: 5_000, Workloads: []string{"gcc"},
-	}
-	r := impress.NewExperimentRunner(scale)
-	if r.Store, err = impress.OpenResultStore(store.Dir()); err != nil {
+	// A Lab on a second handle sharing the directory serves the result
+	// from the store: a cache-hit event, no simulation.
+	shared, err := impress.OpenResultStore(store.Dir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := r.Run(impress.ExperimentRunSpec{
-		Workload: w, Design: impress.NewDesign(impress.ImpressP), Tracker: impress.TrackerGraphene,
-	})
-	if r.Sims() != 0 {
-		t.Fatalf("runner simulated %d times; the store should have served the result", r.Sims())
+	var events []impress.ProgressKind
+	lab := newLab(t, impress.WithResultStore(shared),
+		impress.WithProgress(func(p impress.Progress) { events = append(events, p.Kind) }))
+	got, err := lab.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.WeightedIPCSum != res.WeightedIPCSum || got.Cycles != res.Cycles {
+	if want := []impress.ProgressKind{impress.ProgressSpecStarted, impress.ProgressSpecCacheHit}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("progress events %v, want %v: the store should have served the result", events, want)
+	}
+	if !reflect.DeepEqual(got, res) {
 		t.Fatalf("stored result drifted: %+v vs %+v", got, res)
 	}
 }

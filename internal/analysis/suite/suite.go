@@ -60,7 +60,6 @@ var legacyNoCtx = []string{
 	"Workloads", "WorkloadByName", "MixWorkloads",
 	"DecodeTrace", "ReadTraceFile", "OpenTraceReader", "DefaultSimConfig",
 	"OpenResultStore", "ResultSpecFor",
-	"ExperimentTRH", "ExperimentRFM", "NewExperimentRunner",
 	"QuickScale", "StandardScale", "FullScale",
 
 	// Lab construction and options. WithMaxRelError/WithCIAnnotations

@@ -429,11 +429,9 @@ func (r *Runner) storeSpec(spec RunSpec) resultstore.Spec {
 func (r *Runner) Sims() int64 { return r.sims.Load() }
 
 // Run executes (or recalls) the described simulation. Concurrent calls
-// with the same spec are deduplicated: one goroutine simulates, the rest
-// wait for its result. With a Store attached, the persistent cache is
-// consulted before simulating and written back after. Each distinct
-// spec's execution emits progress events (started, then cache-hit or
-// finished); memoized repeats emit nothing.
+// with the same spec are deduplicated: one goroutine runs it through
+// RunCached, the rest wait for its result, and memoized repeats emit no
+// progress events.
 //
 // Run panics on simulation failure or cancellation (wrapped as a typed
 // runAbort); the context-aware entry points recover that into an error,
@@ -443,32 +441,47 @@ func (r *Runner) Run(spec RunSpec) sim.Result {
 	sp := r.storeSpec(spec)
 	k := string(sp.Key())
 	return r.runs.do(k, func() sim.Result {
-		label := specLabel(sp)
-		r.emit(Progress{Kind: ProgressSpecStarted, Spec: label, Key: k})
-		if r.Store != nil {
-			if res, ok := r.Store.Get(sp); ok {
-				r.emit(Progress{Kind: ProgressSpecCacheHit, Spec: label, Key: k})
-				return res
-			}
-		}
 		cfg := r.config(spec)
-		var restored bool
-		if r.Store != nil {
-			restored = r.Store.AttachCheckpoints(&cfg)
-		}
-		res, err := sim.RunContext(r.runCtx(), cfg)
+		res, simulated, err := RunCached(r.runCtx(), r.Store, r.emit, cfg, sp, k)
 		if err != nil {
-			panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
+			panic(&runAbort{fmt.Errorf("experiments: %s: %w", runLabel(cfg, sp), err)})
 		}
-		r.sims.Add(1)
-		r.emit(Progress{Kind: ProgressSpecFinished, Spec: label, Key: k, Cycles: res.Cycles, WarmupRestored: restored})
-		if r.Store != nil {
-			// A write failure costs persistence, not correctness; it is
-			// counted in the store's Counters for the CLI summary line.
-			_ = r.Store.Put(sp, res)
+		if simulated {
+			r.sims.Add(1)
 		}
 		return res
 	})
+}
+
+// RunCached is the one cached simulation step, behind Runner.Run and
+// impress.Lab.Run: emit ProgressSpecStarted; with a store, serve a
+// stored result as ProgressSpecCacheHit; otherwise attach the store's
+// warmup checkpoints, simulate cfg under ctx, emit ProgressSpecFinished
+// and write the result back (a failed write is counted by the store, not
+// returned). sp, cfg's canonical spec, is used only with a store; key is
+// the Key every event carries. simulated reports whether the simulator
+// ran; its errors are returned unwrapped.
+func RunCached(ctx context.Context, st *resultstore.Store, emit func(Progress), cfg sim.Config,
+	sp resultstore.Spec, key string) (res sim.Result, simulated bool, err error) {
+	ev := Progress{Kind: ProgressSpecStarted, Spec: runLabel(cfg, sp), Key: key}
+	emit(ev)
+	if st != nil {
+		if res, ok := st.Get(sp); ok {
+			ev.Kind = ProgressSpecCacheHit
+			emit(ev)
+			return res, false, nil
+		}
+		ev.WarmupRestored = st.AttachCheckpoints(&cfg, sp)
+	}
+	if res, err = sim.RunContext(ctx, cfg); err != nil {
+		return sim.Result{}, false, err
+	}
+	ev.Kind, ev.Cycles = ProgressSpecFinished, res.Cycles
+	emit(ev)
+	if st != nil {
+		_ = st.Put(sp, res)
+	}
+	return res, true, nil
 }
 
 // prefetch executes the given specs over a worker pool of r.Parallelism

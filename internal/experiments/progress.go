@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"impress/internal/resultstore"
+	"impress/internal/sim"
 )
 
 // ProgressKind enumerates run-lifecycle events (DESIGN.md §9).
@@ -99,10 +100,19 @@ func (p Progress) String() string {
 	}
 }
 
-// specLabel renders the canonical human label for a spec's progress
-// events.
-func specLabel(sp resultstore.Spec) string {
-	return fmt.Sprintf("%s/%s/%s", sp.Workload, sp.Design.Name(), sp.Tracker)
+// runLabel renders the human label of a simulation's progress events:
+// "workload/design/tracker", where a trace replay's workload is
+// "trace:" plus its content hash prefix when the spec was derived, and
+// its file path when it was not.
+func runLabel(cfg sim.Config, sp resultstore.Spec) string {
+	name := cfg.Workload.Name
+	switch {
+	case sp.TraceSHA256 != "":
+		name = "trace:" + sp.TraceSHA256[:12]
+	case cfg.TraceFile != "":
+		name = "trace:" + cfg.TraceFile
+	}
+	return fmt.Sprintf("%s/%s/%s", name, cfg.Design.Name(), cfg.Tracker)
 }
 
 // emit delivers one progress event. Callbacks are serialized under a

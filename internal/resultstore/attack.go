@@ -1,12 +1,8 @@
 package resultstore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 
 	"impress/internal/attack"
 	"impress/internal/core"
@@ -75,12 +71,7 @@ func (s AttackSpec) canonicalJSON() []byte {
 }
 
 // Key returns the spec's content address.
-func (s AttackSpec) Key() Key {
-	h := sha256.New()
-	h.Write([]byte(attackPreamble))
-	h.Write(s.canonicalJSON())
-	return Key(hex.EncodeToString(h.Sum(nil)))
-}
+func (s AttackSpec) Key() Key { return keyOf(attackPreamble, s.canonicalJSON()) }
 
 // SecurityConfig materializes the runnable harness configuration and
 // pattern (the inverse of the spec): the tracker factory builds the
@@ -111,51 +102,18 @@ func (s AttackSpec) SecurityConfig() (security.Config, attack.Pattern, error) {
 }
 
 // GetAttack returns the cached harness result for spec s, if present.
-// As with Get, every failure mode is a miss, never an error.
+// As with Get, every failure mode — an undecodable payload included — is
+// a miss, never an error.
 func (st *Store) GetAttack(s AttackSpec) (security.Result, bool) {
-	rec, ok := readRecord(st.path(s.Key()))
-	if !ok || rec.Kind != KindAttack || rec.Attack == nil ||
-		string(rec.Attack.canonicalJSON()) != string(s.canonicalJSON()) {
-		st.atkMisses.Add(1)
-		return security.Result{}, false
-	}
 	var res security.Result
-	if err := json.Unmarshal(rec.Payload, &res); err != nil {
-		st.atkMisses.Add(1)
+	if _, ok := st.get(KindAttack, attackPreamble, s.canonicalJSON(), &res); !ok {
 		return security.Result{}, false
 	}
-	st.atkHits.Add(1)
 	return res, true
 }
 
 // PutAttack stores the harness result for spec s, with Put's atomicity
 // guarantees.
 func (st *Store) PutAttack(s AttackSpec, res security.Result) error {
-	payload, err := json.Marshal(res)
-	if err != nil {
-		st.writeErrors.Add(1)
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	k := s.Key()
-	spec := s
-	rec := record{
-		Format: FormatVersion, Kind: KindAttack, Key: k,
-		Attack: &spec, Producer: st.producer, Payload: payload,
-	}
-	data, err := json.MarshalIndent(rec, "", " ")
-	if err != nil {
-		st.writeErrors.Add(1)
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	path := st.path(k)
-	err = st.writeEntry(path, k, data)
-	if errors.Is(err, fs.ErrNotExist) {
-		err = st.writeEntry(path, k, data) // see put: concurrent-GC shard race
-	}
-	if err != nil {
-		st.writeErrors.Add(1)
-		return err
-	}
-	st.atkWrites.Add(1)
-	return nil
+	return st.put(record{Kind: KindAttack, Key: s.Key(), Attack: &s}, res)
 }

@@ -173,7 +173,7 @@ func TestAttachCheckpointsColdThenWarm(t *testing.T) {
 	}
 
 	cold := simConfig(t)
-	if restored := st.AttachCheckpoints(&cold); restored {
+	if restored := st.AttachCheckpoints(&cold, mustSpec(t, cold)); restored {
 		t.Fatal("an empty store cannot restore a warmup")
 	}
 	if cold.OnCheckpoint == nil {
@@ -187,7 +187,7 @@ func TestAttachCheckpointsColdThenWarm(t *testing.T) {
 	warm := simConfig(t)
 	warm.RunInstructions *= 2 // a different spec, same warmup prefix
 	reference := runSim(t, warm)
-	if restored := st.AttachCheckpoints(&warm); !restored {
+	if restored := st.AttachCheckpoints(&warm, mustSpec(t, warm)); !restored {
 		t.Fatal("the second spec must restore the stored warmup checkpoint")
 	}
 	if warm.RestoreCheckpoint == nil || warm.OnCheckpoint != nil {
@@ -211,14 +211,14 @@ func TestAttachCheckpointsEdgeCases(t *testing.T) {
 
 	noWarmup := simConfig(t)
 	noWarmup.WarmupInstructions = 0
-	if st.AttachCheckpoints(&noWarmup) || noWarmup.OnCheckpoint != nil {
+	if st.AttachCheckpoints(&noWarmup, mustSpec(t, noWarmup)) || noWarmup.OnCheckpoint != nil {
 		t.Fatal("a run without warmup has nothing to checkpoint")
 	}
 
 	managed := simConfig(t)
 	managed.OnCheckpoint = func([]byte) {}
 	before := reflect.ValueOf(managed.OnCheckpoint).Pointer()
-	if st.AttachCheckpoints(&managed) {
+	if st.AttachCheckpoints(&managed, mustSpec(t, managed)) {
 		t.Fatal("caller-managed hooks must short-circuit the attach")
 	}
 	if reflect.ValueOf(managed.OnCheckpoint).Pointer() != before {
@@ -230,7 +230,7 @@ func TestAttachCheckpointsEdgeCases(t *testing.T) {
 	if err := st.PutCheckpoint(mustSpec(t, cfg), []byte("IMPCKPT\x01 not a checkpoint")); err != nil {
 		t.Fatal(err)
 	}
-	if st.AttachCheckpoints(&cfg) {
+	if st.AttachCheckpoints(&cfg, mustSpec(t, cfg)) {
 		t.Fatal("an undecodable stored payload must demote to a cold attach")
 	}
 	if cfg.RestoreCheckpoint != nil || cfg.OnCheckpoint == nil {

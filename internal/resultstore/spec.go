@@ -164,10 +164,14 @@ func (s Spec) canonicalJSON() []byte {
 }
 
 // Key returns the spec's content address.
-func (s Spec) Key() Key {
+func (s Spec) Key() Key { return keyOf(keyPreamble, s.canonicalJSON()) }
+
+// keyOf returns the content address of a canonical preimage under a
+// record kind's domain-separating preamble.
+func keyOf(preamble string, canon []byte) Key {
 	h := sha256.New()
-	h.Write([]byte(keyPreamble))
-	h.Write(s.canonicalJSON())
+	h.Write([]byte(preamble))
+	h.Write(canon)
 	return Key(hex.EncodeToString(h.Sum(nil)))
 }
 
@@ -224,9 +228,4 @@ func (s Spec) checkpointSpec() Spec {
 // CheckpointKey returns the content address of the spec's warmup
 // checkpoint. Specs that differ only in run budget or sampling fields
 // map to the same key (see checkpointSpec).
-func (s Spec) CheckpointKey() Key {
-	h := sha256.New()
-	h.Write([]byte(ckptPreamble))
-	h.Write(s.checkpointSpec().canonicalJSON())
-	return Key(hex.EncodeToString(h.Sum(nil)))
-}
+func (s Spec) CheckpointKey() Key { return keyOf(ckptPreamble, s.checkpointSpec().canonicalJSON()) }

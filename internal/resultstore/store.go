@@ -62,9 +62,8 @@ type Store struct {
 	dir      string
 	producer string
 
-	hits, misses, writes, writeErrors atomic.Int64
-	ckptHits, ckptMisses, ckptWrites  atomic.Int64
-	atkHits, atkMisses, atkWrites     atomic.Int64
+	results, checkpoints, attacks kindCounters
+	writeErrors                   atomic.Int64
 
 	// afterMkdir, when non-nil, runs between writeEntry's MkdirAll and
 	// its CreateTemp. Tests use it to interleave a GC sweep into the
@@ -136,19 +135,33 @@ func producerVersion() string {
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
 
+// kindCounters counts one record kind's hits, misses and writes.
+type kindCounters struct{ hits, misses, writes atomic.Int64 }
+
+// counters returns the counters of a record kind.
+func (st *Store) counters(kind string) *kindCounters {
+	switch kind {
+	case KindCheckpoint:
+		return &st.checkpoints
+	case KindAttack:
+		return &st.attacks
+	}
+	return &st.results
+}
+
 // Counters returns this handle's hit/miss/write counts.
 func (st *Store) Counters() Counters {
 	return Counters{
-		Hits:             st.hits.Load(),
-		Misses:           st.misses.Load(),
-		Writes:           st.writes.Load(),
+		Hits:             st.results.hits.Load(),
+		Misses:           st.results.misses.Load(),
+		Writes:           st.results.writes.Load(),
 		WriteErrors:      st.writeErrors.Load(),
-		CheckpointHits:   st.ckptHits.Load(),
-		CheckpointMisses: st.ckptMisses.Load(),
-		CheckpointWrites: st.ckptWrites.Load(),
-		AttackHits:       st.atkHits.Load(),
-		AttackMisses:     st.atkMisses.Load(),
-		AttackWrites:     st.atkWrites.Load(),
+		CheckpointHits:   st.checkpoints.hits.Load(),
+		CheckpointMisses: st.checkpoints.misses.Load(),
+		CheckpointWrites: st.checkpoints.writes.Load(),
+		AttackHits:       st.attacks.hits.Load(),
+		AttackMisses:     st.attacks.misses.Load(),
+		AttackWrites:     st.attacks.writes.Load(),
 	}
 }
 
@@ -164,13 +177,35 @@ func (st *Store) path(k Key) string {
 // format-version skew, a record whose stored spec does not match s — is a
 // miss, never an error: the caller simulates and overwrites.
 func (st *Store) Get(s Spec) (sim.Result, bool) {
-	rec, ok := readRecord(st.path(s.Key()))
-	if !ok || rec.Kind != "" || string(rec.Spec.canonicalJSON()) != string(s.canonicalJSON()) {
-		st.misses.Add(1)
-		return sim.Result{}, false
+	rec, ok := st.get("", keyPreamble, s.canonicalJSON(), nil)
+	return rec.Result, ok
+}
+
+// get is the one read path behind Get, GetCheckpoint and GetAttack: it
+// loads the record addressed by the canonical preimage canon under the
+// kind's key preamble, and accepts it only if it has the given kind, its
+// stored preimage is exactly canon and — when payload is non-nil — its
+// Payload decodes into payload. Anything else is a miss (returned as the
+// zero record). The hit or miss is counted for kind.
+func (st *Store) get(kind, preamble string, canon []byte, payload any) (record, bool) {
+	rec, ok := readRecord(st.path(keyOf(preamble, canon)))
+	ok = ok && rec.Kind == kind && string(rec.specJSON()) == string(canon) &&
+		(payload == nil || json.Unmarshal(rec.Payload, payload) == nil)
+	if !ok {
+		st.counters(kind).misses.Add(1)
+		return record{}, false
 	}
-	st.hits.Add(1)
-	return rec.Result, true
+	st.counters(kind).hits.Add(1)
+	return rec, true
+}
+
+// specJSON returns the record's key preimage: its attack spec for
+// attack records, its simulation spec otherwise.
+func (rec record) specJSON() []byte {
+	if rec.Kind == KindAttack {
+		return rec.Attack.canonicalJSON()
+	}
+	return rec.Spec.canonicalJSON()
 }
 
 // readRecord loads and validates one entry file; ok is false for any
@@ -212,41 +247,15 @@ func readRecord(path string) (record, bool) {
 // present. Like Get, every failure mode is a miss, never an error.
 func (st *Store) GetCheckpoint(s Spec) ([]byte, bool) {
 	cs := s.checkpointSpec()
-	rec, ok := readRecord(st.path(cs.CheckpointKey()))
-	if !ok || rec.Kind != KindCheckpoint ||
-		string(rec.Spec.canonicalJSON()) != string(cs.canonicalJSON()) {
-		st.ckptMisses.Add(1)
-		return nil, false
-	}
-	st.ckptHits.Add(1)
-	return rec.Payload, true
+	rec, ok := st.get(KindCheckpoint, ckptPreamble, cs.canonicalJSON(), nil)
+	return rec.Payload, ok
 }
 
 // PutCheckpoint stores the encoded warmup checkpoint for spec s. Writes
 // are atomic with the same guarantees as Put.
 func (st *Store) PutCheckpoint(s Spec, payload []byte) error {
 	cs := s.checkpointSpec()
-	k := cs.CheckpointKey()
-	rec := record{
-		Format: FormatVersion, Kind: KindCheckpoint, Key: k,
-		Spec: cs, Producer: st.producer, Payload: payload,
-	}
-	data, err := json.MarshalIndent(rec, "", " ")
-	if err != nil {
-		st.writeErrors.Add(1)
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	path := st.path(k)
-	err = st.writeEntry(path, k, data)
-	if errors.Is(err, fs.ErrNotExist) {
-		err = st.writeEntry(path, k, data) // see put: concurrent-GC shard race
-	}
-	if err != nil {
-		st.writeErrors.Add(1)
-		return err
-	}
-	st.ckptWrites.Add(1)
-	return nil
+	return st.put(record{Kind: KindCheckpoint, Key: cs.CheckpointKey(), Spec: cs, Payload: payload}, nil)
 }
 
 // Put stores the result for spec s. The write is atomic (temp file +
@@ -255,31 +264,40 @@ func (st *Store) PutCheckpoint(s Spec, payload []byte) error {
 // complete entries. A failed Put loses persistence, not correctness;
 // callers typically count it (Counters.WriteErrors) and continue.
 func (st *Store) Put(s Spec, res sim.Result) error {
-	err := st.put(s, res)
-	if err != nil {
-		st.writeErrors.Add(1)
-	} else {
-		st.writes.Add(1)
-	}
-	return err
+	return st.put(record{Key: s.Key(), Spec: s, Result: res}, nil)
 }
 
-func (st *Store) put(s Spec, res sim.Result) error {
-	k := s.Key()
-	rec := record{Format: FormatVersion, Key: k, Spec: s, Producer: st.producer, Result: res}
+// put is the one write path behind Put, PutCheckpoint and PutAttack: it
+// stamps rec with the format version and producer, JSON-encodes payload
+// (when non-nil) into rec.Payload, and writes the record atomically
+// under rec.Key. The write or write error is counted for rec's kind.
+func (st *Store) put(rec record, payload any) (err error) {
+	defer func() {
+		if err != nil {
+			st.writeErrors.Add(1)
+		} else {
+			st.counters(rec.Kind).writes.Add(1)
+		}
+	}()
+	rec.Format, rec.Producer = FormatVersion, st.producer
+	if payload != nil {
+		if rec.Payload, err = json.Marshal(payload); err != nil {
+			return fmt.Errorf("resultstore: %w", err)
+		}
+	}
 	data, err := json.MarshalIndent(rec, "", " ")
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	path := st.path(k)
-	err = st.writeEntry(path, k, data)
+	path := st.path(rec.Key)
+	err = st.writeEntry(path, rec.Key, data)
 	// A concurrent GC's empty-directory sweep can remove a freshly
 	// created shard directory between this writer's MkdirAll and its
 	// CreateTemp. Retrying re-creates the directory, and the sweep never
 	// touches a non-empty one. A GC running back to back can win that
 	// window more than once, so the retry is bounded, not single.
 	for retry := 0; retry < sweepRetries && errors.Is(err, fs.ErrNotExist); retry++ {
-		err = st.writeEntry(path, k, data)
+		err = st.writeEntry(path, rec.Key, data)
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"impress/internal/core"
 	"impress/internal/memctrl"
+	"impress/internal/security"
 	"impress/internal/sim"
 	"impress/internal/trace"
 )
@@ -37,6 +39,24 @@ func testResult() sim.Result {
 		Mem:            memctrl.Stats{Reads: 42, DemandACTs: 7, ReadLatencySum: 123456789},
 		LLCHitRate:     0.9999999999999999,
 		Cycles:         98765,
+	}
+}
+
+// testAttackSpec is a fully-populated security-evaluation spec; the
+// store does not run it.
+func testAttackSpec() AttackSpec {
+	return AttackSpec{
+		Pattern: "hammer", Tracker: "graphene",
+		Design: core.NewDesign(core.ImpressP), DesignTRH: 4000, AlphaTrue: 1, Seed: 42,
+	}
+}
+
+// testAttackResult builds a distinctive harness result without running
+// the harness.
+func testAttackResult() security.Result {
+	return security.Result{
+		Pattern: "hammer", MaxDamage: 0.3333333333333333,
+		DemandACTs: 1000, Mitigations: 12, Elapsed: 987654, MitigationTime: 4321,
 	}
 }
 
@@ -492,41 +512,71 @@ func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 }
 
 // TestPutSurvivesGCDirectorySweep reproduces the GC/writer race
-// deterministically: the afterMkdir hook removes the freshly created —
-// still empty — shard directory between Put's MkdirAll and its
-// CreateTemp, exactly what a concurrent GC's empty-directory sweep
-// does, once or several times in a row (a GC looping back to back).
-// The retried write must land the entry anyway. On the pre-retry
-// writer this fails with a "no such file or directory" write error,
-// and on a single-retry writer it fails for three sweeps.
+// deterministically for every record kind: the afterMkdir hook removes
+// the freshly created — still empty — shard directory between the
+// write's MkdirAll and its CreateTemp, exactly what a concurrent GC's
+// empty-directory sweep does, once or several times in a row (a GC
+// looping back to back). The retried write must land the entry anyway.
+// On the pre-retry writer this fails with a "no such file or directory"
+// write error, and on a single-retry writer it fails for three sweeps.
 func TestPutSurvivesGCDirectorySweep(t *testing.T) {
-	for _, sweeps := range []int{1, 3} {
-		st, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		swept := 0
-		st.afterMkdir = func(dir string) {
-			if swept == sweeps {
-				return
-			}
-			swept++
-			if err := os.Remove(dir); err != nil {
-				t.Errorf("sweeping the empty shard directory: %v", err)
-			}
-		}
-		sp := mustSpec(t, testConfig(t))
-		if err := st.Put(sp, testResult()); err != nil {
-			t.Fatalf("Put against %d concurrent directory sweeps = %v, want success after retrying", sweeps, err)
-		}
-		if swept != sweeps {
-			t.Fatalf("sweep hook fired %d times, want %d simulated GCs", swept, sweeps)
-		}
-		if _, ok := st.Get(sp); !ok {
-			t.Fatal("entry unreadable after the retried write")
-		}
-		if c := st.Counters(); c.Writes != 1 || c.WriteErrors != 0 {
-			t.Fatalf("counters after retried write = %+v, want one clean write", c)
+	sp := mustSpec(t, testConfig(t))
+	atk := testAttackSpec()
+	kinds := []struct {
+		name   string
+		put    func(*Store) error
+		get    func(*Store) bool
+		writes func(Counters) int64
+	}{
+		{
+			name:   "result",
+			put:    func(st *Store) error { return st.Put(sp, testResult()) },
+			get:    func(st *Store) bool { _, ok := st.Get(sp); return ok },
+			writes: func(c Counters) int64 { return c.Writes },
+		},
+		{
+			name:   "checkpoint",
+			put:    func(st *Store) error { return st.PutCheckpoint(sp, []byte("IMPCKPT payload")) },
+			get:    func(st *Store) bool { _, ok := st.GetCheckpoint(sp); return ok },
+			writes: func(c Counters) int64 { return c.CheckpointWrites },
+		},
+		{
+			name:   "attack",
+			put:    func(st *Store) error { return st.PutAttack(atk, testAttackResult()) },
+			get:    func(st *Store) bool { _, ok := st.GetAttack(atk); return ok },
+			writes: func(c Counters) int64 { return c.AttackWrites },
+		},
+	}
+	for _, kind := range kinds {
+		for _, sweeps := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%d-sweeps", kind.name, sweeps), func(t *testing.T) {
+				st, err := Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				swept := 0
+				st.afterMkdir = func(dir string) {
+					if swept == sweeps {
+						return
+					}
+					swept++
+					if err := os.Remove(dir); err != nil {
+						t.Errorf("sweeping the empty shard directory: %v", err)
+					}
+				}
+				if err := kind.put(st); err != nil {
+					t.Fatalf("put against %d concurrent directory sweeps = %v, want success after retrying", sweeps, err)
+				}
+				if swept != sweeps {
+					t.Fatalf("sweep hook fired %d times, want %d simulated GCs", swept, sweeps)
+				}
+				if !kind.get(st) {
+					t.Fatal("entry unreadable after the retried write")
+				}
+				if c := st.Counters(); kind.writes(c) != 1 || c.WriteErrors != 0 {
+					t.Fatalf("counters after retried write = %+v, want one clean %s write", c, kind.name)
+				}
+			})
 		}
 	}
 }
@@ -592,5 +642,40 @@ func TestGCAgainstParallelPuts(t *testing.T) {
 	}
 	if c := st.Counters(); c.WriteErrors != 0 {
 		t.Fatalf("counters = %+v, want zero write errors", c)
+	}
+}
+
+// TestAttackRecordRoundTrip covers the attack side of the store: a
+// result round-trips bit-identically and is counted as an attack hit,
+// and a structurally valid record whose payload does not decode is an
+// attack miss, not a hit with a zero result.
+func TestAttackRecordRoundTrip(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk := testAttackSpec()
+	if _, ok := st.GetAttack(atk); ok {
+		t.Fatal("empty store must miss attacks")
+	}
+	if err := st.PutAttack(atk, testAttackResult()); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.GetAttack(atk); !ok || got != testAttackResult() {
+		t.Fatalf("attack round trip: ok=%v got %+v", ok, got)
+	}
+	if _, ok := st.Get(mustSpec(t, testConfig(t))); ok {
+		t.Fatal("an attack record must not answer result Gets")
+	}
+
+	if err := st.put(record{Kind: KindAttack, Key: atk.Key(), Attack: &atk, Payload: []byte("not json")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.GetAttack(atk); ok || got != (security.Result{}) {
+		t.Fatalf("undecodable payload served as a hit: ok=%v got %+v", ok, got)
+	}
+	c := st.Counters()
+	if c.AttackHits != 1 || c.AttackMisses != 2 || c.AttackWrites != 2 || c.Misses != 1 || c.Hits != 0 {
+		t.Fatalf("counters = %+v, want 1 attack hit, 2 attack misses, 2 attack writes, 1 result miss", c)
 	}
 }

@@ -259,22 +259,12 @@ func NewLab(store *resultstore.Store, counts *Counts) (*impress.Lab, error) {
 	)
 }
 
-// Run executes the simulation under ctx, converting internal panics — a
-// replay recording too short for the run, the deadlock cycle bound —
-// into errors so CLIs report one clean line and exit non-zero instead of
-// dumping a stack trace. Invalid input and cancellation come back as
-// sim.RunContext's typed errors.
-func Run(ctx context.Context, cfg sim.Config) (res sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("simulation failed: %v", p)
-		}
-	}()
-	return sim.RunContext(ctx, cfg)
-}
-
-// RunLab executes cfg through the Lab with the same panic-to-error
-// conversion as Run, serving and populating the Lab's store.
+// RunLab executes cfg through the Lab under ctx, converting internal
+// panics — a replay recording too short for the run, the deadlock cycle
+// bound — into errors so CLIs report one clean line and exit non-zero
+// instead of dumping a stack trace. Invalid input and cancellation come
+// back as the Lab's typed errors; a store attached to the Lab serves and
+// records the run.
 func RunLab(ctx context.Context, lab *impress.Lab, cfg sim.Config) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

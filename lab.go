@@ -234,7 +234,8 @@ func (l *Lab) withClock(cfg SimConfig) SimConfig {
 // one macro cycle and returns an error matching ErrCancelled and
 // ctx.Err(). With a store attached the result is served from — and
 // persisted to — the content-addressed cache, emitting spec
-// started/cache-hit/finished progress events either way.
+// started/cache-hit/finished progress events either way. Run keeps no
+// in-memory memo: every call takes the cached-run step afresh.
 func (l *Lab) Run(ctx context.Context, cfg SimConfig) (SimResult, error) {
 	// Uniform cancellation regardless of cache warmth: a dead context
 	// fails here, exactly as it would through Lab.Experiments, instead
@@ -246,56 +247,20 @@ func (l *Lab) Run(ctx context.Context, cfg SimConfig) (SimResult, error) {
 	if l.store == nil && l.progress == nil {
 		return sim.RunContext(ctx, cfg)
 	}
-	// The store key requires the canonical spec — for trace replays
-	// that means reading and hashing the file. Without a store the
-	// label is derived from the config directly, so a store-less
-	// progress-observed replay does not read its trace twice; its
-	// events carry an empty Key.
+	// The store key requires the canonical spec — for trace replays that
+	// means reading and hashing the file. A store-less run never derives
+	// it: its events are labelled from the config and carry an empty Key.
 	var sp resultstore.Spec
-	var key, label string
+	var key string
 	if l.store != nil {
 		var err error
 		if sp, err = resultstore.SpecFor(cfg); err != nil {
 			return SimResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
-		label = sp.Workload
-		if label == "" {
-			label = "trace:" + sp.TraceSHA256[:12]
-		}
 		key = string(sp.Key())
-	} else {
-		label = cfg.Workload.Name
-		if cfg.TraceFile != "" {
-			label = "trace:" + cfg.TraceFile
-		}
 	}
-	label = fmt.Sprintf("%s/%s/%s", label, cfg.Design.Name(), cfg.Tracker)
-	l.emit(Progress{Kind: ProgressSpecStarted, Spec: label, Key: key})
-	if l.store != nil {
-		if res, ok := l.store.Get(sp); ok {
-			l.emit(Progress{Kind: ProgressSpecCacheHit, Spec: label, Key: key})
-			return res, nil
-		}
-	}
-	// With a store attached, warmup checkpoints ride the same cache: a
-	// compatible cached checkpoint restores post-warmup state instead of
-	// re-simulating warmup, and a cold run publishes one for the specs
-	// that share its warmup prefix.
-	var restored bool
-	if l.store != nil {
-		restored = l.store.AttachCheckpoints(&cfg)
-	}
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		return SimResult{}, err
-	}
-	l.emit(Progress{Kind: ProgressSpecFinished, Spec: label, Key: key, Cycles: res.Cycles, WarmupRestored: restored})
-	if l.store != nil {
-		// A failed write loses persistence, not the run; it is counted
-		// in the store's Counters.
-		_ = l.store.Put(sp, res)
-	}
-	return res, nil
+	res, _, err := experiments.RunCached(ctx, l.store, l.emit, cfg, sp, key)
+	return res, err
 }
 
 // Attack replays an adversarial pattern through the single-bank
@@ -348,7 +313,7 @@ func (l *Lab) Experiments(ctx context.Context, scale ExperimentScale, opts ...Ex
 // overlapping Experiments calls, an Experiments beside a Run), keeping
 // WithProgress's no-locking promise; the runner's clock default rides
 // into every sweep simulation.
-func (l *Lab) newRunner(scale ExperimentScale) *ExperimentRunner {
+func (l *Lab) newRunner(scale ExperimentScale) *experiments.Runner {
 	r := experiments.NewRunner(scale)
 	r.Parallelism = l.parallelism
 	r.Store = l.store
