@@ -88,12 +88,12 @@ type MemorySystem interface {
 	// call op.Complete (immediately for hits is fine).
 	Access(op *MemOp)
 	// Version is a counter that changes whenever memory-system state that
-	// could flip a CanAccept verdict changes (queue pops, line fills,
-	// MSHR allocation). Cores cache "CanAccept == false" stall decisions
-	// and re-evaluate only when the version moves; a memory system that
-	// cannot track this precisely may return a fresh value on every call
-	// to force re-evaluation each cycle.
-	Version() uint64
+	// could flip a refused CanAccept for addr to an acceptance changes.
+	// Cores cache "CanAccept == false" stall decisions and re-evaluate
+	// only when the version of the refused address moves; a memory system
+	// that cannot track this precisely may return a fresh value on every
+	// call to force re-evaluation each cycle.
+	Version(addr uint64) uint64
 }
 
 // Core is one trace-driven core.
@@ -119,9 +119,16 @@ type Core struct {
 	// coordinate).
 	drawn int64
 
-	// rob holds in-flight memory ops in program order; plain instructions
-	// are implicit between their positions.
-	rob []*MemOp
+	// rob holds in-flight memory ops in program order, as a ring of
+	// ROBSize slots starting at robHead; plain instructions are implicit
+	// between their positions. Ops live in the ring itself: an op never
+	// outlives its ROB slot (the memory system references only ops that
+	// are still in flight, and an op leaves the ROB only once Done and
+	// retired), and at most ROBSize ops are in flight, so fetching one
+	// allocates nothing.
+	rob     []MemOp
+	robHead int
+	robLen  int
 
 	outstanding int // reads in flight (MSHR accounting)
 
@@ -150,7 +157,7 @@ func New(id int, cfg Config, gen trace.Generator, mem MemorySystem) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Core{id: id, cfg: cfg, gen: gen, mem: mem, finishedAt: -1, hintAt: -1}
+	c := &Core{id: id, cfg: cfg, gen: gen, mem: mem, finishedAt: -1, hintAt: -1, rob: make([]MemOp, cfg.ROBSize)}
 	c.peek()
 	return c
 }
@@ -243,7 +250,7 @@ func (c *Core) hintUsable() bool {
 	if !c.hint.memBlocked {
 		return true
 	}
-	v := c.mem.Version()
+	v := c.mem.Version(c.nextMem.Addr)
 	if v == c.hintVer {
 		return true
 	}
@@ -262,11 +269,43 @@ func (c *Core) refreshHint() {
 		c.hint = h
 		c.hintLeft = h.Steps
 		if h.memBlocked {
-			c.hintVer = c.mem.Version()
+			c.hintVer = c.mem.Version(c.nextMem.Addr)
 		}
 	} else {
 		c.hintLeft = 0
 	}
+}
+
+// robPush claims the ROB slot after the youngest op; the caller fills it.
+func (c *Core) robPush() *MemOp {
+	i := c.robHead + c.robLen
+	if i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	c.robLen++
+	return &c.rob[i]
+}
+
+// robPop retires the ROB head.
+func (c *Core) robPop() {
+	if c.robHead++; c.robHead == len(c.rob) {
+		c.robHead = 0
+	}
+	c.robLen--
+}
+
+// Stalled reports whether the core's cached stepping regime is the fully
+// stalled one (SkipHint Steps == math.MaxInt64): until something outside
+// the core changes, each Step only advances its clock. Only a completion
+// of one of its operations can end that regime, or — when refused is
+// true — the memory system accepting addr, the next operation it refused
+// (see MemorySystem.Version). A caller that stops stepping a stalled core
+// must bring its clock up with Skip before either happens.
+func (c *Core) Stalled() (stalled, refused bool, addr uint64) {
+	if c.hintLeft != math.MaxInt64 {
+		return false, false, 0
+	}
+	return true, c.hint.memBlocked, c.nextMem.Addr
 }
 
 // invalidateHint drops the cached stepping regime (on completions and
@@ -306,7 +345,8 @@ func (c *Core) fetch() {
 		if !c.mem.CanAccept(c.nextMem.Addr, c.nextMem.Write, c.nextMem.Uncached) {
 			return // memory system backpressure
 		}
-		op := &MemOp{
+		op := c.robPush()
+		*op = MemOp{
 			Pos:      c.fetched,
 			Addr:     c.nextMem.Addr,
 			Write:    c.nextMem.Write,
@@ -321,7 +361,6 @@ func (c *Core) fetch() {
 			c.outstanding++
 		}
 		c.mem.Access(op)
-		c.rob = append(c.rob, op)
 		c.fetched++
 		budget--
 		c.havePeek = false
@@ -333,8 +372,8 @@ func (c *Core) retire() {
 	for budget > 0 {
 		// Retire plain instructions up to the oldest memory op.
 		limit := c.fetched
-		if len(c.rob) > 0 {
-			limit = c.rob[0].Pos
+		if c.robLen > 0 {
+			limit = c.rob[c.robHead].Pos
 		}
 		if c.retired < limit {
 			n := limit - c.retired
@@ -345,12 +384,12 @@ func (c *Core) retire() {
 			budget -= int(n)
 			continue
 		}
-		if len(c.rob) == 0 {
+		if c.robLen == 0 {
 			return // nothing fetched beyond retirement point
 		}
-		head := c.rob[0]
+		head := &c.rob[c.robHead]
 		if head.Pos == c.retired && head.Done {
-			c.rob = c.rob[1:]
+			c.robPop()
 			c.advanceRetired(1)
 			budget--
 			continue
@@ -416,8 +455,8 @@ func (c *Core) SkipHint() SkipHint {
 	// core is bounded by its current backlog.
 	headStalled := false
 	retireHeadroom := int64(math.MaxInt64)
-	if len(c.rob) > 0 {
-		head := c.rob[0]
+	if c.robLen > 0 {
+		head := &c.rob[c.robHead]
 		if c.retired == head.Pos {
 			if head.Done {
 				return SkipHint{} // pops the head: step normally
@@ -462,7 +501,7 @@ func (c *Core) SkipHint() SkipHint {
 	if room < w {
 		return SkipHint{}
 	}
-	if len(c.rob) > 0 && retireHeadroom/w < k {
+	if c.robLen > 0 && retireHeadroom/w < k {
 		k = retireHeadroom / w
 	}
 	k = c.capRetireSteps(k, w)

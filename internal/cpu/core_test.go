@@ -35,7 +35,7 @@ func (m *fakeMem) CanAccept(uint64, bool, bool) bool { return m.accepts }
 
 // Version returns a fresh value every call: the fake cannot track which
 // mutations could flip CanAccept, so cores re-evaluate every cycle.
-func (m *fakeMem) Version() uint64 { m.version++; return m.version }
+func (m *fakeMem) Version(uint64) uint64 { m.version++; return m.version }
 
 func (m *fakeMem) Access(op *MemOp) {
 	m.accesses++

@@ -14,12 +14,12 @@ func (c *Core) FunctionalAdvance(n int64, touch func(addr uint64, write, uncache
 	if c.outstanding != 0 {
 		panic("cpu: FunctionalAdvance with outstanding reads")
 	}
-	for _, op := range c.rob {
-		if !op.Done {
+	for i := 0; i < c.robLen; i++ {
+		if !c.ROBOp(i).Done {
 			panic("cpu: FunctionalAdvance with an incomplete ROB op")
 		}
 	}
-	c.rob = c.rob[:0]
+	c.robHead, c.robLen = 0, 0
 	target := c.fetched + n
 	for {
 		if !c.havePeek {

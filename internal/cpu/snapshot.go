@@ -66,9 +66,10 @@ func (c *Core) Snapshot() Snapshot {
 		InstrBudget:  c.instrBudget,
 		StatsRetired: c.statsRetired,
 		StatsCycle:   c.statsCycle,
-		ROB:          make([]OpSnapshot, len(c.rob)),
+		ROB:          make([]OpSnapshot, c.robLen),
 	}
-	for i, op := range c.rob {
+	for i := range s.ROB {
+		op := c.ROBOp(i)
 		s.ROB[i] = OpSnapshot{Pos: op.Pos, Addr: op.Addr, Write: op.Write, Uncached: op.Uncached, Done: op.Done}
 	}
 	return s
@@ -112,26 +113,31 @@ func (c *Core) Restore(s Snapshot) error {
 	c.instrBudget = s.InstrBudget
 	c.statsRetired = s.StatsRetired
 	c.statsCycle = s.StatsCycle
-	c.rob = c.rob[:0]
+	c.robHead, c.robLen = 0, 0
 	for _, op := range s.ROB {
-		c.rob = append(c.rob, &MemOp{
+		*c.robPush() = MemOp{
 			Pos:      op.Pos,
 			Addr:     op.Addr,
 			Write:    op.Write,
 			Uncached: op.Uncached,
 			Done:     op.Done,
 			core:     c,
-		})
+		}
 	}
 	c.invalidateHint()
 	return nil
 }
 
 // ROBLen returns the number of in-flight ROB ops (checkpoint relinking).
-func (c *Core) ROBLen() int { return len(c.rob) }
+func (c *Core) ROBLen() int { return c.robLen }
 
 // ROBOp returns the i-th oldest in-flight ROB op (checkpoint relinking:
 // memory-system waiters are encoded as (core, ROB index) pairs, valid
 // because an op stays in its core's ROB until it is both Done and
 // retired, which covers every op the memory system still references).
-func (c *Core) ROBOp(i int) *MemOp { return c.rob[i] }
+func (c *Core) ROBOp(i int) *MemOp {
+	if i += c.robHead; i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	return &c.rob[i]
+}

@@ -234,15 +234,6 @@ type channelCtl struct {
 	readQ  reqQueue
 	writeQ reqQueue
 
-	// idleAt is the tick of the last Tick that left this channel idle, or
-	// -1 once anything has changed since (a Push, an active Tick,
-	// DropQueued, Restore). While it is valid, demandAt holds the demand
-	// horizon of the last scheduling passes: no queued request can issue
-	// before it, so an idle Tick before demandAt skips the passes, and
-	// NextEvent(idleAt+1) reuses it instead of recomputing.
-	idleAt   dram.Tick
-	demandAt dram.Tick
-
 	// busFreeAt gates column commands per sub-channel data bus.
 	busFreeAt [2]dram.Tick
 
@@ -266,6 +257,11 @@ type channelCtl struct {
 	// openMask is the bitmap of those banks, walked in ascending order.
 	openBanks int
 	openMask  bankSet
+	// windowAt is a lower bound on the earliest ImPress-N window boundary
+	// of any open bank (core.BankPolicy.NextEvent): before it, every open
+	// bank's Advance is a no-op, so the window step skips the banks. An
+	// ACT mins it down; the window step recomputes it exactly.
+	windowAt dram.Tick
 	// idleDeadline is a lower bound on the earliest tick any open row's
 	// idle-close timeout can fire. Activations and column commands
 	// min it down; the sweep at expiry either closes a row or recomputes
@@ -287,7 +283,8 @@ type Controller struct {
 	openLimit  dram.Tick
 	isImpressN bool
 
-	// issues counts column commands (reads + writes) across channels.
+	// issues counts column commands (reads + writes) across channels; it
+	// is carried in checkpoints.
 	issues uint64
 
 	// completed holds the read handed to OnReadComplete; a controller
@@ -315,23 +312,34 @@ func New(cfg Config) *Controller {
 	}
 	for chID := 0; chID < cfg.Mapper.Channels; chID++ {
 		nb := cfg.Mapper.BanksPerChannel
+		ch := dram.NewChannel(dram.ChannelConfig{
+			Banks:   nb,
+			Timings: cfg.Timings,
+		})
+		half := 0
+		for half < nb && ch.SubChannel(half) == 0 {
+			half++
+		}
 		cc := &channelCtl{
-			id: chID,
-			ch: dram.NewChannel(dram.ChannelConfig{
-				Banks:   nb,
-				Timings: cfg.Timings,
-			}),
+			id:           chID,
+			ch:           ch,
 			banks:        make([]bankCtl, nb),
-			readQ:        newReqQueue(nb),
-			writeQ:       newReqQueue(nb),
-			idleAt:       -1,
+			readQ:        newReqQueue(nb, half, cfg.ReadQueueCap),
+			writeQ:       newReqQueue(nb, half, cfg.WriteQueueCap),
 			openMask:     newBankSet(nb),
 			idleDeadline: dram.TickMax,
+		}
+		// Each bank's mitigation queue starts with room for one
+		// mitigation's victims, so issuing mitigations does not allocate.
+		var victims []int64
+		if cfg.NewTracker != nil {
+			victims = make([]int64, nb*2*trackers.BlastRadius)
 		}
 		for b := range cc.banks {
 			cc.banks[b].policy = core.NewBankPolicy(cfg.Design)
 			if cfg.NewTracker != nil {
 				cc.banks[b].tracker = cfg.NewTracker(chID*cfg.Mapper.BanksPerChannel + b)
+				cc.banks[b].mitigQ = victims[b*2*trackers.BlastRadius : b*2*trackers.BlastRadius : (b+1)*2*trackers.BlastRadius]
 			}
 		}
 		c.channels = append(c.channels, cc)
@@ -355,7 +363,6 @@ func (c *Controller) DropQueued() {
 	for _, cc := range c.channels {
 		cc.readQ.reset()
 		cc.writeQ.reset()
-		cc.idleAt = -1
 	}
 }
 
@@ -383,7 +390,7 @@ func (c *Controller) Push(now dram.Tick, req *Request) {
 	b := req.Loc.Bank
 	q.push(b, queued{addr: req.Addr, row: req.Loc.Row, col: req.Loc.Col, arrive: now},
 		cc.banks[b].openValid, cc.banks[b].openRow)
-	cc.idleAt = -1
+	c.index(cc, q, b)
 }
 
 // PendingReads returns the total queued read count (for drain loops).
@@ -430,7 +437,11 @@ func (c *Controller) feed(cc *channelCtl, b int, events []core.Event, demandACT 
 			if len(bank.mitigQ) == 0 && !bank.mitigOpen {
 				cc.mitigBanks = append(cc.mitigBanks, b)
 			}
-			bank.mitigQ = append(bank.mitigQ, trackers.VictimsOf(aggressor)...)
+			// The victims of trackers.VictimsOf, in its order, without
+			// its per-call slice.
+			for d := int64(1); d <= trackers.BlastRadius; d++ {
+				bank.mitigQ = append(bank.mitigQ, aggressor-d, aggressor+d)
+			}
 			cc.stats.Mitigations++
 		}
 	}
@@ -464,16 +475,10 @@ func (c *Controller) Tick(now dram.Tick) bool {
 	for _, cc := range c.channels {
 		if c.tickChannel(cc, now) {
 			active = true
-			cc.idleAt = -1
 		}
 	}
 	return active
 }
-
-// Issues returns the total column commands issued (reads + writes); the
-// simulator uses the delta to detect queue pops that may unblock
-// backpressured cores.
-func (c *Controller) Issues() uint64 { return c.issues }
 
 func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 	// 1. Refresh has absolute priority once due: drain open rows, then REF.
@@ -491,6 +496,7 @@ func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 				cc.ch.Refresh(now)
 				cc.stats.Refreshes++
 				cc.refreshing = false
+				c.retimePending(cc) // every bank recovers from the REF
 			}
 			return true
 		}
@@ -507,16 +513,19 @@ func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 		return true // waiting for tRAS of some open row
 	}
 
-	// 2. ImPress-N window advancement for open banks (cheap early-out per
-	// bank: a comparison against the next window boundary). Ascending bank
-	// order fixes the order of mitigBanks appends.
-	if c.isImpressN && cc.openBanks > 0 {
+	// 2. ImPress-N window advancement for open banks, once the earliest
+	// open bank's window boundary is due. Ascending bank order fixes the
+	// order of mitigBanks appends.
+	if c.isImpressN && cc.openBanks > 0 && now >= cc.windowAt {
+		next := dram.TickMax
 		for w, word := range cc.openMask {
 			for ; word != 0; word &= word - 1 {
 				b := w<<6 | bits.TrailingZeros64(word)
 				c.feed(cc, b, cc.banks[b].policy.Advance(now), false)
+				next = min(next, cc.banks[b].policy.NextEvent())
 			}
 		}
+		cc.windowAt = next
 	}
 
 	// 3. Forced closures (tMRO for ExPress, tONMax otherwise).
@@ -583,21 +592,11 @@ func (c *Controller) tickChannel(cc *channelCtl, now dram.Tick) bool {
 	// write mode at the boundary, and a steady read stream could starve
 	// a watermarked write queue indefinitely; see nextWriteDrain.
 	cc.writeDrain = nextWriteDrain(cc.writeDrain, cc.writeQ.n, c.cfg.WriteQueueCap)
-	if cc.idleAt < 0 || now >= cc.demandAt {
-		cc.demandAt = dram.TickMax
-		if cc.writeDrain {
-			if c.schedule(cc, now, &cc.writeQ, true) || c.schedule(cc, now, &cc.readQ, false) {
-				return true
-			}
-		} else if c.schedule(cc, now, &cc.readQ, false) ||
-			cc.readQ.n == 0 && c.schedule(cc, now, &cc.writeQ, true) {
-			return true
-		}
+	if cc.writeDrain {
+		return c.schedule(cc, now, &cc.writeQ, true) || c.schedule(cc, now, &cc.readQ, false)
 	}
-	// Nothing issued: the passes saw every candidate NextEvent would, so
-	// demandAt is the demand horizon until the next change.
-	cc.idleAt = now
-	return false
+	return c.schedule(cc, now, &cc.readQ, false) ||
+		cc.readQ.n == 0 && c.schedule(cc, now, &cc.writeQ, true)
 }
 
 // nextWriteDrain is the write-drain hysteresis: drain mode starts when the
@@ -671,13 +670,10 @@ func (c *Controller) channelNextEvent(cc *channelCtl, now dram.Tick) dram.Tick {
 	h := cc.ch.NextRefreshDue()
 
 	// 2. ImPress-N window boundaries of open banks: the Advance feed can
-	// emit (and queue mitigations) exactly at these ticks.
+	// emit (and queue mitigations) exactly at these ticks, and windowAt
+	// bounds them from below.
 	if c.isImpressN && cc.openBanks > 0 {
-		for w, word := range cc.openMask {
-			for ; word != 0; word &= word - 1 {
-				h = min(h, cc.banks[w<<6|bits.TrailingZeros64(word)].policy.NextEvent())
-			}
-		}
+		h = min(h, cc.windowAt)
 	}
 
 	// 3. Forced closures. Stale heads (row already closed or re-opened)
@@ -743,11 +739,7 @@ func (c *Controller) channelNextEvent(cc *channelCtl, now dram.Tick) dram.Tick {
 
 	// 6. Demand queues. Write candidates only count when the next Tick
 	// would serve writes; queue lengths cannot change during a skip, so
-	// the prediction is exact. Right after an idle Tick the scheduling
-	// passes already computed this horizon, and nothing has changed since.
-	if cc.idleAt >= 0 && now == cc.idleAt+1 {
-		return max(min(h, cc.demandAt), now)
-	}
+	// the prediction is exact.
 	h = min(h, c.queueHorizon(cc, &cc.readQ))
 	if nextWriteDrain(cc.writeDrain, cc.writeQ.n, c.cfg.WriteQueueCap) || cc.readQ.n == 0 {
 		h = min(h, c.queueHorizon(cc, &cc.writeQ))
@@ -758,48 +750,71 @@ func (c *Controller) channelNextEvent(cc *channelCtl, now dram.Tick) dram.Tick {
 // queueHorizon returns the earliest tick at which any queued request
 // could make schedule issue a command: a column command once the open row
 // and data bus allow, a conflict PRE once tRAS expires, or an ACT once
-// the bank and sub-channel rate limits allow. A bank's oldest hit and
-// oldest miss bound every request behind them, so only the cached
-// candidates are visited. Banks parked behind an open mitigation row
+// the bank and sub-channel rate limits allow. It reads only the index's
+// sub-channel minima; because the data bus and the ACT floor are shared
+// by a sub-channel's banks, max(min, shared) over the minima equals the
+// minimum over the banks. Banks parked behind an open mitigation row
 // contribute nothing; the mitigation horizon covers them. The result may
 // be earlier than the actual issue tick (FR-FCFS picks one command per
 // cycle and the anti-starvation cap can restrict service to the oldest
 // request) — an early wake-up is a no-op, never a divergence.
+//
+//impress:hotpath
 func (c *Controller) queueHorizon(cc *channelCtl, q *reqQueue) dram.Tick {
-	floor := [2]dram.Tick{cc.ch.ActivateFloor(0), cc.ch.ActivateFloor(1)}
 	h := dram.TickMax
-	for w, word := range q.pending {
-		for ; word != 0; word &= word - 1 {
-			b := w<<6 | bits.TrailingZeros64(word)
-			if !cc.banks[b].mitigOpen {
-				hitAt, workAt := c.candidateTicks(cc, &q.banks[b], b, &floor)
-				h = min(h, hitAt, workAt)
-			}
-		}
+	for s := range cc.busFreeAt {
+		hitAt, workAt := q.subReadyAt(s, cc.busFreeAt[s], cc.ch.ActivateFloor(s))
+		h = min(h, hitAt, workAt)
 	}
 	return h
 }
 
-// candidateTicks returns the earliest ticks at which bank b's cached
-// candidates could issue: its oldest hit a column command (hitAt), and
-// its oldest miss a conflict PRE or an ACT (workAt). An absent candidate
-// gives dram.TickMax. floor holds the sub-channels' ACT rate floors
-// (dram.Channel.ActivateFloor). Each tick is exact: the command is legal
-// at it and at no earlier tick, so "ready at now" is hitAt <= now.
-func (c *Controller) candidateTicks(cc *channelCtl, bq *bankQueue, b int, floor *[2]dram.Tick) (hitAt, workAt dram.Tick) {
-	hitAt, workAt = dram.TickMax, dram.TickMax
-	bank := cc.ch.Bank(b)
-	sub := cc.ch.SubChannel(b)
-	if !cc.banks[b].openValid {
-		return hitAt, max(bank.EarliestActivate(), floor[sub])
+// index recomputes bank b's entries in q's scheduling index from the
+// bank's candidates and its DRAM timing (see reqQueue). Every change to
+// either goes through here: Push, issue, ACT, PRE, REF, RFM, a mitigation
+// row opening, and Restore.
+//
+//impress:hotpath
+func (c *Controller) index(cc *channelCtl, q *reqQueue, b int) {
+	t := [numCands]dram.Tick{dram.TickMax, dram.TickMax, dram.TickMax}
+	bq := &q.banks[b]
+	if bank := &cc.banks[b]; !bank.mitigOpen {
+		d := cc.ch.Bank(b)
+		switch {
+		case !bank.openValid:
+			if bq.miss >= 0 {
+				t[candAct] = d.EarliestActivate()
+			}
+		default:
+			if bq.hit >= 0 {
+				t[candHit] = d.EarliestColumn()
+			}
+			if bq.miss >= 0 {
+				t[candPre] = d.EarliestPrecharge()
+			}
+		}
 	}
-	if bq.hit >= 0 {
-		hitAt = max(bank.EarliestColumn(), cc.busFreeAt[sub])
+	q.setTicks(b, &t)
+}
+
+// retime re-indexes bank b in both queues after its DRAM timing or its
+// mitigation state changed with its row state unchanged.
+func (c *Controller) retime(cc *channelCtl, b int) {
+	c.index(cc, &cc.readQ, b)
+	c.index(cc, &cc.writeQ, b)
+}
+
+// retimePending re-indexes every bank with queued requests (after a REF,
+// which moves every bank's recovery; an empty bank's entries are all
+// dram.TickMax whatever its timing).
+func (c *Controller) retimePending(cc *channelCtl) {
+	for _, q := range [...]*reqQueue{&cc.readQ, &cc.writeQ} {
+		for w, word := range q.pending {
+			for ; word != 0; word &= word - 1 {
+				c.index(cc, q, w<<6|bits.TrailingZeros64(word))
+			}
+		}
 	}
-	if bq.miss >= 0 {
-		workAt = bank.EarliestPrecharge()
-	}
-	return hitAt, workAt
 }
 
 // mitigationStep performs one command of mitigation work; returns true if
@@ -811,7 +826,6 @@ func (c *Controller) mitigationStep(cc *channelCtl, now dram.Tick) bool {
 		if bank.mitigOpen {
 			if cc.ch.CanPrecharge(now, b) {
 				c.closeRow(cc, b, now, true)
-				bank.mitigOpen = false
 				if len(bank.mitigQ) == 0 {
 					cc.mitigBanks = append(cc.mitigBanks[:i], cc.mitigBanks[i+1:]...)
 				}
@@ -836,9 +850,12 @@ func (c *Controller) mitigationStep(cc *channelCtl, now dram.Tick) bool {
 		}
 		if cc.ch.CanActivate(now, b) {
 			victim := bank.mitigQ[0]
-			bank.mitigQ = bank.mitigQ[1:]
-			c.activate(cc, b, victim, now, true)
+			// Shift down rather than re-slice, so appends reuse the array.
+			bank.mitigQ = bank.mitigQ[:copy(bank.mitigQ, bank.mitigQ[1:])]
+			// Marked before the ACT, whose re-index then parks the bank's
+			// demand candidates behind the mitigation row.
 			bank.mitigOpen = true
+			c.activate(cc, b, victim, now, true)
 			cc.stats.MitigativeACTs++
 			return true
 		}
@@ -863,6 +880,7 @@ func (c *Controller) rfmStep(cc *channelCtl, now dram.Tick) bool {
 		cc.ch.Tick(now)
 		if cc.ch.Bank(b).CanRefresh(now) {
 			cc.ch.RFM(now, b)
+			c.retime(cc, b)
 			bank.eactSinceRFM = 0
 			bank.rfmQueued = false
 			cc.rfmBanks = append(cc.rfmBanks[:i], cc.rfmBanks[i+1:]...)
@@ -878,77 +896,94 @@ func (c *Controller) rfmStep(cc *channelCtl, now dram.Tick) bool {
 	return false
 }
 
-// schedule attempts to issue one command for the given queue in a single
-// FR-FCFS pass over the banks with queued requests, in ascending order:
-// the oldest ready row hit wins; otherwise the oldest request whose bank
-// can take its ACT (idle bank) or conflict PRE. Readiness is per bank, so
-// each bank's cached oldest hit and oldest miss stand for all of its
-// requests. When nothing issues, the pass has computed every candidate's
-// ready tick, and their minimum joins cc.demandAt (see channelNextEvent).
+// schedule attempts to issue one command for the given queue: the oldest
+// ready row hit wins; otherwise the oldest request whose bank can take
+// its ACT (idle bank) or conflict PRE. Readiness is per bank, so each
+// bank's cached oldest hit and oldest miss stand for all of its requests,
+// and the index's sub-channel minima say which sub-channels hold a ready
+// candidate at all: a pass that cannot issue visits no bank, and one that
+// can visits only the pending banks of the ready sub-channels.
+//
+//impress:hotpath
 func (c *Controller) schedule(cc *channelCtl, now dram.Tick, q *reqQueue, isWrite bool) bool {
 	if q.n == 0 {
 		return false
 	}
 	floor := [2]dram.Tick{cc.ch.ActivateFloor(0), cc.ch.ActivateFloor(1)}
-	h := dram.TickMax
-	hitBank, workBank, oldBank := -1, -1, -1
-	hitSeq, workSeq, oldSeq := uint64(noSeq), uint64(noSeq), uint64(noSeq)
-	for w, word := range q.pending {
-		for ; word != 0; word &= word - 1 {
-			b := w<<6 | bits.TrailingZeros64(word)
-			bq := &q.banks[b]
-			if s := min(bq.hitSeq, bq.missSeq); s < oldSeq {
-				oldBank, oldSeq = b, s
-			}
-			if cc.banks[b].mitigOpen {
-				continue
-			}
-			hitAt, workAt := c.candidateTicks(cc, bq, b, &floor)
-			h = min(h, hitAt, workAt)
-			if hitAt <= now && bq.hitSeq < hitSeq {
-				hitBank, hitSeq = b, bq.hitSeq
-			}
-			if workAt <= now && bq.missSeq < workSeq {
-				workBank, workSeq = b, bq.missSeq
-			}
-		}
+	var ready [2]bool
+	for s := range ready {
+		hitAt, workAt := q.subReadyAt(s, cc.busFreeAt[s], floor[s])
+		ready[s] = min(hitAt, workAt) <= now
 	}
-	// Anti-starvation age cap: once the oldest request has waited past the
-	// threshold, service is restricted to it so a stream of younger
-	// row hits cannot defer it indefinitely (standard FR-FCFS guard).
-	if bq := &q.banks[oldBank]; now-bq.reqs[0].arrive > starvationTicks {
-		hitBank, workBank = -1, -1
-		if !cc.banks[oldBank].mitigOpen {
-			hitAt, workAt := c.candidateTicks(cc, bq, oldBank, &floor)
-			if bq.hit == 0 && hitAt <= now {
-				hitBank = oldBank
-			} else if bq.miss == 0 && workAt <= now {
-				workBank = oldBank
+	hitBank, workBank := -1, -1
+	if ready[0] || ready[1] {
+		// Anti-starvation age cap: once the oldest request has waited past
+		// the threshold, service is restricted to it so a stream of
+		// younger row hits cannot defer it indefinitely (standard FR-FCFS
+		// guard).
+		if old, bq := q.oldBank, &q.banks[q.oldBank]; now-q.nodes[bq.head].arrive > starvationTicks {
+			s := q.subOf(old)
+			hitAt, workAt := q.readyAt(old, cc.busFreeAt[s], floor[s])
+			if bq.hit == bq.head && hitAt <= now {
+				hitBank = old
+			} else if bq.miss == bq.head && workAt <= now {
+				workBank = old
 			}
+		} else {
+			hitBank, workBank = c.pick(cc, now, q, &ready, &floor)
 		}
 	}
 	switch {
 	case hitBank >= 0:
 		c.issueColumn(cc, q, hitBank, now, isWrite)
 	case workBank < 0:
-		cc.demandAt = min(cc.demandAt, h)
 		return false
 	case cc.banks[workBank].openValid:
 		cc.stats.RowConflicts++
 		c.closeRow(cc, workBank, now, false)
 	default:
 		bq := &q.banks[workBank]
-		c.activate(cc, workBank, bq.reqs[bq.miss].row, now, false)
+		c.activate(cc, workBank, q.nodes[bq.miss].row, now, false)
 		cc.stats.DemandACTs++
 		cc.stats.RowMisses++
 	}
 	return true
 }
 
+// pick is the FR-FCFS choice over the pending banks of the ready
+// sub-channels: the bank of the oldest ready hit and the bank of the
+// oldest ready miss, -1 when there is none.
+//
+//impress:hotpath
+func (c *Controller) pick(cc *channelCtl, now dram.Tick, q *reqQueue, ready *[2]bool, floor *[2]dram.Tick) (hitBank, workBank int) {
+	hitBank, workBank = -1, -1
+	hitSeq, workSeq := uint64(noSeq), uint64(noSeq)
+	for s, ok := range ready {
+		if !ok {
+			continue
+		}
+		lo, hi := q.subRange(s)
+		for w := lo >> 6; w<<6 < hi; w++ {
+			for word := q.pending.within(w, lo, hi); word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				bq := &q.banks[b]
+				hitAt, workAt := q.readyAt(b, cc.busFreeAt[s], floor[s])
+				if hitAt <= now && bq.hitSeq < hitSeq {
+					hitBank, hitSeq = b, bq.hitSeq
+				}
+				if workAt <= now && bq.missSeq < workSeq {
+					workBank, workSeq = b, bq.missSeq
+				}
+			}
+		}
+	}
+	return hitBank, workBank
+}
+
 // issueColumn serves bank b's oldest row hit.
 func (c *Controller) issueColumn(cc *channelCtl, q *reqQueue, b int, now dram.Tick, isWrite bool) {
 	bq := &q.banks[b]
-	req := bq.reqs[bq.hit]
+	req := q.nodes[bq.hit]
 	done := cc.ch.Column(now, b, req.row, isWrite)
 	cc.busFreeAt[cc.ch.SubChannel(b)] = now + c.cfg.Timings.TBurst
 	bank := &cc.banks[b]
@@ -957,6 +992,7 @@ func (c *Controller) issueColumn(cc *channelCtl, q *reqQueue, b int, now dram.Ti
 	c.issues++
 	cc.stats.RowHits++
 	q.remove(b, bq.hit, bank.openValid, bank.openRow)
+	c.index(cc, q, b)
 	if isWrite {
 		cc.stats.Writes++
 		return
@@ -996,6 +1032,9 @@ func (c *Controller) activate(cc *channelCtl, b int, row int64, now dram.Tick, m
 	if !mitigative {
 		c.feed(cc, b, bank.policy.OnActivate(now, row), true)
 	}
+	if c.isImpressN {
+		cc.windowAt = min(cc.windowAt, bank.policy.NextEvent())
+	}
 	// Mitigative activations do not participate in tracking: they are
 	// controller-generated refreshes, not attacker-controllable traffic.
 }
@@ -1014,10 +1053,11 @@ func (c *Controller) closeRow(cc *channelCtl, b int, now dram.Tick, mitigative b
 	}
 }
 
-// refreshCandidates recomputes bank b's FR-FCFS candidates in both
-// queues after its row state changed.
+// refreshCandidates recomputes bank b's FR-FCFS candidates and their
+// index entries in both queues after its row state changed.
 func (c *Controller) refreshCandidates(cc *channelCtl, b int) {
 	bank := &cc.banks[b]
-	cc.readQ.banks[b].refresh(bank.openValid, bank.openRow)
-	cc.writeQ.banks[b].refresh(bank.openValid, bank.openRow)
+	cc.readQ.refresh(b, bank.openValid, bank.openRow)
+	cc.writeQ.refresh(b, bank.openValid, bank.openRow)
+	c.retime(cc, b)
 }

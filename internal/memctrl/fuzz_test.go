@@ -220,28 +220,144 @@ func (rc *refChannel) horizon(c *Controller, cc *channelCtl, now dram.Tick) dram
 	return h
 }
 
+// scheduleSeeds are the checked-in seeds of FuzzScheduleMatchesScan: one
+// per design/tracker mode, plus runs that reach each place the scheduling
+// index is refreshed with requests queued (TestScheduleSeedsCoverIndexRefreshes).
+var scheduleSeeds = []struct {
+	seed  uint64
+	mode  uint8
+	steps uint16
+}{
+	{1, 0, 8000}, {7920, 1, 8000}, {15839, 2, 8000}, {23758, 3, 8000},
+	{31677, 4, 8000}, {39596, 5, 8000}, {47515, 6, 8000}, {55434, 7, 8000},
+	{100, 0, 2999}, // a REF drain with requests queued
+	{101, 6, 2999}, // an RFM on a bank with queued misses
+	{100, 2, 2999}, // a mitigation row opened over queued hits to it
+	{102, 0, 2999}, // DropQueued, and Snapshot/Restore, mid-queue
+}
+
 // FuzzScheduleMatchesScan drives the bank-indexed scheduler and the
 // reference arrival-order scan side by side: seeded random Push, Tick,
 // DropQueued and mid-stream Snapshot/Restore, with and without a tracker,
 // under ImPress-N and ExPress. Every demand command the controller issues
 // (seen through a DRAM observer) must be the reference's pick, an idle
 // demand step must match an empty pick, the queues must hold the same
-// requests in the same order, and NextEvent must never be later than the
-// reference per-request horizon.
+// requests in the same order, NextEvent must never be later than the
+// reference per-request horizon, and after every operation the
+// incremental scheduling index must equal a from-scratch recomputation.
 func FuzzScheduleMatchesScan(f *testing.F) {
-	for mode := uint8(0); mode < 8; mode++ {
-		f.Add(uint64(mode)*7919+1, mode, uint16(8000))
+	for _, sd := range scheduleSeeds {
+		f.Add(sd.seed, sd.mode, sd.steps)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, mode uint8, steps uint16) {
 		checkScheduleMatchesScan(t, seed, mode, int(steps%12000)+1)
 	})
 }
 
+// indexRefreshes records which index refresh points a differential run
+// reached with requests queued on the refreshed state.
+type indexRefreshes struct {
+	RefreshDrain   bool // a REF issued with requests queued on its channel
+	RFMPendingMiss bool // an RFM on a bank with queued requests (all misses: RFM needs a closed bank)
+	MitigOverHits  bool // a mitigation row open over queued hits to that row
+	Drop           bool // DropQueued with requests queued
+	RestoreQueued  bool // Snapshot and Restore with requests queued
+}
+
+// TestScheduleSeedsCoverIndexRefreshes pins that the checked-in fuzz
+// seeds exercise every index refresh point with requests queued, so the
+// plain test run checks each against the from-scratch recomputation.
+func TestScheduleSeedsCoverIndexRefreshes(t *testing.T) {
+	var got indexRefreshes
+	for _, sd := range scheduleSeeds {
+		r := checkScheduleMatchesScan(t, sd.seed, sd.mode, int(sd.steps%12000)+1)
+		got.RefreshDrain = got.RefreshDrain || r.RefreshDrain
+		got.RFMPendingMiss = got.RFMPendingMiss || r.RFMPendingMiss
+		got.MitigOverHits = got.MitigOverHits || r.MitigOverHits
+		got.Drop = got.Drop || r.Drop
+		got.RestoreQueued = got.RestoreQueued || r.RestoreQueued
+	}
+	if want := (indexRefreshes{true, true, true, true, true}); got != want {
+		t.Fatalf("seeds reach %+v, want every refresh point", got)
+	}
+}
+
+// checkIndex recomputes every queue's scheduling index from scratch — the
+// queued requests against the banks' row, mitigation and DRAM timing
+// state — and fails t where the incremental index differs: a bank's
+// candidate ticks, a sub-channel minimum, the oldest request, or
+// queueHorizon against the horizon of the per-bank candidates.
+func checkIndex(t *testing.T, c *Controller, now dram.Tick) {
+	t.Helper()
+	for ch, cc := range c.channels {
+		floor := [2]dram.Tick{cc.ch.ActivateFloor(0), cc.ch.ActivateFloor(1)}
+		for qi, q := range []*reqQueue{&cc.readQ, &cc.writeQ} {
+			var subMin [2][numCands]dram.Tick
+			for s := range subMin {
+				for k := range subMin[s] {
+					subMin[s][k] = dram.TickMax
+				}
+			}
+			oldSeq, oldBank := uint64(noSeq), -1
+			horizon := dram.TickMax
+			for b := range q.banks {
+				bank, d, sub := &cc.banks[b], cc.ch.Bank(b), cc.ch.SubChannel(b)
+				want := [numCands]dram.Tick{dram.TickMax, dram.TickMax, dram.TickMax}
+				for _, r := range q.bankReqs(b) {
+					if r.seq < oldSeq {
+						oldSeq, oldBank = r.seq, b
+					}
+					switch {
+					case bank.mitigOpen:
+					case !bank.openValid:
+						want[candAct] = d.EarliestActivate()
+					case r.row == bank.openRow:
+						want[candHit] = d.EarliestColumn()
+					default:
+						want[candPre] = d.EarliestPrecharge()
+					}
+				}
+				for k := range want {
+					if got := q.at[k][b]; got != want[k] {
+						t.Fatalf("tick %d channel %d queue %d bank %d: candidate %d indexed at %d, recomputed %d",
+							now, ch, qi, b, k, got, want[k])
+					}
+					subMin[sub][k] = min(subMin[sub][k], want[k])
+				}
+				horizon = min(horizon, max(want[candHit], cc.busFreeAt[sub]), want[candPre],
+					max(want[candAct], floor[sub]))
+			}
+			if q.subMin != subMin {
+				t.Fatalf("tick %d channel %d queue %d: sub-channel minima %v, recomputed %v", now, ch, qi, q.subMin, subMin)
+			}
+			if q.oldSeq != oldSeq || oldBank >= 0 && q.oldBank != oldBank {
+				t.Fatalf("tick %d channel %d queue %d: oldest request %d on bank %d, recomputed %d on bank %d",
+					now, ch, qi, q.oldSeq, q.oldBank, oldSeq, oldBank)
+			}
+			if got := c.queueHorizon(cc, q); got != horizon {
+				t.Fatalf("tick %d channel %d queue %d: queueHorizon %d, per-bank candidates give %d", now, ch, qi, got, horizon)
+			}
+		}
+	}
+}
+
+// queued reports whether any of c's demand queues holds a request.
+func (c *Controller) queued() bool {
+	for _, cc := range c.channels {
+		if cc.readQ.n > 0 || cc.writeQ.n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // checkScheduleMatchesScan is one differential run. mode bit 0 selects
 // ExPress (else ImPress-N), bit 1 attaches a tracker to every bank, and
 // bit 2 makes that tracker in-DRAM MINT with RFM (else Graphene, whose
-// mitigations the controller issues).
-func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) {
+// mitigations the controller issues). It returns the index refresh points
+// the run reached with requests queued.
+func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) indexRefreshes {
+	var reached indexRefreshes
 	rng := stats.NewRand(seed)
 	design := core.NewDesign(core.ImpressN)
 	if mode&1 != 0 {
@@ -334,6 +450,7 @@ func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) 
 	}
 
 	for step := 0; step < steps; step++ {
+		checkIndex(t, c, now)
 		if rng.Uint64n(1000) == 0 {
 			pushShare = shares[rng.Intn(len(shares))]
 		}
@@ -359,6 +476,23 @@ func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) 
 			active := c.Tick(now)
 			for ch, cc := range c.channels {
 				e := &exp[ch]
+				for _, o := range events {
+					if o.ch != ch {
+						continue
+					}
+					switch {
+					case o.ev.Cmd == dram.CmdREF && (cc.readQ.n > 0 || cc.writeQ.n > 0):
+						reached.RefreshDrain = true
+					case o.ev.Cmd == dram.CmdRFM && cc.readQ.banks[o.ev.Bank].len+cc.writeQ.banks[o.ev.Bank].len > 0:
+						reached.RFMPendingMiss = true
+					case o.ev.Cmd == dram.CmdACT && o.ev.Mitigative:
+						for _, q := range []*reqQueue{&cc.readQ, &cc.writeQ} {
+							if q.banks[o.ev.Bank].hit >= 0 {
+								reached.MitigOverHits = true
+							}
+						}
+					}
+				}
 				// The ImPress-N window feed at the start of Tick can queue
 				// mitigation or RFM work that evicts a demand row before
 				// the demand step runs; such banks stay listed after Tick.
@@ -449,8 +583,7 @@ func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) 
 				continue
 			}
 			// The event clock asks for the horizon right after an idle
-			// Tick (the pass's recorded one) and may skip to it. A Push
-			// in between must void the recorded horizon.
+			// Tick and may skip to it; a Push in between must be in it.
 			if rng.Bernoulli(0.1) {
 				pushBurst()
 			}
@@ -462,11 +595,13 @@ func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) 
 			now = next
 			checkHorizon(now) // a recomputed horizon
 		case op < 997:
+			reached.Drop = reached.Drop || c.queued()
 			c.DropQueued()
 			for ch := range ref {
 				ref[ch] = refChannel{}
 			}
 		default: // checkpoint and continue on a fresh controller
+			reached.RestoreQueued = reached.RestoreQueued || c.queued()
 			snap, err := c.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -477,4 +612,6 @@ func checkScheduleMatchesScan(t *testing.T, seed uint64, mode uint8, steps int) 
 			}
 		}
 	}
+	checkIndex(t, c, now)
+	return reached
 }

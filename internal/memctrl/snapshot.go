@@ -207,7 +207,9 @@ func (c *Controller) Restore(s ControllerSnapshot) error {
 		if err := c.restoreQueue(cc, &cc.writeQ, cs.WriteQ); err != nil {
 			return err
 		}
-		cc.idleAt = -1
+		for b := range cc.banks {
+			c.retime(cc, b)
+		}
 		cc.busFreeAt = cs.BusFreeAt
 		cc.refreshing = cs.Refreshing
 		cc.writeDrain = cs.WriteDrain
@@ -218,6 +220,7 @@ func (c *Controller) Restore(s ControllerSnapshot) error {
 		cc.mitigBanks = append(cc.mitigBanks[:0], cs.MitigBanks...)
 		cc.rfmBanks = append(cc.rfmBanks[:0], cs.RFMBanks...)
 		cc.openBanks = cs.OpenBanks
+		cc.windowAt = 0 // the next window step recomputes it
 		cc.idleDeadline = cs.IdleDeadline
 		cc.stats = cs.Stats
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"impress/internal/cache"
 	"impress/internal/cpu"
@@ -234,7 +233,7 @@ func (s *simulator) captureCheckpoint() (*Checkpoint, error) {
 		Tick:       s.tick,
 		Rotate:     s.rotate,
 		Now:        s.now,
-		MemVersion: s.memVersion,
+		MemVersion: s.epoch,
 		MC:         mcSnap,
 	}
 	for _, c := range s.cores {
@@ -244,13 +243,8 @@ func (s *simulator) captureCheckpoint() (*Checkpoint, error) {
 	ck.LLCLines = packLines(llcSnap.Lines)
 	llcSnap.Lines = nil
 	ck.LLCState = llcSnap
-	lines := make([]uint64, 0, len(s.mshrs))
-	for line := range s.mshrs {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		m := s.mshrs[line]
+	for _, line := range s.mshrs.lines() {
+		m := s.mshrs.get(line)
 		ms := MSHRSnapshot{Line: m.line, Dirty: m.dirty, Uncached: m.uncached}
 		for _, op := range m.waiters {
 			ref, err := s.opRef(op)
@@ -261,15 +255,16 @@ func (s *simulator) captureCheckpoint() (*Checkpoint, error) {
 		}
 		ck.MSHRs = append(ck.MSHRs, ms)
 	}
-	for _, e := range s.hitQ {
+	for i := 0; i < s.hitQ.len(); i++ {
+		e := s.hitQ.at(i)
 		ref, err := s.opRef(e.op)
 		if err != nil {
 			return nil, err
 		}
 		ck.HitQ = append(ck.HitQ, HitSnapshot{Ready: e.ready, Op: ref})
 	}
-	for _, req := range s.pendingWB {
-		ck.PendingWB = append(ck.PendingWB, req.Addr)
+	for i := 0; i < s.pendingWB.len(); i++ {
+		ck.PendingWB = append(ck.PendingWB, s.pendingWB.at(i).Addr)
 	}
 	return ck, nil
 }
@@ -307,31 +302,33 @@ func (s *simulator) restoreCheckpoint(ck *Checkpoint) error {
 	if err := s.mc.Restore(ck.MC); err != nil {
 		return err
 	}
-	s.mshrs = make(map[uint64]*mshr, len(ck.MSHRs))
+	if len(ck.MSHRs) > len(s.mshrs.slab) {
+		return fmt.Errorf("sim: %w: checkpoint has %d MSHRs, more than the %d read-queue slots",
+			errs.ErrBadSpec, len(ck.MSHRs), len(s.mshrs.slab))
+	}
 	for _, ms := range ck.MSHRs {
-		if _, dup := s.mshrs[ms.Line]; dup {
+		if s.mshrs.get(ms.Line) != nil {
 			return fmt.Errorf("sim: %w: duplicate MSHR line %d in checkpoint", errs.ErrBadSpec, ms.Line)
 		}
-		m := &mshr{line: ms.Line, dirty: ms.Dirty, uncached: ms.Uncached}
+		m := s.mshrs.alloc(ms.Line)
+		m.dirty, m.uncached = ms.Dirty, ms.Uncached
 		for _, ref := range ms.Waiters {
 			m.waiters = append(m.waiters, s.cores[ref.Core].ROBOp(ref.Index))
 		}
-		s.mshrs[ms.Line] = m
 	}
-	s.hitQ = nil
 	for _, h := range ck.HitQ {
-		s.hitQ = append(s.hitQ, hitEntry{ready: h.Ready, op: s.cores[h.Op.Core].ROBOp(h.Op.Index)})
+		s.hitQ.push(hitEntry{ready: h.Ready, op: s.cores[h.Op.Core].ROBOp(h.Op.Index)})
 	}
-	s.pendingWB = nil
 	for _, addr := range ck.PendingWB {
-		s.pendingWB = append(s.pendingWB, memctrl.Request{
+		s.pendingWB.push(memctrl.Request{
 			Addr: addr, Write: true, Loc: s.mc.Map(addr),
 		})
 	}
 	s.tick = ck.Tick
 	s.rotate = ck.Rotate
 	s.now = ck.Now
-	s.memVersion = ck.MemVersion
+	s.cycle = s.cores[0].Cycles()
+	s.epoch = ck.MemVersion
 	s.mcBusy = true
 	return nil
 }
@@ -356,6 +353,7 @@ func (s *simulator) warmup() error {
 	if err := s.runUntilRetired(s.cfg.WarmupInstructions); err != nil {
 		return err
 	}
+	s.wakeAll() // the run resets the cores' stats, and a checkpoint holds their clocks
 	if s.cfg.OnCheckpoint != nil {
 		if ck, err := s.captureCheckpoint(); err == nil {
 			if data, err := ck.Encode(); err == nil {

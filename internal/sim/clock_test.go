@@ -99,15 +99,16 @@ func auditSkips(t *testing.T, cfg Config) {
 		// Step through the window the skip would have jumped over and
 		// verify nothing the skip ignores actually happens in it.
 		before := s.mc.Stats()
-		type coreState struct{ fetched, retired, cycles int64 }
-		want := make([]coreState, len(s.cores))
+		want := make([]lockstepCore, len(s.cores))
 		hints := make([]int64, 2*len(s.cores)) // fetch/retire rates
 		for i, c := range s.cores {
-			want[i] = coreState{c.Fetched(), c.Retired(), c.Cycles()}
-			h := c.CurrentHint()
-			hints[2*i], hints[2*i+1] = h.FetchPerStep, h.RetirePerStep
+			want[i] = coreView(s, i)
+			if !s.parked[i] { // a parked core is stalled: zero rates
+				h := c.CurrentHint()
+				hints[2*i], hints[2*i+1] = h.FetchPerStep, h.RetirePerStep
+			}
 		}
-		wbLen := len(s.pendingWB)
+		wbLen := s.pendingWB.len()
 		for i := int64(0); i < k; i++ {
 			s.step()
 			if cur := s.mc.Stats(); cur != before {
@@ -115,19 +116,19 @@ func auditSkips(t *testing.T, cfg Config) {
 					name, base, k, i, before, cur)
 			}
 		}
-		for i, c := range s.cores {
-			ef := want[i].fetched + 3*k*hints[2*i]
-			er := want[i].retired + 3*k*hints[2*i+1]
-			ec := want[i].cycles + 3*k
-			if c.Fetched() != ef || c.Retired() != er || c.Cycles() != ec {
+		for i := range s.cores {
+			ef := want[i].Fetched + 3*k*hints[2*i]
+			er := want[i].Retired + 3*k*hints[2*i+1]
+			ec := want[i].Cycles + 3*k
+			if got := coreView(s, i); got.Fetched != ef || got.Retired != er || got.Cycles != ec {
 				t.Fatalf("%s: base=%d k=%d: core %d deviated from hint (f/r per step %d/%d): fetched %d want %d, retired %d want %d, cycles %d want %d",
 					name, base, k, i, hints[2*i], hints[2*i+1],
-					c.Fetched(), ef, c.Retired(), er, c.Cycles(), ec)
+					got.Fetched, ef, got.Retired, er, got.Cycles, ec)
 			}
 		}
-		if len(s.pendingWB) != wbLen {
+		if s.pendingWB.len() != wbLen {
 			t.Fatalf("%s: base=%d k=%d: writebacks drained inside a skip window (%d -> %d)",
-				name, base, k, wbLen, len(s.pendingWB))
+				name, base, k, wbLen, s.pendingWB.len())
 		}
 	}, nil)
 }

@@ -16,12 +16,15 @@ import (
 // finishes. target is the retirement threshold run passes to advance.
 // atBudget, when non-nil, runs just after the boundary. Either phase
 // fails tb once it outlasts run's deadlock bound.
+//
+// Like warmup, the boundary wakes every parked core first; everywhere
+// else parks last, and checks read parked cores through coreView.
 func runLoop(tb testing.TB, s *simulator, advance func(target int64), atBudget func()) {
 	tb.Helper()
 	cfg := s.cfg
 	phase := func(name string, target, bound int64, done func(*cpu.Core) bool) {
 		tb.Helper()
-		start := s.cores[0].Cycles()
+		start := s.cycle
 		for {
 			finished := true
 			for _, c := range s.cores {
@@ -33,7 +36,7 @@ func runLoop(tb testing.TB, s *simulator, advance func(target int64), atBudget f
 			if finished {
 				return
 			}
-			if s.cores[0].Cycles()-start > bound {
+			if s.cycle-start > bound {
 				tb.Fatalf("%s: %s exceeded %d cycles (deadlock?)", cfg.Workload.Name, name, bound)
 			}
 			advance(target)
@@ -42,6 +45,7 @@ func runLoop(tb testing.TB, s *simulator, advance func(target int64), atBudget f
 	if w := cfg.WarmupInstructions; len(cfg.RestoreCheckpoint) == 0 && w > 0 {
 		phase("warmup", w, 100*w, func(c *cpu.Core) bool { return c.Retired() >= w })
 	}
+	s.wakeAll()
 	for _, c := range s.cores {
 		c.ResetStats()
 		c.SetBudget(cfg.RunInstructions)
@@ -100,7 +104,7 @@ type lockstepSystem struct {
 }
 
 func lockstepSystemOf(s *simulator) lockstepSystem {
-	return lockstepSystem{s.tick, len(s.hitQ), len(s.pendingWB), s.llc.Hits(), s.llc.Misses(), s.mc.Stats()}
+	return lockstepSystem{s.tick, s.hitQ.len(), s.pendingWB.len(), s.llc.Hits(), s.llc.Misses(), s.mc.Stats()}
 }
 
 // lockstepCore is what the cross-check compares per core.
@@ -109,8 +113,18 @@ type lockstepCore struct {
 	Outstanding                           int
 }
 
-func lockstepCoreOf(c *cpu.Core) lockstepCore {
-	return lockstepCore{c.Cycles(), c.Fetched(), c.Retired(), c.FinishCycle(), c.Outstanding()}
+// coreView is the read-only catch-up view of core i: its state as if it
+// had been stepped every cycle. A parked core's clock stops at its park
+// and every other field is frozen by the stalled regime, so the view
+// reads the simulator's cycle in place of the core's without waking it —
+// parks then last across comparisons, as they do in a real run.
+func coreView(s *simulator, i int) lockstepCore {
+	c := s.cores[i]
+	cycles := c.Cycles()
+	if s.parked[i] {
+		cycles = s.cycle
+	}
+	return lockstepCore{cycles, c.Fetched(), c.Retired(), c.FinishCycle(), c.Outstanding()}
 }
 
 // diverged describes the first difference between the pair after both
@@ -123,8 +137,8 @@ func (p *lockstepPair) diverged(skipped int64) error {
 	if ev, ca := lockstepSystemOf(p.ev), lockstepSystemOf(p.ca); ev != ca {
 		return fail("system", ev, ca)
 	}
-	for i, c := range p.ev.cores {
-		if ev, ca := lockstepCoreOf(c), lockstepCoreOf(p.ca.cores[i]); ev != ca {
+	for i := range p.ev.cores {
+		if ev, ca := coreView(p.ev, i), coreView(p.ca, i); ev != ca {
 			return fail(fmt.Sprintf("core %d", i), ev, ca)
 		}
 	}
@@ -168,11 +182,12 @@ func runLockstep(tb testing.TB, cfg Config) Result {
 			c.ResetStats()
 			c.SetBudget(cfg.RunInstructions)
 		}
-		memBase, startCycle = p.ev.mc.Stats(), p.ev.cores[0].Cycles()
+		memBase, startCycle = p.ev.mc.Stats(), p.ev.cycle
 	})
+	p.ev.wakeAll() // as run does
 	res := Result{
 		Workload:   cfg.Workload.Name,
-		Cycles:     p.ev.cores[0].Cycles() - startCycle,
+		Cycles:     p.ev.cycle - startCycle,
 		Mem:        p.ev.mc.Stats().Sub(memBase),
 		LLCHitRate: p.ev.llc.HitRate(),
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"impress/internal/memctrl"
 	"impress/internal/trace"
@@ -258,7 +257,7 @@ func (s *simulator) runBudget(budget int64) error {
 		c.SetBudget(budget)
 	}
 	guard := 100*budget + 100_000
-	start := s.cores[0].Cycles()
+	start := s.cycle
 	for {
 		if s.cancelled() {
 			return s.cancelErr()
@@ -271,9 +270,10 @@ func (s *simulator) runBudget(budget int64) error {
 			}
 		}
 		if done {
+			s.wakeAll() // the caller reads the cores' clocks and resets their stats
 			return nil
 		}
-		if s.cores[0].Cycles()-start > guard {
+		if s.cycle-start > guard {
 			panic(fmt.Sprintf("sim: %s exceeded sampled window cycle bound (deadlock?)", s.cfg.Workload.Name))
 		}
 		s.advance(0)
@@ -288,22 +288,19 @@ func (s *simulator) runBudget(budget int64) error {
 // timing, row-buffer, defense and tracker state are left as-is; the next
 // detailed window's warm-up quarter absorbs the discontinuity.
 func (s *simulator) quiesce() {
-	lines := make([]uint64, 0, len(s.mshrs))
-	for line := range s.mshrs {
-		lines = append(lines, line)
+	s.wakeAll() // FunctionalAdvance moves every core's stream on
+	for _, line := range s.mshrs.lines() {
+		s.fill(s.mshrs.get(line))
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		s.fill(s.mshrs[line])
+	for s.hitQ.len() > 0 {
+		op := s.hitQ.at(0).op
+		s.hitQ.pop()
+		s.complete(op)
 	}
-	for _, e := range s.hitQ {
-		e.op.Complete()
-	}
-	s.hitQ = s.hitQ[:0]
-	s.pendingWB = s.pendingWB[:0] // including evictions fill() just queued
+	s.pendingWB.reset() // including evictions fill() just queued
 	s.mc.DropQueued()
 	s.mcBusy = true
-	s.memVersion++
+	s.epoch++
 }
 
 // fastForward advances every core n instructions in zero simulated time,

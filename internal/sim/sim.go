@@ -314,24 +314,40 @@ type simulator struct {
 	cores []*cpu.Core
 
 	// mshrs merges outstanding line fetches.
-	mshrs map[uint64]*mshr
+	mshrs mshrTable
 
 	// hitQ is a FIFO of LLC-hit completions (fixed latency preserves
 	// order).
-	hitQ []hitEntry
+	hitQ ring[hitEntry]
 
 	// pendingWB holds writebacks awaiting write-queue space (pre-mapped,
 	// drained FIFO).
-	pendingWB []memctrl.Request
+	pendingWB ring[memctrl.Request]
 
 	now    dram.Tick
 	tick   int64
 	rotate int
 
-	// memVersion implements cpu.MemorySystem.Version: it moves whenever
-	// state that could flip a CanAccept verdict changes (queue pops,
-	// line fills, MSHR allocation).
-	memVersion uint64
+	// cycle counts CPU cycles: every awake core's Cycles() equals it.
+	cycle int64
+
+	// Parked cores. A core whose cached regime is the fully stalled one
+	// (cpu.Core.Stalled) is parked: cpuStep skips it instead of stepping
+	// it through clock-only cycles, and wake brings its clock up to cycle
+	// with Skip before anything can end the stall — before each Complete
+	// of one of its operations, and, for a core the memory system
+	// refused, when its refused line's channel pops a read (see Version).
+	// parkCh holds that channel for a refused parked core and -1
+	// otherwise; refused counts the cores with parkCh >= 0.
+	parked  []bool
+	parkCh  []int
+	refused int
+
+	// readPops counts each channel's read issues, and epoch moves when
+	// DropQueued or a checkpoint restore replaces the queues wholesale:
+	// together they implement cpu.MemorySystem.Version.
+	readPops []uint64
+	epoch    uint64
 
 	// mcBusy and mcHorizon cache the controller's event horizon: while
 	// the controller reports inactive Ticks, DRAM cycles before
@@ -347,16 +363,6 @@ type simulator struct {
 	ctxErr func() error
 }
 
-type mshr struct {
-	line  uint64
-	dirty bool
-	// uncached is set when the fetch was allocated by an LLC-bypassing
-	// operation: the returning line is not filled into the LLC, and a
-	// dirty one is written back to memory directly.
-	uncached bool
-	waiters  []*cpu.MemOp
-}
-
 type hitEntry struct {
 	ready dram.Tick
 	op    *cpu.MemOp
@@ -364,15 +370,21 @@ type hitEntry struct {
 
 func newSimulator(cfg Config) *simulator {
 	s := &simulator{
-		cfg:   cfg,
-		llc:   cache.New(cfg.LLC),
-		mshrs: make(map[uint64]*mshr),
+		cfg:    cfg,
+		llc:    cache.New(cfg.LLC),
+		parked: make([]bool, cfg.Cores),
+		parkCh: make([]int, cfg.Cores),
 	}
 	rng := stats.NewRand(cfg.Seed)
 	factory := trackerFactory(cfg, rng)
 	mcCfg := memctrl.DefaultConfig(cfg.Design, factory, cfg.RFMTH)
 	mcCfg.OnReadComplete = s.readComplete
 	s.mc = memctrl.New(mcCfg)
+	s.mshrs = newMSHRTable(mcCfg.Mapper.Channels * mcCfg.ReadQueueCap)
+	s.readPops = make([]uint64, mcCfg.Mapper.Channels)
+	for i := range s.parkCh {
+		s.parkCh[i] = -1
+	}
 	coreCfg := cfg.CPU
 	coreCfg.NoFastPath = cfg.Clock == ClockCycleAccurate
 	for i := 0; i < cfg.Cores; i++ {
@@ -404,22 +416,31 @@ func trackerFactory(cfg Config, rng *stats.Rand) memctrl.TrackerFactory {
 }
 
 // Version implements cpu.MemorySystem: cores cache CanAccept-blocked
-// stall verdicts and re-evaluate only when this moves.
-func (s *simulator) Version() uint64 { return s.memVersion }
+// stall verdicts and re-evaluate only when this moves. It is scoped to
+// addr's channel: read pops there, plus an epoch for wholesale queue
+// changes. That is exact. A refusal means the channel's read queue is
+// full, the line is not in the LLC and no MSHR holds it. An MSHR for the
+// line needs a push into that full queue, and an LLC fill of it needs
+// the MSHR, so only a read pop on the channel (or a DropQueued or
+// restore) can flip the verdict. Fills, MSHR allocations and write issues
+// elsewhere leave it alone.
+func (s *simulator) Version(addr uint64) uint64 {
+	return s.readPops[s.mc.Map(lineAddr(addr/trace.LineSize)).Channel] + s.epoch
+}
 
 // CanAccept implements cpu.MemorySystem. Uncached operations may not
 // rely on LLC residency (they bypass the cache), so they need an MSHR
-// merge or read-queue space.
+// merge or read-queue space. The verdict is an OR of the three tests;
+// read-queue space, the cheapest, goes first.
 func (s *simulator) CanAccept(addr uint64, write, uncached bool) bool {
 	line := addr / trace.LineSize
+	if s.mc.CanPush(s.mc.Map(lineAddr(line)), false) {
+		return true // misses fetch the line (write-allocate)
+	}
 	if !uncached && s.llc.Contains(addr) {
 		return true
 	}
-	if _, ok := s.mshrs[line]; ok {
-		return true // merge
-	}
-	loc := s.mc.Map(lineAddr(line))
-	return s.mc.CanPush(loc, false) // misses fetch the line (write-allocate)
+	return s.mshrs.get(line) != nil // merge
 }
 
 // Access implements cpu.MemorySystem. Cores reach it through the
@@ -432,14 +453,14 @@ func (s *simulator) Access(op *cpu.MemOp) {
 		if op.Write {
 			return // stores are posted; already Done
 		}
-		s.hitQ = append(s.hitQ, hitEntry{
+		s.hitQ.push(hitEntry{
 			ready: s.now + dram.Tick(s.cfg.LLCLatency*dram.TicksPerCPUCycle),
 			op:    op,
 		})
 		return
 	}
 	line := op.Addr / trace.LineSize
-	if m, ok := s.mshrs[line]; ok {
+	if m := s.mshrs.get(line); m != nil {
 		// Uncached operations may merge into an in-flight fetch of the
 		// same line (cacheable or not); the allocator decides whether the
 		// returning data fills the LLC.
@@ -449,12 +470,11 @@ func (s *simulator) Access(op *cpu.MemOp) {
 		}
 		return
 	}
-	m := &mshr{line: line, dirty: op.Write, uncached: op.Uncached}
+	m := s.mshrs.alloc(line)
+	m.dirty, m.uncached = op.Write, op.Uncached
 	if !op.Write {
 		m.waiters = append(m.waiters, op)
 	}
-	s.mshrs[line] = m
-	s.memVersion++ // a new MSHR can unblock merges
 	addr := lineAddr(line)
 	s.mc.Push(s.now, &memctrl.Request{Addr: addr, Loc: s.mc.Map(addr)})
 	s.mcBusy = true
@@ -462,104 +482,171 @@ func (s *simulator) Access(op *cpu.MemOp) {
 
 func lineAddr(line uint64) uint64 { return line * trace.LineSize }
 
-// readComplete is the controller's read-completion callback: it resolves
-// the finished request back to its MSHR by line address. A single
-// method value installed once at construction replaces a per-miss
-// closure, which would allocate on the hot path (DESIGN.md §10).
+// readComplete is the controller's read-completion callback, called as
+// the read issues (its queue pop): it wakes the cores parked on a refusal
+// by this channel, then resolves the finished request back to its MSHR
+// by line address. A single method value installed once at construction
+// replaces a per-miss closure, which would allocate on the hot path
+// (DESIGN.md §10).
 //
 //impress:hotpath
 func (s *simulator) readComplete(req *memctrl.Request, _ dram.Tick) {
-	if m, ok := s.mshrs[req.Addr/trace.LineSize]; ok {
+	ch := req.Loc.Channel
+	s.readPops[ch]++
+	if s.refused > 0 {
+		for i, pc := range s.parkCh {
+			if pc == ch {
+				s.wake(i)
+			}
+		}
+	}
+	if m := s.mshrs.get(req.Addr / trace.LineSize); m != nil {
 		s.fill(m)
 	}
 }
 
 func (s *simulator) fill(m *mshr) {
-	delete(s.mshrs, m.line)
 	if m.uncached {
 		// LLC bypass: no fill, no eviction. A dirty uncached line is
 		// written straight back to memory (write-through after fetch).
 		if m.dirty {
-			s.pendingWB = append(s.pendingWB, memctrl.Request{
+			s.pendingWB.push(memctrl.Request{
 				Addr: lineAddr(m.line), Write: true, Loc: s.mc.Map(lineAddr(m.line)),
 			})
 		}
 	} else {
 		victim, evicted := s.llc.Fill(lineAddr(m.line), m.dirty)
 		if evicted && victim.Dirty {
-			s.pendingWB = append(s.pendingWB, memctrl.Request{
+			s.pendingWB.push(memctrl.Request{
 				Addr: victim.Addr, Write: true, Loc: s.mc.Map(victim.Addr),
 			})
 		}
 	}
-	s.memVersion++ // the fill (and freed MSHR) can unblock cores
 	for _, op := range m.waiters {
-		op.Complete()
+		s.complete(op)
+	}
+	s.mshrs.release(m)
+}
+
+// complete finishes op, first waking its core if it is parked: the
+// completion can end the stall, and the core's clock must be current
+// when it does.
+//
+//impress:hotpath
+func (s *simulator) complete(op *cpu.MemOp) {
+	s.wake(op.Core().ID())
+	op.Complete()
+}
+
+// park stops stepping core i, which just reported the fully stalled
+// regime; refused and addr are cpu.Core.Stalled's.
+//
+//impress:hotpath
+func (s *simulator) park(i int, refused bool, addr uint64) {
+	s.parked[i] = true
+	if refused {
+		s.parkCh[i] = s.mc.Map(lineAddr(addr / trace.LineSize)).Channel
+		s.refused++
+	}
+}
+
+// wake resumes stepping core i if it is parked, skipping its clock over
+// the cycles it sat out; in the stalled regime each of them only
+// advanced the clock.
+//
+//impress:hotpath
+func (s *simulator) wake(i int) {
+	if !s.parked[i] {
+		return
+	}
+	c := s.cores[i]
+	c.Skip(s.cycle - c.Cycles())
+	s.parked[i] = false
+	if s.parkCh[i] >= 0 {
+		s.parkCh[i] = -1
+		s.refused--
+	}
+}
+
+// wakeAll wakes every parked core: at phase boundaries (the end of
+// warmup, of the measured run and of each sampled window, and before a
+// sampled fast-forward), where the cores' clocks are read or their
+// budgets reset.
+func (s *simulator) wakeAll() {
+	for i := range s.cores {
+		s.wake(i)
 	}
 }
 
 func (s *simulator) drainWritebacks() {
-	n := 0
-	for n < len(s.pendingWB) {
-		req := &s.pendingWB[n]
+	for s.pendingWB.len() > 0 {
+		req := s.pendingWB.at(0)
 		if !s.mc.CanPush(req.Loc, true) {
 			break // FIFO: head-of-line blocking keeps order and work bounded
 		}
 		s.mc.Push(s.now, req)
+		s.pendingWB.pop()
 		s.mcBusy = true
-		n++
-	}
-	if n > 0 {
-		s.pendingWB = s.pendingWB[n:]
 	}
 }
 
+// cpuStep runs one CPU cycle: LLC-hit completions that are ready, then
+// one Step of every awake core, parking each that reports the fully
+// stalled regime. No core's Step can wake another (a Step issues
+// accesses, but completes nothing and pops no read), so skipping a
+// parked core leaves the rest of the cycle as it was.
+//
+//impress:hotpath
 func (s *simulator) cpuStep(t dram.Tick) {
 	s.now = t
 	// Complete LLC hits that are ready (FIFO order by construction).
-	n := 0
-	for n < len(s.hitQ) && s.hitQ[n].ready <= t {
-		s.hitQ[n].op.Complete()
-		n++
-	}
-	if n > 0 {
-		s.hitQ = s.hitQ[n:]
+	for s.hitQ.len() > 0 && s.hitQ.at(0).ready <= t {
+		op := s.hitQ.at(0).op
+		s.hitQ.pop()
+		s.complete(op)
 	}
 	// Rotate the stepping order so no core gets systematic first claim on
 	// queue space (rate-mode fairness).
-	start := s.rotate
+	n := len(s.cores)
+	j := s.rotate % n
 	s.rotate++
-	for i := range s.cores {
-		s.cores[(start+i)%len(s.cores)].Step()
+	for range n {
+		if !s.parked[j] {
+			c := s.cores[j]
+			c.Step()
+			if stalled, refused, addr := c.Stalled(); stalled {
+				s.park(j, refused, addr)
+			}
+		}
+		if j++; j == n {
+			j = 0
+		}
 	}
+	s.cycle++
 }
 
 func (s *simulator) dramStep(t dram.Tick) {
 	s.now = t
-	if len(s.pendingWB) > 0 {
+	if s.pendingWB.len() > 0 {
 		s.drainWritebacks()
 	}
 	if !s.eventClock() {
-		// Reference mode: tick unconditionally and skip the horizon and
-		// version bookkeeping — nothing reads either (cores run with
-		// NoFastPath), and computing them would bill the cycle-accurate
-		// baseline for event-clock machinery it does not use.
+		// Reference mode: tick unconditionally and skip the horizon
+		// bookkeeping — nothing reads it (cores run with NoFastPath), and
+		// computing it would bill the cycle-accurate baseline for
+		// event-clock machinery it does not use.
 		s.mc.Tick(t)
 		return
 	}
 	if !s.mcBusy && t < s.mcHorizon {
 		return // provably a no-op DRAM cycle (Controller.NextEvent)
 	}
-	issuesBefore := s.mc.Issues()
 	if s.mc.Tick(t) {
 		s.mcBusy = true
 	} else {
 		s.mcBusy = false
 		// Events strictly after t (this cycle just proved a no-op).
 		s.mcHorizon = s.mc.NextEvent(t + 1)
-	}
-	if s.mc.Issues() != issuesBefore {
-		s.memVersion++ // queue pops can unblock backpressured cores
 	}
 }
 
@@ -611,12 +698,15 @@ func (s *simulator) skippableMacroCycles(retireTarget int64) int64 {
 		return 0
 	}
 	base := dram.Tick(s.tick)
-	if len(s.pendingWB) > 0 && s.mc.CanPush(s.pendingWB[0].Loc, true) {
+	if s.pendingWB.len() > 0 && s.mc.CanPush(s.pendingWB.at(0).Loc, true) {
 		return 0 // the next DRAM step drains a writeback
 	}
 	maxSteps := int64(math.MaxInt64) // bound in CPU steps
 	width := int64(s.cfg.CPU.Width)
-	for _, c := range s.cores {
+	for i, c := range s.cores {
+		if s.parked[i] {
+			continue // stalled: no bound, and its hint is intact
+		}
 		h := c.CurrentHint()
 		if !h.Viable {
 			return 0
@@ -649,8 +739,8 @@ func (s *simulator) skippableMacroCycles(retireTarget int64) int64 {
 	// change (see cpu.WakesOnCompletion): CPU steps run at base, base+2,
 	// base+4 (mod 6), and no skipped step may reach that entry's ready
 	// tick.
-	for i := range s.hitQ {
-		e := &s.hitQ[i]
+	for i := 0; i < s.hitQ.len(); i++ {
+		e := s.hitQ.at(i)
 		if e.ready > base+dram.Tick(6*k-2) {
 			break // beyond the window (FIFO: later entries are too)
 		}
@@ -667,17 +757,20 @@ func (s *simulator) skippableMacroCycles(retireTarget int64) int64 {
 	return k
 }
 
-// applySkip fast-forwards k whole macro cycles: cores advance 3k CPU
-// cycles under their cached hints, and the stepping-order rotation
-// advances as if cpuStep had run 3k times. Nothing else holds
-// time-dependent state — the memory controller, DRAM banks, LLC, hit
-// queue and writeback queue are all untouched because the horizon proved
-// they would be.
+// applySkip fast-forwards k whole macro cycles: awake cores advance 3k
+// CPU cycles under their cached hints (parked ones catch up when they
+// wake), and the stepping-order rotation advances as if cpuStep had run
+// 3k times. Nothing else holds time-dependent state — the memory
+// controller, DRAM banks, LLC, hit queue and writeback queue are all
+// untouched because the horizon proved they would be.
 func (s *simulator) applySkip(k int64) {
 	steps := 3 * k
-	for _, c := range s.cores {
-		c.Skip(steps)
+	for i, c := range s.cores {
+		if !s.parked[i] {
+			c.Skip(steps)
+		}
 	}
+	s.cycle += steps
 	s.rotate += int(steps)
 	// Absorb LLC-hit completions that matured inside the window: their
 	// cores' regimes provably ignore them until a boundary at or after
@@ -685,13 +778,10 @@ func (s *simulator) applySkip(k int64) {
 	// would not), so completing them here is indistinguishable from
 	// completing them at their exact CPU step.
 	end := dram.Tick(s.tick) + dram.Tick(6*k-2)
-	n := 0
-	for n < len(s.hitQ) && s.hitQ[n].ready <= end {
-		s.hitQ[n].op.Complete()
-		n++
-	}
-	if n > 0 {
-		s.hitQ = s.hitQ[n:]
+	for s.hitQ.len() > 0 && s.hitQ.at(0).ready <= end {
+		op := s.hitQ.at(0).op
+		s.hitQ.pop()
+		s.complete(op)
 	}
 	s.tick += 6 * k
 }
@@ -751,7 +841,7 @@ func (s *simulator) run() (Result, error) {
 	if maxCycles == 0 {
 		maxCycles = 100 * s.cfg.RunInstructions
 	}
-	startCycle := s.cores[0].Cycles()
+	startCycle := s.cycle
 	for {
 		if s.cancelled() {
 			return Result{}, s.cancelErr()
@@ -766,15 +856,16 @@ func (s *simulator) run() (Result, error) {
 		if done {
 			break
 		}
-		if s.cores[0].Cycles()-startCycle > maxCycles {
+		if s.cycle-startCycle > maxCycles {
 			panic(fmt.Sprintf("sim: %s exceeded cycle bound (deadlock?)", s.cfg.Workload.Name))
 		}
 		s.advance(0)
 	}
+	s.wakeAll()
 
 	res := Result{
 		Workload: s.cfg.Workload.Name,
-		Cycles:   s.cores[0].Cycles() - startCycle,
+		Cycles:   s.cycle - startCycle,
 	}
 	for _, c := range s.cores {
 		ipc := c.IPC()
