@@ -62,13 +62,12 @@ var legacyNoCtx = []string{
 	"OpenResultStore", "ResultSpecFor",
 	"QuickScale", "StandardScale", "FullScale",
 
-	// Lab construction and options. WithMaxRelError/WithCIAnnotations
-	// (PR 9 review): pure option constructors for the sampled clock —
-	// they record configuration, the runs they shape go through the
-	// ctx-first Lab methods.
+	// Lab construction and options. WithMaxRelError is a pure option
+	// constructor for the sampled clock: it records configuration, and
+	// the runs it shapes go through the ctx-first Lab methods.
 	"NewLab", "WithStore", "WithResultStore",
 	"WithParallelism", "WithClock", "WithProgress",
-	"WithMaxRelError", "WithCIAnnotations",
+	"WithMaxRelError",
 	"ExperimentsOnly", "ExperimentsAnalytical", "ExperimentsOnTable",
 
 	// Sweep-service client construction (PR 8 review): a pure

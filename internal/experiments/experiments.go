@@ -144,15 +144,12 @@ type Runner struct {
 	// changes speed only. ClockSampled is
 	// explicitly approximate: its results carry confidence intervals and
 	// are keyed separately in the store (resultstore.Spec.Sampled), so a
-	// sampled sweep can never contaminate exact baselines.
+	// sampled sweep can never contaminate exact baselines, and RunTables
+	// appends a confidence-interval note to each of its tables.
 	Clock sim.ClockMode
 	// MaxRelError is the sampled clock's statistical early-stop
 	// threshold (sim.Config.MaxRelError); ignored by the exact modes.
 	MaxRelError float64
-	// AnnotateCI, with the sampled clock, appends a confidence-interval
-	// annotation block after each experiment table. Off by default so
-	// exact-mode golden tables stay byte-identical.
-	AnnotateCI bool
 	// Store, when non-nil, is the persistent result cache consulted
 	// before every simulation and written back after. The in-memory memo
 	// and the store share one canonical key (resultstore.SpecFor over the

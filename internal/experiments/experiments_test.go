@@ -272,3 +272,31 @@ func TestRunSpecExplicitZeroDistinctFromDefault(t *testing.T) {
 		t.Fatalf("explicit RFM(0) should carry through, got %v", got)
 	}
 }
+
+// TestSampledTablesCarryCINote pins that the confidence-interval note
+// follows the clock: a sampled sweep's simulation-backed table carries
+// it, and an exact one, whose results hold no estimates, does not.
+func TestSampledTablesCarryCINote(t *testing.T) {
+	const note = "sampled estimates, 95% CI"
+	for _, tc := range []struct {
+		clock sim.ClockMode
+		want  bool
+	}{
+		{sim.ClockEventDriven, false},
+		{sim.ClockSampled, true},
+	} {
+		r := NewRunner(Scale{Name: "tiny", Warmup: 5_000, Run: 25_000, Workloads: []string{"gcc"}})
+		r.Clock = tc.clock
+		tables, err := RunTables(context.Background(), r, RunOptions{Only: []string{"fig3"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := false
+		for _, n := range tables[0].Notes {
+			got = got || strings.HasPrefix(n, note)
+		}
+		if got != tc.want {
+			t.Errorf("clock %v: fig3 carries the CI note = %v, want %v (notes %q)", tc.clock, got, tc.want, tables[0].Notes)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"impress/internal/errs"
+	"impress/internal/sim"
 )
 
 // Definition describes one runnable experiment: its CLI/-only ID,
@@ -128,7 +129,7 @@ func RunTables(ctx context.Context, r *Runner, opts RunOptions) (tables []*Table
 	for _, d := range selected {
 		r.checkCtx()
 		t := d.Build(r)
-		if r.AnnotateCI && d.Specs != nil {
+		if r.Clock == sim.ClockSampled && d.Specs != nil {
 			annotateCI(r, d, t)
 		}
 		r.emit(Progress{Kind: ProgressTableRendered, Table: t.ID})
@@ -219,10 +220,11 @@ func SpecsFor(r *Runner, opts RunOptions) (specs []RunSpec, err error) {
 // annotateCI appends a confidence-interval summary note to a
 // simulation-backed table assembled from sampled runs: the worst
 // (largest) 95% relative half-width over the table's spec universe for
-// each tracked metric, plus the early-stop count. Every spec is memoized
-// by the Build that just ran, so the Run calls here are pure memo hits.
-// Exact-mode results carry no estimates and contribute nothing, which
-// keeps default-mode table output byte-identical even with the flag set.
+// each tracked metric, plus the early-stop count. RunTables calls it
+// for every table of a sampled-clock runner; exact-mode results carry
+// no estimates, so exact tables never get the note. Every spec is
+// memoized by the Build that just ran, so the Run calls here are pure
+// memo hits.
 func annotateCI(r *Runner, d Definition, t *Table) {
 	seen := make(map[string]bool)
 	var n, early int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"impress/internal/core"
@@ -190,4 +191,27 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("decoded checkpoint fails to re-encode: %v", err)
 		}
 	})
+}
+
+// TestWarmupHonoursCycleBound pins the warmup deadlock safety net: a
+// warmup that cannot retire its instructions within MaxCycles panics
+// with the measured run's "exceeded cycle bound" message before any
+// checkpoint is offered, so a core stalled by a clocking bug fails
+// loudly instead of hanging warmup.
+func TestWarmupHonoursCycleBound(t *testing.T) {
+	cfg := checkpointConfig(t, "mcf", core.ExPress, TrackerPARA, 4000)
+	cfg.MaxCycles = 100
+	fired := false
+	cfg.OnCheckpoint = func([]byte) { fired = true }
+	defer func() {
+		p := recover()
+		if msg, ok := p.(string); !ok || !strings.Contains(msg, "exceeded cycle bound") {
+			t.Fatalf("want an \"exceeded cycle bound\" panic, got %v", p)
+		}
+		if fired {
+			t.Fatal("OnCheckpoint fired: the warmup ran past MaxCycles")
+		}
+	}()
+	_, err := RunContext(context.Background(), cfg)
+	t.Fatalf("a run past MaxCycles returned (err %v) instead of panicking", err)
 }

@@ -108,7 +108,8 @@ type Config struct {
 	RunInstructions    int64
 	Seed               uint64
 
-	// MaxCycles bounds the run as a safety net (0 = 100x run budget).
+	// MaxCycles bounds warmup and the measured run, each on its own, as a
+	// deadlock safety net (0 = 100x the phase's instruction budget).
 	MaxCycles int64
 
 	// Clock selects the stepping strategy; the zero value is
@@ -809,7 +810,11 @@ func (s *simulator) cancelErr() error {
 		s.cfg.Workload.Name, s.tick/6, errs.Cancelled(s.ctxErr()))
 }
 
+// runUntilRetired advances until every core has retired target
+// instructions (the warmup phase), under the same cycle bound as the
+// measured run.
 func (s *simulator) runUntilRetired(target int64) error {
+	startCycle, bound := s.cycle, s.cycleBound(target)
 	for {
 		if s.cancelled() {
 			return s.cancelErr()
@@ -824,8 +829,21 @@ func (s *simulator) runUntilRetired(target int64) error {
 		if done {
 			return nil
 		}
+		if s.cycle-startCycle > bound {
+			panic(fmt.Sprintf("sim: %s exceeded cycle bound (deadlock?)", s.cfg.Workload.Name))
+		}
 		s.advance(target)
 	}
+}
+
+// cycleBound is a phase's deadlock safety net: a phase that runs more
+// than MaxCycles cycles, or 100x its instruction budget when MaxCycles
+// is 0, panics.
+func (s *simulator) cycleBound(budget int64) int64 {
+	if s.cfg.MaxCycles != 0 {
+		return s.cfg.MaxCycles
+	}
+	return 100 * budget
 }
 
 func (s *simulator) run() (Result, error) {
@@ -837,11 +855,7 @@ func (s *simulator) run() (Result, error) {
 		c.ResetStats()
 		c.SetBudget(s.cfg.RunInstructions)
 	}
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 100 * s.cfg.RunInstructions
-	}
-	startCycle := s.cycle
+	startCycle, bound := s.cycle, s.cycleBound(s.cfg.RunInstructions)
 	for {
 		if s.cancelled() {
 			return Result{}, s.cancelErr()
@@ -856,7 +870,7 @@ func (s *simulator) run() (Result, error) {
 		if done {
 			break
 		}
-		if s.cycle-startCycle > maxCycles {
+		if s.cycle-startCycle > bound {
 			panic(fmt.Sprintf("sim: %s exceeded cycle bound (deadlock?)", s.cfg.Workload.Name))
 		}
 		s.advance(0)

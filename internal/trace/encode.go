@@ -2,9 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -12,11 +10,12 @@ import (
 	"impress/internal/errs"
 )
 
-// This file implements the materializing half of the trace codec — the
-// in-memory Trace plus Encode/Decode over whole files — and the Record
-// half of the record/replay pipeline. The on-disk container is the
-// framed version-2 format (format.go; DESIGN.md §7 has the byte-level
-// specification), and Decode also reads legacy version-1 files:
+// This file implements the in-memory Trace — Encode and Decode over
+// whole files, both thin layers over the streaming Writer and Reader —
+// and the Record half of the record/replay pipeline. The on-disk
+// container is the framed version-2 format (format.go; DESIGN.md §7 has
+// the byte-level specification), and Decode also reads legacy
+// version-1 files:
 //
 //	v1: header | per core: uvarint request count, then per request the
 //	    zigzag-uvarint line delta (vs. the previous request of the SAME
@@ -98,43 +97,69 @@ func Record(w Workload, cores, perCore int, seed uint64) *Trace {
 
 // RecordContext is Record with caller-input validation surfaced as typed
 // errors (errs.ErrBadSpec) instead of panics, and cooperative
-// cancellation: ctx is checked between per-core drains and every few
-// thousand requests, so recording a multi-million-request trace stops
-// promptly when the context ends (errs.ErrCancelled wrapping ctx.Err()).
-// To record straight to disk without materializing, use RecordTo or
-// RecordFile.
+// cancellation: ctx is checked every few thousand requests, so
+// recording a multi-million-request trace stops promptly when the
+// context ends (errs.ErrCancelled wrapping ctx.Err()). To record
+// straight to disk without materializing, use RecordTo or RecordFile.
 func RecordContext(ctx context.Context, w Workload, cores, perCore int, seed uint64) (*Trace, error) {
+	var t *Trace
+	err := record(ctx, w, cores, perCore, seed, func(h Header) (func(int, Request) error, error) {
+		t = &Trace{
+			Name:     h.Name,
+			Stream:   h.Stream,
+			Seed:     h.Seed,
+			LineSize: h.LineSize,
+			PerCore:  make([][]Request, h.Cores),
+		}
+		for c := range t.PerCore {
+			t.PerCore[c] = make([]Request, 0, perCore)
+		}
+		return func(core int, req Request) error {
+			t.PerCore[core] = append(t.PerCore[core], req)
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// record is the one recording loop behind RecordContext and RecordTo.
+// It validates the request, opens the sink with the recording's header,
+// then feeds emit perCore requests from each of cores fresh generators
+// of w, seeded exactly as a live simulation seeds them, polling ctx
+// every 4096 requests.
+func record(ctx context.Context, w Workload, cores, perCore int, seed uint64,
+	open func(Header) (emit func(core int, req Request) error, err error)) error {
 	if w.NewGenerator == nil {
-		return nil, fmt.Errorf("%w: workload %q has no generator", errs.ErrBadSpec, w.Name)
+		return fmt.Errorf("%w: workload %q has no generator", errs.ErrBadSpec, w.Name)
 	}
 	if cores <= 0 || perCore <= 0 {
-		return nil, fmt.Errorf("%w: Record needs positive core and request counts (got %d cores x %d)",
+		return fmt.Errorf("%w: Record needs positive core and request counts (got %d cores x %d)",
 			errs.ErrBadSpec, cores, perCore)
 	}
-	done := ctx.Done()
-	t := &Trace{
-		Name:     w.Name,
-		Stream:   w.Stream,
-		Seed:     seed,
-		LineSize: LineSize,
-		PerCore:  make([][]Request, cores),
+	emit, err := open(Header{Name: w.Name, Stream: w.Stream, Seed: seed, LineSize: LineSize, Cores: cores})
+	if err != nil {
+		return err
 	}
+	done := ctx.Done()
 	for c := 0; c < cores; c++ {
 		g := w.NewGenerator(c, seed)
-		reqs := make([]Request, perCore)
-		for i := range reqs {
+		for i := 0; i < perCore; i++ {
 			if done != nil && i&0xfff == 0 {
 				select {
 				case <-done:
-					return nil, fmt.Errorf("recording %q: %w", w.Name, errs.Cancelled(ctx.Err()))
+					return fmt.Errorf("recording %q: %w", w.Name, errs.Cancelled(ctx.Err()))
 				default:
 				}
 			}
-			reqs[i] = g.Next()
+			if err := emit(c, g.Next()); err != nil {
+				return err
+			}
 		}
-		t.PerCore[c] = reqs
 	}
-	return t, nil
+	return nil
 }
 
 // zigzag maps signed deltas onto unsigned varint-friendly values.
@@ -167,205 +192,40 @@ func (t *Trace) Encode(w io.Writer) error {
 // bad magic, unknown version or flag bits, out-of-range header fields,
 // truncated streams, an index that contradicts the frames, trailing
 // garbage — returns an error, and allocation is bounded by the input
-// size. For files too large to materialize, use Reader.
+// size. Decode is the streaming Reader drained into memory, plus one
+// check an open skips: a version-2 file's frames must tile the region
+// between its header and its index, exactly as the Writer lays them
+// out (checkTiling). For files too large to materialize, use Reader.
 func Decode(r io.Reader) (*Trace, error) {
-	d := newDecodeState(r)
-	h, version, err := d.header()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	rd, err := newReader(bytes.NewReader(data), int64(len(data)), true)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{
-		Name:     h.Name,
-		Stream:   h.Stream,
-		Seed:     h.Seed,
-		LineSize: h.LineSize,
-		PerCore:  make([][]Request, h.Cores),
+		Name:     rd.h.Name,
+		Stream:   rd.h.Stream,
+		Seed:     rd.h.Seed,
+		LineSize: rd.h.LineSize,
+		PerCore:  make([][]Request, rd.h.Cores),
 	}
-	if version == 1 {
-		err = decodeV1Body(d, t)
-	} else {
-		err = decodeV2Body(d, t)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("trace: trailing data after %d cores", h.Cores)
-	}
-	return t, nil
-}
-
-// decodeV1Body reads the legacy version-1 body: per core a request
-// count and then that many delta-encoded requests.
-func decodeV1Body(d *decodeState, t *Trace) error {
-	lineSize := uint64(t.LineSize)
-	maxLine := maxLineFor(lineSize)
 	for c := range t.PerCore {
-		count, err := d.uvarint(fmt.Sprintf("core %d request count", c), 1<<40)
-		if err != nil {
-			return err
-		}
-		// Grow incrementally: a corrupt count cannot force a huge upfront
-		// allocation because every record consumes input bytes.
-		reqs := make([]Request, 0, int(min(count, 1<<16)))
-		prevLine := int64(0)
-		for i := uint64(0); i < count; i++ {
-			du, err := d.uvarint("line delta", ^uint64(0))
-			if err != nil {
-				return err
+		// Grow frame by frame: the index's request counts are claims,
+		// and each frame's requests are appended only once it decodes.
+		reqs := []Request{}
+		g := newStreamGen(rd, c)
+		for g.fi < len(g.frames) {
+			if err := g.load(); err != nil {
+				return nil, fmt.Errorf("trace: frame at offset %d: %w", g.frames[g.fi].off, err)
 			}
-			line := prevLine + unzigzag(du)
-			if line < 0 || uint64(line) > maxLine {
-				return fmt.Errorf("trace: core %d request %d: line %d out of range", c, i, line)
-			}
-			meta, err := d.uvarint("request meta", ^uint64(0))
-			if err != nil {
-				return err
-			}
-			gap := meta >> 2
-			if gap > maxTraceGap {
-				return fmt.Errorf("trace: core %d request %d: gap %d out of range", c, i, gap)
-			}
-			reqs = append(reqs, Request{
-				Addr:     uint64(line) * lineSize,
-				Write:    meta&1 != 0,
-				Uncached: meta&2 != 0,
-				Gap:      int(gap),
-			})
-			prevLine = line
+			reqs = append(reqs, g.buf...)
 		}
 		t.PerCore[c] = reqs
 	}
-	return nil
-}
-
-// decodeV2Body reads the framed version-2 body sequentially, then
-// verifies that the trailing index and trailer describe exactly the
-// frames it read — a sequential decode accepts only files a random-
-// access Reader would replay identically.
-func decodeV2Body(d *decodeState, t *Trace) error {
-	for c := range t.PerCore {
-		t.PerCore[c] = make([]Request, 0)
-	}
-	lineSize := uint64(t.LineSize)
-	maxLine := maxLineFor(lineSize)
-	var (
-		seen    []frameInfo
-		payload []byte
-		raw     []byte
-		br      *bytes.Reader
-		inflate io.ReadCloser
-	)
-	for {
-		tag, err := d.readByte("section tag")
-		if err != nil {
-			return err
-		}
-		if tag == tagIndex {
-			break
-		}
-		if tag != tagFrame {
-			return fmt.Errorf("trace: unknown section tag %#x", tag)
-		}
-		core, err := d.uvarint("frame core", uint64(len(t.PerCore))-1)
-		if err != nil {
-			return err
-		}
-		count, err := d.uvarint("frame request count", maxFrameRequests)
-		if err != nil {
-			return err
-		}
-		if count == 0 {
-			return fmt.Errorf("trace: frame with zero requests")
-		}
-		flags, err := d.uvarint("frame flags", ^uint64(0))
-		if err != nil {
-			return err
-		}
-		if flags&^uint64(frameFlagDeflate) != 0 {
-			return fmt.Errorf("trace: unknown frame flag bits %#x", flags&^uint64(frameFlagDeflate))
-		}
-		length, err := d.uvarint("frame payload length", maxFramePayload)
-		if err != nil {
-			return err
-		}
-		if length == 0 {
-			return fmt.Errorf("trace: frame with an empty payload")
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		p := payload[:length]
-		off := d.off
-		if err := d.readFull(p, "frame payload"); err != nil {
-			return err
-		}
-		if flags&frameFlagDeflate != 0 {
-			if inflate == nil {
-				br = bytes.NewReader(p)
-				inflate = flate.NewReader(br)
-			} else {
-				br.Reset(p)
-				if err := inflate.(flate.Resetter).Reset(br, nil); err != nil {
-					return err
-				}
-			}
-			need := 20*int(count) + 1
-			if cap(raw) < need {
-				raw = make([]byte, need)
-			}
-			n, err := inflateInto(inflate, raw[:need])
-			if err != nil {
-				return fmt.Errorf("trace: frame at offset %d: %w", off, err)
-			}
-			p = raw[:n]
-		}
-		reqs := t.PerCore[core]
-		base := len(reqs)
-		reqs = append(reqs, make([]Request, count)...)
-		if err := decodeFrameInto(p, reqs[base:], 0, lineSize, maxLine); err != nil {
-			return fmt.Errorf("trace: frame at offset %d: %w", off, err)
-		}
-		t.PerCore[core] = reqs
-		seen = append(seen, frameInfo{
-			core: int(core), count: int(count), off: off, length: int(length), flags: byte(flags),
-		})
-	}
-	// The index tag has been consumed; verify the index against the
-	// frames actually read.
-	indexOff := d.off - 1
-	count, err := d.uvarint("index frame count", ^uint64(0))
-	if err != nil {
-		return err
-	}
-	if count != uint64(len(seen)) {
-		return fmt.Errorf("trace: index lists %d frames; the file has %d", count, len(seen))
-	}
-	for i, want := range seen {
-		var got [5]uint64
-		for j, what := range [5]string{
-			"frame core", "frame request count", "frame payload offset", "frame payload length", "frame flags",
-		} {
-			if got[j], err = d.uvarint(what, ^uint64(0)); err != nil {
-				return err
-			}
-		}
-		if got[0] != uint64(want.core) || got[1] != uint64(want.count) ||
-			got[2] != uint64(want.off) || got[3] != uint64(want.length) || got[4] != uint64(want.flags) {
-			return fmt.Errorf("trace: index entry %d does not match the frame at offset %d", i, want.off)
-		}
-	}
-	var trailer [trailerSize]byte
-	if err := d.readFull(trailer[:], "index trailer"); err != nil {
-		return err
-	}
-	if string(trailer[8:]) != trailerMagic {
-		return fmt.Errorf("trace: truncated or corrupt trace file (bad index trailer magic)")
-	}
-	if got := int64(binary.LittleEndian.Uint64(trailer[:8])); got != indexOff {
-		return fmt.Errorf("trace: trailer points at index offset %d; the index is at %d", got, indexOff)
-	}
-	return nil
+	return t, nil
 }
 
 // WriteFile encodes the trace to path.

@@ -170,7 +170,7 @@ func TestDecodeRejectsOverflowingAddress(t *testing.T) {
 		buf.Write(s[:binary.PutUvarint(s[:], v)])
 	}
 	buf.WriteString(traceMagic)
-	putU(TraceVersion)
+	putU(1) // version 1: the body below is a v1 body
 	putU(1)
 	buf.WriteByte('x')    // name
 	putU(0)               // flags
@@ -180,8 +180,8 @@ func TestDecodeRejectsOverflowingAddress(t *testing.T) {
 	putU(1)               // requests
 	putU(zigzag(1 << 51)) // line: in [0, maxTraceLine) but line*lineSize > 2^63
 	putU(0)               // meta
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("line*lineSize overflowing the address space must be rejected")
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("line*lineSize overflowing the address space must be rejected as out of range, got %v", err)
 	}
 }
 

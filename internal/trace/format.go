@@ -39,8 +39,9 @@ import (
 //	  | magic "IMPTRCIX"
 //
 // The trailer lets a random-access reader locate the index without
-// scanning the file; the sequential decoder instead verifies that the
-// index and trailer match the frames it has read.
+// scanning the file; Decode additionally verifies that the frames tile
+// the region between the header and the index exactly as the index
+// lists them.
 
 // Section tags of the v2 container.
 const (
@@ -249,8 +250,8 @@ func inflateInto(r io.Reader, dst []byte) (int, error) {
 }
 
 // decodeState wraps a buffered reader with the absolute offset of
-// everything consumed through it, so the sequential decoder and the v1
-// scan can synthesize and verify frame offsets without seeking.
+// everything consumed through it, so the v1 scan and the v2 tiling
+// check can synthesize and verify frame offsets without seeking.
 type decodeState struct {
 	br  *bufio.Reader
 	off int64

@@ -58,6 +58,12 @@ func OpenReader(path string) (*Reader, error) {
 // scan (re-encode with `impress-trace record` or Trace.WriteFile to
 // avoid the scan on every open).
 func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
+	return newReader(src, size, false)
+}
+
+// newReader is NewReader, additionally holding a version-2 file's frame
+// region to its index (checkTiling) when tiled is set.
+func newReader(src io.ReaderAt, size int64, tiled bool) (*Reader, error) {
 	d := newDecodeState(io.NewSectionReader(src, 0, size))
 	h, version, err := d.header()
 	if err != nil {
@@ -74,9 +80,15 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 			return nil, fmt.Errorf("trace: trailing data after %d cores", h.Cores)
 		}
 	} else {
-		frames, err = readIndex(src, size, d.off, h)
+		var indexOff int64
+		frames, indexOff, err = readIndex(src, size, d.off, h)
 		if err != nil {
 			return nil, err
+		}
+		if tiled {
+			if err := checkTiling(d, frames, indexOff); err != nil {
+				return nil, err
+			}
 		}
 	}
 	r.perCore = make([][]frameInfo, h.Cores)
@@ -137,34 +149,35 @@ func (r *Reader) Workload() (Workload, error) {
 }
 
 // readIndex locates and parses a version-2 file's frame index using
-// the fixed trailer, touching nothing else.
-func readIndex(src io.ReaderAt, size, headerLen int64, h Header) ([]frameInfo, error) {
+// the fixed trailer, touching nothing else. It returns the frames in
+// index order and the offset of the index section.
+func readIndex(src io.ReaderAt, size, headerLen int64, h Header) ([]frameInfo, int64, error) {
 	if size < headerLen+trailerSize {
-		return nil, fmt.Errorf("trace: truncated trace file (no room for the index trailer)")
+		return nil, 0, fmt.Errorf("trace: truncated trace file (no room for the index trailer)")
 	}
 	var trailer [trailerSize]byte
 	if _, err := src.ReadAt(trailer[:], size-trailerSize); err != nil {
-		return nil, fmt.Errorf("trace: truncated index trailer")
+		return nil, 0, fmt.Errorf("trace: truncated index trailer")
 	}
 	if string(trailer[8:]) != trailerMagic {
-		return nil, fmt.Errorf("trace: truncated or corrupt trace file (bad index trailer magic)")
+		return nil, 0, fmt.Errorf("trace: truncated or corrupt trace file (bad index trailer magic)")
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
 	if indexOff < headerLen || indexOff > size-trailerSize {
-		return nil, fmt.Errorf("trace: index offset %d out of range", indexOff)
+		return nil, 0, fmt.Errorf("trace: index offset %d out of range", indexOff)
 	}
 	d := newDecodeState(io.NewSectionReader(src, indexOff, size-trailerSize-indexOff))
 	d.off = indexOff
 	tag, err := d.readByte("index section tag")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if tag != tagIndex {
-		return nil, fmt.Errorf("trace: index offset points at section tag %#x, not the index", tag)
+		return nil, 0, fmt.Errorf("trace: index offset points at section tag %#x, not the index", tag)
 	}
 	count, err := d.uvarint("index frame count", ^uint64(0))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Grow incrementally: every index entry costs at least five input
 	// bytes, so a corrupt count cannot force a huge upfront allocation.
@@ -172,14 +185,14 @@ func readIndex(src io.ReaderAt, size, headerLen int64, h Header) ([]frameInfo, e
 	for i := uint64(0); i < count; i++ {
 		f, err := readIndexEntry(d, h, headerLen, indexOff)
 		if err != nil {
-			return nil, fmt.Errorf("%w (index entry %d)", err, i)
+			return nil, 0, fmt.Errorf("%w (index entry %d)", err, i)
 		}
 		frames = append(frames, f)
 	}
 	if d.off != size-trailerSize {
-		return nil, fmt.Errorf("trace: trailing data between the index and the trailer")
+		return nil, 0, fmt.Errorf("trace: trailing data between the index and the trailer")
 	}
-	return frames, nil
+	return frames, indexOff, nil
 }
 
 // readIndexEntry decodes and bounds-checks one index entry.
@@ -222,9 +235,44 @@ func readIndexEntry(d *decodeState, h Header, headerLen, indexOff int64) (frameI
 	}, nil
 }
 
-// scanV1 validates a version-1 body exactly as the materializing
-// decoder would — same bounds, same diagnostics — while synthesizing a
-// frame index over it: one frame per DefaultFrameRequests requests,
+// checkTiling holds a version-2 file's frame region to its index. d
+// sits right after the header; from there the frames must follow one
+// another in index order with nothing between them, each in-band
+// section header (tag, core, request count, flags, payload length)
+// equal to its index entry, and the last frame must end where the index
+// begins. Opening a Reader skips this — it reads only the index, and
+// replays what the index says — but Decode reads every byte anyway, so
+// it accepts exactly the files the Writer produces.
+func checkTiling(d *decodeState, frames []frameInfo, indexOff int64) error {
+	for i, f := range frames {
+		at := d.off
+		tag, err := d.readByte("section tag")
+		if err != nil {
+			return err
+		}
+		var got [4]uint64
+		for j := range got {
+			if got[j], err = d.uvarint("frame header", ^uint64(0)); err != nil {
+				return err
+			}
+		}
+		if tag != tagFrame || d.off != f.off ||
+			got != [4]uint64{uint64(f.core), uint64(f.count), uint64(f.flags), uint64(f.length)} {
+			return fmt.Errorf("trace: index entry %d does not match the section at offset %d", i, at)
+		}
+		if _, err := d.br.Discard(f.length); err != nil {
+			return fmt.Errorf("trace: truncated frame payload at offset %d", f.off)
+		}
+		d.off += int64(f.length)
+	}
+	if d.off != indexOff {
+		return fmt.Errorf("trace: unindexed data at offset %d, before the index at %d", d.off, indexOff)
+	}
+	return nil
+}
+
+// scanV1 validates a version-1 body while synthesizing a frame index
+// over it: one frame per DefaultFrameRequests requests,
 // each carrying the running line value its first delta is relative to,
 // so the shared frame codec replays v1 streams unchanged.
 func scanV1(d *decodeState, h Header) ([]frameInfo, error) {
@@ -347,33 +395,46 @@ func (g *streamGen) Next() Request {
 	return req
 }
 
-// refill loads and decodes the next frame into the fixed buffer.
+// refill loads the next frame into the fixed buffer. Running out of
+// frames and a frame that fails to load both panic: a replay must not
+// silently diverge from the recording.
 func (g *streamGen) refill() {
 	if g.fi >= len(g.frames) {
 		panic(fmt.Sprintf(
 			"trace: %q core %d exhausted after %d replayed requests; re-record with a larger per-core request budget",
 			g.name, g.core, g.replayed))
 	}
+	if err := g.load(); err != nil {
+		panic(fmt.Sprintf("trace: %q core %d: frame at offset %d: %v", g.name, g.core, g.frames[g.fi].off, err))
+	}
+}
+
+// load reads, inflates and decodes frame fi into the buffer, then
+// moves on to the next frame. On failure it returns the error and
+// leaves fi on the frame that failed. It is the one frame decoder
+// behind both replay (refill) and Decode.
+func (g *streamGen) load() error {
 	f := g.frames[g.fi]
-	g.fi++
 	p := g.payload[:f.length]
 	if _, err := g.src.ReadAt(p, f.off); err != nil {
-		panic(fmt.Sprintf("trace: %q core %d: reading the frame at offset %d: %v", g.name, g.core, f.off, err))
+		return err
 	}
 	if f.flags&frameFlagDeflate != 0 {
 		g.br.Reset(p)
 		if err := g.inflate.(flate.Resetter).Reset(g.br, nil); err != nil {
-			panic(fmt.Sprintf("trace: %q core %d: resetting inflate at offset %d: %v", g.name, g.core, f.off, err))
+			return err
 		}
 		n, err := inflateInto(g.inflate, g.raw)
 		if err != nil {
-			panic(fmt.Sprintf("trace: %q core %d: corrupt compressed frame at offset %d: %v", g.name, g.core, f.off, err))
+			return err
 		}
 		p = g.raw[:n]
 	}
 	g.buf = g.buf[:f.count]
 	if err := decodeFrameInto(p, g.buf, f.baseLine, g.lineSize, g.maxLine); err != nil {
-		panic(fmt.Sprintf("trace: %q core %d: corrupt frame at offset %d: %v", g.name, g.core, f.off, err))
+		return err
 	}
+	g.fi++
 	g.pos = 0
+	return nil
 }

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"impress/internal/errs"
 )
 
 // WriterOptions tunes a streaming trace Writer. The zero value (or a
@@ -252,34 +250,17 @@ func (w *Writer) Close() error {
 // errs.ErrBadSpec and ctx is polled every few thousand requests
 // (errs.ErrCancelled), as in RecordContext.
 func RecordTo(ctx context.Context, w Workload, cores, perCore int, seed uint64, dst io.Writer) error {
-	if w.NewGenerator == nil {
-		return fmt.Errorf("%w: workload %q has no generator", errs.ErrBadSpec, w.Name)
-	}
-	if cores <= 0 || perCore <= 0 {
-		return fmt.Errorf("%w: Record needs positive core and request counts (got %d cores x %d)",
-			errs.ErrBadSpec, cores, perCore)
-	}
-	tw, err := NewWriter(dst, Header{
-		Name: w.Name, Stream: w.Stream, Seed: seed, LineSize: LineSize, Cores: cores,
-	}, nil)
+	var tw *Writer
+	err := record(ctx, w, cores, perCore, seed, func(h Header) (func(int, Request) error, error) {
+		var err error
+		tw, err = NewWriter(dst, h, nil)
+		if err != nil {
+			return nil, err
+		}
+		return tw.Append, nil
+	})
 	if err != nil {
 		return err
-	}
-	done := ctx.Done()
-	for c := 0; c < cores; c++ {
-		g := w.NewGenerator(c, seed)
-		for i := 0; i < perCore; i++ {
-			if done != nil && i&0xfff == 0 {
-				select {
-				case <-done:
-					return fmt.Errorf("recording %q: %w", w.Name, errs.Cancelled(ctx.Err()))
-				default:
-				}
-			}
-			if err := tw.Append(c, g.Next()); err != nil {
-				return err
-			}
-		}
 	}
 	return tw.Close()
 }

@@ -91,7 +91,6 @@ type Lab struct {
 	parallelism int
 	clock       sim.ClockMode
 	maxRelError float64
-	annotateCI  bool
 	progress    func(Progress)
 
 	progressMu sync.Mutex
@@ -172,18 +171,6 @@ func WithClock(mode SimClockMode) LabOption {
 func WithMaxRelError(target float64) LabOption {
 	return func(l *Lab) error {
 		l.maxRelError = target
-		return nil
-	}
-}
-
-// WithCIAnnotations makes Experiments append a confidence-interval
-// summary note to each simulation-backed table assembled from sampled
-// runs (worst 95% relative half-width per metric, early-stop count).
-// Exact-mode runs carry no estimates, so default-mode table output stays
-// byte-identical even with the option set.
-func WithCIAnnotations() LabOption {
-	return func(l *Lab) error {
-		l.annotateCI = true
 		return nil
 	}
 }
@@ -319,7 +306,6 @@ func (l *Lab) newRunner(scale ExperimentScale) *experiments.Runner {
 	r.Store = l.store
 	r.Clock = l.clock
 	r.MaxRelError = l.maxRelError
-	r.AnnotateCI = l.annotateCI
 	if l.progress != nil {
 		r.Progress = l.emit
 	}
