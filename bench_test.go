@@ -118,47 +118,27 @@ func BenchmarkSecuritySummary(b *testing.B) {
 
 // --- Simulation-backed figures (benchmark scale) ---
 
-func BenchmarkFigure3(b *testing.B) {
+// benchTable assembles one simulation-backed experiment the way every
+// caller does, through RunTables: it plans the table, prefetches its
+// runs over the worker pool, then builds it from the warm memo.
+func benchTable(b *testing.B, id string) {
 	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure3(experiments.NewRunner(benchScale())))
+		tables, err := experiments.RunTables(context.Background(), experiments.NewRunner(benchScale()),
+			experiments.RunOptions{Only: []string{id}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		render(b, tables[0])
 	}
 }
 
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure5(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure13(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure14(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkEnergyTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.EnergyTable(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure15(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure16(experiments.NewRunner(benchScale())))
-	}
-}
+func BenchmarkFigure3(b *testing.B)     { benchTable(b, "fig3") }
+func BenchmarkFigure5(b *testing.B)     { benchTable(b, "fig5") }
+func BenchmarkFigure13(b *testing.B)    { benchTable(b, "fig13") }
+func BenchmarkFigure14(b *testing.B)    { benchTable(b, "fig14") }
+func BenchmarkEnergyTable(b *testing.B) { benchTable(b, "energy") }
+func BenchmarkFigure15(b *testing.B)    { benchTable(b, "fig15") }
+func BenchmarkFigure16(b *testing.B)    { benchTable(b, "fig16") }
 
 // --- Parallel run scheduler ---
 

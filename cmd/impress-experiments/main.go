@@ -146,7 +146,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, impress.ExperimentsAnalytical())
 	}
 	// A failed -out write aborts the sweep (cancelling runCtx) instead
-	// of burning the remaining simulations against a full disk or bad
+	// of assembling the remaining tables against a full disk or bad
 	// path; the write error is reported in place of the induced
 	// cancellation.
 	runCtx, cancelRun := context.WithCancel(ctx)
@@ -226,7 +226,12 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	mine, err := runner.ShardSpecs(experiments.SimSpecs(runner), index, count)
+	specs, err := experiments.SpecsFor(runner, experiments.RunOptions{})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	mine, err := runner.ShardSpecs(specs, index, count)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -325,8 +325,8 @@ func TestInterruptedShardHintsResume(t *testing.T) {
 }
 
 // TestOutWriteFailureAbortsRun: a failed -out write exits 1 with the
-// write error (and cancels the rest of the sweep rather than burning
-// the remaining simulations).
+// write error (and cancels the rest of the sweep rather than assembling
+// the remaining tables).
 func TestOutWriteFailureAbortsRun(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {

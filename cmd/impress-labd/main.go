@@ -35,6 +35,21 @@ import (
 	"impress/internal/simcli"
 )
 
+// Connection timeouts: a client has readHeaderTimeout to send its
+// request headers, so a stalled or slow peer cannot pin a connection,
+// and an idle keep-alive connection closes after idleTimeout. There is
+// deliberately no write timeout: /events streams NDJSON for as long as
+// its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	ctx, stop := simcli.SignalContext()
 	defer stop()
@@ -90,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "impress-labd: no -cache-dir: results will not survive a restart")
 	}
 
-	web := &http.Server{Handler: srv.Handler()}
+	web := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- web.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,25 @@ func TestRunRejectsBadUsage(t *testing.T) {
 	errOut.Reset()
 	if code := run(ctx, []string{"-addr", "256.256.256.256:1"}, &out, &errOut); code != 2 {
 		t.Errorf("unlistenable addr: exit %d, want 2 (stderr: %s)", code, errOut.String())
+	}
+}
+
+// TestHTTPServerTimeouts pins the server's connection bounds: header
+// and idle timeouts are set, and neither a read nor a write timeout is,
+// since either would cut a long-lived /events stream.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout != readHeaderTimeout || s.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", s.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if s.IdleTimeout != idleTimeout || s.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", s.IdleTimeout, idleTimeout)
+	}
+	if s.WriteTimeout != 0 || s.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; both must be 0 so /events can stream", s.WriteTimeout, s.ReadTimeout)
+	}
+	if s.Handler == nil {
+		t.Error("server has no handler")
 	}
 }
 

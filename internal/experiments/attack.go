@@ -93,6 +93,10 @@ func (r *Runner) AttackSims() int64 { return r.atkSims.Load() }
 // entry points recover into errors. Cancelled specs are dropped from
 // the memo so a retry under a live context re-evaluates.
 func (r *Runner) Attack(spec resultstore.AttackSpec) security.Result {
+	if r.planned != nil {
+		r.planned.attacks = append(r.planned.attacks, spec)
+		return security.Result{}
+	}
 	r.checkCtx()
 	k := string(spec.Key())
 	return r.attacks.do(k, func() security.Result {
@@ -122,8 +126,12 @@ func (r *Runner) Attack(spec resultstore.AttackSpec) security.Result {
 // runner's bound context. A failure raises the runAbort the
 // context-aware boundaries (RunTables, EvaluateAttacks) recover:
 // cancellation as "sweep stopped" (matching errs.ErrCancelled and
-// ctx.Err()), anything else under label.
+// ctx.Err()), anything else under label. A planning copy replays
+// nothing and returns the zero result.
 func (r *Runner) harness(label string, cfg security.Config, p attack.Pattern) security.Result {
+	if r.planned != nil {
+		return security.Result{}
+	}
 	res, err := security.RunContext(r.runCtx(), cfg, p)
 	switch {
 	case errors.Is(err, errs.ErrCancelled):
@@ -176,18 +184,7 @@ func AttackZooTable(r *Runner) *Table {
 	if err != nil {
 		panic(&runAbort{err})
 	}
-	names := trackers.Names()
-	var specs []resultstore.AttackSpec
-	for _, tr := range names {
-		for _, p := range attack.PaperPatternNames() {
-			specs = append(specs, ZooAttackSpec(tr, p))
-		}
-		for _, e := range entries {
-			specs = append(specs, ZooAttackSpec(tr, attack.SynthSpecPrefix+e.Genome))
-		}
-	}
-	r.prefetchAttacks(specs)
-	for _, tr := range names {
+	for _, tr := range trackers.Names() {
 		var paperBest security.Result
 		var paperName string
 		for _, p := range attack.PaperPatternNames() {

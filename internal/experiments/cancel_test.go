@@ -149,7 +149,11 @@ func TestCancellationDrainsParallelPrefetch(t *testing.T) {
 			}
 		}
 	}
-	err = r.PrefetchContext(ctx, figure3Specs(r))
+	specs, err := SpecsFor(r, RunOptions{Only: []string{"fig3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.PrefetchContext(ctx, specs)
 	if !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("cancelled prefetch returned %v", err)
 	}
@@ -334,7 +338,10 @@ func TestCancelledRunnerIsRetryable(t *testing.T) {
 			}
 		}
 	}
-	specs := figure3Specs(r)
+	specs, err := SpecsFor(r, RunOptions{Only: []string{"fig3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.PrefetchContext(ctx, specs); !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("cancelled prefetch returned %v", err)
 	}

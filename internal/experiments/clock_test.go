@@ -23,13 +23,9 @@ func TestClockEquivalenceQuickScaleSpecs(t *testing.T) {
 		t.Skip("QuickScale clock-equivalence comparison skipped in -short mode")
 	}
 	r := NewRunner(QuickScale())
-	seen := map[string]bool{}
-	var specs []RunSpec
-	for _, s := range SimSpecs(r) {
-		if k := string(r.storeSpec(s).Key()); !seen[k] {
-			seen[k] = true
-			specs = append(specs, s)
-		}
+	specs, err := SpecsFor(r, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	stride := 13
 	if os.Getenv("IMPRESS_CLOCK_EQUIV") == "all" {

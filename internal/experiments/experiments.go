@@ -186,6 +186,10 @@ type Runner struct {
 	attacks memo[security.Result]
 	atkSims atomic.Int64
 
+	// planned, when non-nil, makes this a planning copy (see plan): Run
+	// and Attack append their spec to it and return the zero result.
+	planned *buildPlan
+
 	progressMu sync.Mutex
 }
 
@@ -316,10 +320,13 @@ func (r *Runner) parallelism() int {
 // names keep their figure order; any remaining scale entry is resolved as
 // a workload spec ("mix:..." co-runs, "attack:..." aggressors) and
 // appended in scale order, so custom scales can put arbitrary scenarios
-// through every experiment. An unresolvable entry must not silently
-// shrink a figure: it panics here, and the context-aware entry points
-// (RunTables, impress.Lab.Experiments) recover that panic into a typed
-// error wrapping errs.ErrUnknownWorkload instead of crashing mid-sweep.
+// through every experiment. A workload named twice (by one entry
+// repeated or by two entries resolving to the same name) appears once,
+// so no figure renders a row twice or weights it twice in a geomean. An
+// unresolvable entry must not silently shrink a figure: it panics here,
+// and the context-aware entry points (RunTables,
+// impress.Lab.Experiments) recover that panic into a typed error
+// wrapping errs.ErrUnknownWorkload instead of crashing mid-sweep.
 func (r *Runner) Workloads() []trace.Workload {
 	all := trace.Workloads()
 	if r.Scale.Workloads == nil {
@@ -340,7 +347,10 @@ func (r *Runner) Workloads() []trace.Workload {
 		if err != nil {
 			panic(&runAbort{fmt.Errorf("experiments: scale %q: %w", r.Scale.Name, err)})
 		}
-		extras = append(extras, w)
+		if !keep[w.Name] {
+			keep[w.Name] = true
+			extras = append(extras, w)
+		}
 	}
 	var out []trace.Workload
 	for _, w := range all {
@@ -434,6 +444,10 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 // runAbort); the context-aware entry points recover that into an error,
 // and every experiment table builder relies on the panicking signature.
 func (r *Runner) Run(spec RunSpec) sim.Result {
+	if r.planned != nil {
+		r.planned.runs = append(r.planned.runs, spec)
+		return sim.Result{}
+	}
 	r.checkCtx()
 	sp := r.storeSpec(spec)
 	k := string(sp.Key())

@@ -187,6 +187,21 @@ func TestRunnerWorkloadsResolveSpecs(t *testing.T) {
 	}
 }
 
+// TestRunnerWorkloadsDedupesRepeats pins that a scale naming a workload
+// twice resolves it once, custom entries included: a repeated row would
+// render twice in every figure and count twice in its geomeans.
+func TestRunnerWorkloadsDedupesRepeats(t *testing.T) {
+	r := NewRunner(Scale{Name: "repeats", Warmup: 1, Run: 1,
+		Workloads: []string{"gcc", "gcc", "mix:copy,add", "mix:copy,add"}})
+	var names []string
+	for _, w := range r.Workloads() {
+		names = append(names, w.Name)
+	}
+	if got := strings.Join(names, " "); got != "gcc mix:copy,add" {
+		t.Fatalf("resolved workloads %q, want each named once: \"gcc mix:copy,add\"", got)
+	}
+}
+
 func TestRunnerWorkloadsUnknownSpecPanics(t *testing.T) {
 	r := NewRunner(Scale{Name: "typo", Warmup: 1, Run: 1, Workloads: []string{"gcc", "bogus"}})
 	defer func() {

@@ -64,6 +64,16 @@ func TestGoldenTables(t *testing.T) {
 	if *updateGolden {
 		return
 	}
+	// Every planned spec simulated exactly once, and no builder read a
+	// spec that no plan names. TestDefinitionsPlanIsComplete checks each
+	// table's plan on its own.
+	planned, err := SpecsFor(r, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Sims() != int64(len(planned)) {
+		t.Errorf("the sweep simulated %d specs; the plans name %d", r.Sims(), len(planned))
+	}
 	// A golden file without a live experiment is drift too (an experiment
 	// was removed or renamed without updating the goldens).
 	entries, err := os.ReadDir(dir)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +30,11 @@ func TestPrefetchDeterminism(t *testing.T) {
 	build := func(parallelism int) string {
 		r := NewRunner(QuickScale())
 		r.Parallelism = parallelism
-		return renderAll([]*Table{Figure3(r), Figure13(r), EnergyTable(r)})
+		tables, err := RunTables(context.Background(), r, RunOptions{Only: []string{"fig3", "fig13", "energy"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderAll(tables)
 	}
 	serial := build(1)
 	parallel := build(8)

@@ -8,7 +8,6 @@ import (
 	"impress/internal/energy"
 	"impress/internal/sim"
 	"impress/internal/stats"
-	"impress/internal/trace"
 	"impress/internal/trackers"
 )
 
@@ -33,28 +32,9 @@ func TableII() *Table {
 	}
 }
 
-// fig3Spec is the tracker-less ExPress run at one tMRO point.
-func fig3Spec(w trace.Workload, ns int64) RunSpec {
-	design := core.NewDesign(core.ExPress).WithTMRO(dram.Ns(ns)).WithEmpiricalThreshold()
-	return RunSpec{Workload: w, Design: design, Tracker: sim.TrackerNone}
-}
-
-// figure3Specs declares every simulation Figure3 needs.
-func figure3Specs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	for _, w := range r.Workloads() {
-		specs = append(specs, baselineSpec(w))
-		for _, ns := range tMROSweepNs {
-			specs = append(specs, fig3Spec(w, ns))
-		}
-	}
-	return specs
-}
-
 // Figure3 regenerates the per-workload performance impact of limiting
 // row-open time to tMRO (no Rowhammer tracker; pure row-policy effect).
 func Figure3(r *Runner) *Table {
-	r.prefetch(figure3Specs(r))
 	t := &Table{
 		ID: "fig3", Title: "Normalized performance vs tMRO (paper Fig. 3)",
 		Header: []string{"Workload"},
@@ -71,7 +51,8 @@ func Figure3(r *Runner) *Table {
 		base := r.baseline(w)
 		row := []string{w.Name}
 		for i, ns := range tMROSweepNs {
-			res := r.Run(fig3Spec(w, ns))
+			design := core.NewDesign(core.ExPress).WithTMRO(dram.Ns(ns)).WithEmpiricalThreshold()
+			res := r.Run(RunSpec{Workload: w, Design: design, Tracker: sim.TrackerNone})
 			v := res.NormalizeTo(base)
 			perTMRO[i][w.Name] = v
 			row = append(row, f3(v))
@@ -90,30 +71,9 @@ func Figure3(r *Runner) *Table {
 	return t
 }
 
-// fig5Spec is the ExPress run at one tMRO point under a tracker.
-func fig5Spec(w trace.Workload, tracker sim.TrackerKind, ns int64) RunSpec {
-	design := core.NewDesign(core.ExPress).WithTMRO(dram.Ns(ns)).WithEmpiricalThreshold()
-	return RunSpec{Workload: w, Design: design, Tracker: tracker, DesignTRH: TRH(4000)}
-}
-
-// figure5Specs declares every simulation Figure5 needs.
-func figure5Specs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-		for _, w := range r.Workloads() {
-			specs = append(specs, noRPSpec(w, tracker, 4000, 80))
-			for _, ns := range tMROSweepNs {
-				specs = append(specs, fig5Spec(w, tracker, ns))
-			}
-		}
-	}
-	return specs
-}
-
 // Figure5 regenerates the Graphene/PARA performance as tMRO varies under
 // ExPress with the characterized T*(tMRO) retuning.
 func Figure5(r *Runner) *Table {
-	r.prefetch(figure5Specs(r))
 	t := &Table{
 		ID: "fig5", Title: "Graphene and PARA performance vs tMRO under ExPress (paper Fig. 5)",
 		Header: []string{"Tracker", "Class"},
@@ -133,7 +93,8 @@ func Figure5(r *Runner) *Table {
 		for _, w := range ws {
 			base := r.noRP(w, tracker, 4000, 80)
 			for i, ns := range tMROSweepNs {
-				res := r.Run(fig5Spec(w, tracker, ns))
+				design := core.NewDesign(core.ExPress).WithTMRO(dram.Ns(ns)).WithEmpiricalThreshold()
+				res := r.Run(RunSpec{Workload: w, Design: design, Tracker: tracker, DesignTRH: TRH(4000)})
 				cols[i][w.Name] = res.NormalizeTo(base)
 			}
 			// "no-tMRO" is the No-RP configuration itself (tON unlimited).
@@ -161,40 +122,10 @@ func designSet13(alpha float64) []core.Design {
 	}
 }
 
-// fig13MintSpecs returns the Fig. 13 MINT panel runs: ImPress-N at RFM-40
-// and ImPress-P at RFM-80 (Appendix A threshold retention).
-func fig13MintSpecs(w trace.Workload) (specN, specP RunSpec) {
-	mintTRH := trackers.MINTToleratedTRH(80)
-	specN = RunSpec{Workload: w, Design: core.NewDesign(core.ImpressN),
-		Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(40)}
-	specP = RunSpec{Workload: w, Design: core.NewDesign(core.ImpressP),
-		Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(80)}
-	return specN, specP
-}
-
-// figure13Specs declares every simulation Figure13 needs.
-func figure13Specs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	mintTRH := trackers.MINTToleratedTRH(80)
-	for _, w := range r.Workloads() {
-		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			specs = append(specs, noRPSpec(w, tracker, 4000, 80))
-			for _, d := range designSet13(1) {
-				specs = append(specs, RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
-			}
-		}
-		specs = append(specs, noRPSpec(w, sim.TrackerMINT, mintTRH, 80))
-		specN, specP := fig13MintSpecs(w)
-		specs = append(specs, specN, specP)
-	}
-	return specs
-}
-
 // Figure13 regenerates the headline per-workload performance comparison:
 // ExPress vs ImPress-N vs ImPress-P (alpha = 1) on Graphene and PARA, and
 // ImPress-N (RFM-40) vs ImPress-P (RFM-80) on MINT.
 func Figure13(r *Runner) *Table {
-	r.prefetch(figure13Specs(r))
 	t := &Table{
 		ID: "fig13", Title: "Performance normalized to No-RP, alpha=1 (paper Fig. 13)",
 		Header: []string{"Workload",
@@ -225,8 +156,10 @@ func Figure13(r *Runner) *Table {
 		// ImPress-P stays at RFM-80.
 		mintTRH := trackers.MINTToleratedTRH(80)
 		base := r.noRP(w, sim.TrackerMINT, mintTRH, 80)
-		specN, specP := fig13MintSpecs(w)
-		resN, resP := r.Run(specN), r.Run(specP)
+		resN := r.Run(RunSpec{Workload: w, Design: core.NewDesign(core.ImpressN),
+			Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(40)})
+		resP := r.Run(RunSpec{Workload: w, Design: core.NewDesign(core.ImpressP),
+			Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(80)})
 		vN, vP := resN.NormalizeTo(base), resP.NormalizeTo(base)
 		cols[6][w.Name], cols[7][w.Name] = vN, vP
 		row = append(row, f3(vN), f3(vP))
@@ -263,35 +196,8 @@ var fig16MintConfigs = []struct {
 	rfmth int
 }{{0.35, 60}, {1, 40}}
 
-// fig16MintSpec is one Fig. 16 MINT run.
-func fig16MintSpec(w trace.Workload, alpha float64, rfmth int) RunSpec {
-	mintTRH := trackers.MINTToleratedTRH(80)
-	return RunSpec{Workload: w, Design: core.NewDesign(core.ImpressN).WithAlpha(alpha),
-		Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(rfmth)}
-}
-
-// figure16Specs declares every simulation Figure16 needs.
-func figure16Specs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	mintTRH := trackers.MINTToleratedTRH(80)
-	for _, w := range r.Workloads() {
-		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			specs = append(specs, noRPSpec(w, tracker, 4000, 80))
-			for _, d := range fig16Designs() {
-				specs = append(specs, RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
-			}
-		}
-		specs = append(specs, noRPSpec(w, sim.TrackerMINT, mintTRH, 80))
-		for _, cfg := range fig16MintConfigs {
-			specs = append(specs, fig16MintSpec(w, cfg.alpha, cfg.rfmth))
-		}
-	}
-	return specs
-}
-
 // Figure16 regenerates the Appendix-A comparison at alpha in {0.35, 1}.
 func Figure16(r *Runner) *Table {
-	r.prefetch(figure16Specs(r))
 	t := &Table{
 		ID: "fig16", Title: "ExPress vs ImPress-N at alpha 0.35 and 1 (paper Fig. 16)",
 		Header: []string{"Workload",
@@ -321,7 +227,8 @@ func Figure16(r *Runner) *Table {
 		mintTRH := trackers.MINTToleratedTRH(80)
 		base := r.noRP(w, sim.TrackerMINT, mintTRH, 80)
 		for i, cfg := range fig16MintConfigs {
-			res := r.Run(fig16MintSpec(w, cfg.alpha, cfg.rfmth))
+			res := r.Run(RunSpec{Workload: w, Design: core.NewDesign(core.ImpressN).WithAlpha(cfg.alpha),
+				Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(cfg.rfmth)})
 			v := res.NormalizeTo(base)
 			cols[8+i][w.Name] = v
 			row = append(row, f3(v))
@@ -356,26 +263,10 @@ func comparisonDesigns() []namedDesign {
 	}
 }
 
-// figure14Specs declares every simulation Figure14 (and EnergyTable, which
-// reuses the identical run set) needs.
-func figure14Specs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	for _, w := range r.Workloads() {
-		specs = append(specs, baselineSpec(w))
-		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			for _, dd := range comparisonDesigns() {
-				specs = append(specs, RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
-			}
-		}
-	}
-	return specs
-}
-
 // Figure14 regenerates the activation-overhead breakdown: demand and
 // mitigative activations relative to the unprotected baseline, averaged
 // over all workloads.
 func Figure14(r *Runner) *Table {
-	r.prefetch(figure14Specs(r))
 	t := &Table{
 		ID: "fig14", Title: "Relative activations: demand + mitigative (paper Fig. 14)",
 		Header: []string{"Tracker", "Design", "Demand ACTs", "Mitigative ACTs", "Total"},
@@ -411,7 +302,6 @@ func Figure14(r *Runner) *Table {
 // EnergyTable regenerates the Section VI-E energy overheads from the same
 // run set as Figure 14.
 func EnergyTable(r *Runner) *Table {
-	r.prefetch(figure14Specs(r))
 	t := &Table{
 		ID: "energy", Title: "DRAM energy relative to unprotected baseline (paper Section VI-E)",
 		Header: []string{"Tracker", "Design", "Relative energy", "Activation share"},
@@ -442,27 +332,10 @@ func EnergyTable(r *Runner) *Table {
 // fig15TRHs is the Fig. 15 threshold sweep.
 var fig15TRHs = []float64{4000, 2000, 1000}
 
-// figure15Specs declares every simulation Figure15 needs.
-func figure15Specs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	for _, w := range r.Workloads() {
-		specs = append(specs, baselineSpec(w))
-		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			for _, dd := range comparisonDesigns() {
-				for _, trh := range fig15TRHs {
-					specs = append(specs, RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(trh)})
-				}
-			}
-		}
-	}
-	return specs
-}
-
 // Figure15 regenerates the threshold-scaling study: Graphene and PARA at
 // TRH in {4K, 2K, 1K} for No-RP, ExPress and ImPress-P, normalized to the
 // unprotected baseline.
 func Figure15(r *Runner) *Table {
-	r.prefetch(figure15Specs(r))
 	t := &Table{
 		ID: "fig15", Title: "Performance vs TRH, normalized to unprotected (paper Fig. 15)",
 		Header: []string{"Tracker", "Design", "TRH=4K", "TRH=2K", "TRH=1K"},
@@ -488,19 +361,4 @@ func Figure15(r *Runner) *Table {
 	t.Notes = append(t.Notes,
 		"paper shape: overheads grow as TRH shrinks; ExPress degrades fastest, ImPress-P tracks No-RP")
 	return t
-}
-
-// SimSpecs returns the union of every simulation-backed experiment's run
-// specs — the full spec universe a complete sweep simulates. ShardSpecs
-// partitions it for fleet execution; prefetch deduplicates the overlap
-// between figures (shared baselines).
-func SimSpecs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	specs = append(specs, figure3Specs(r)...)
-	specs = append(specs, figure5Specs(r)...)
-	specs = append(specs, figure13Specs(r)...)
-	specs = append(specs, figure14Specs(r)...)
-	specs = append(specs, figure15Specs(r)...)
-	specs = append(specs, figure16Specs(r)...)
-	return specs
 }

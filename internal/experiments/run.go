@@ -3,70 +3,62 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"impress/internal/errs"
+	"impress/internal/resultstore"
 	"impress/internal/sim"
 )
 
-// Definition describes one runnable experiment: its CLI/-only ID,
-// whether it needs performance simulations, its table builder, and —
-// for simulation-backed experiments — its declared spec list.
+// Definition describes one runnable experiment: its CLI/-only ID and
+// its table builder. The builder's own Runner.Run and Runner.Attack
+// calls are the only statement of what it needs: RunTables and SpecsFor
+// learn its spec list by planning it (see plan), and a definition whose
+// plan names no simulation is analytical.
 type Definition struct {
 	ID string
-	// Analytical marks experiments that need no performance simulation
-	// (model arithmetic and the single-bank security harness only).
-	Analytical bool
 	// Build assembles the table, using r for simulation-backed runs.
 	Build func(r *Runner) *Table
-	// Specs declares every simulation Build needs (nil for analytical
-	// experiments). SpecsFor unions them so sweep services can shard a
-	// job's exact simulation universe before assembling any table.
-	Specs func(r *Runner) []RunSpec
 }
 
 // Definitions returns every experiment in paper order — the single
 // registry behind RunTables and the impress-experiments CLI.
 func Definitions() []Definition {
 	a := func(id string, build func() *Table) Definition {
-		return Definition{ID: id, Analytical: true, Build: func(*Runner) *Table { return build() }}
+		return Definition{ID: id, Build: func(*Runner) *Table { return build() }}
 	}
-	// Harness-backed experiments are analytical (single-bank security
-	// harness, no performance simulation) but run through the runner:
-	// its bound context cancels them, and ablation-rfm and attackzoo
-	// also use its parallelism (attackzoo its attack-evaluation cache).
-	h := func(id string, build func(*Runner) *Table) Definition {
-		return Definition{ID: id, Analytical: true, Build: build}
-	}
-	s := func(id string, build func(*Runner) *Table, specs func(*Runner) []RunSpec) Definition {
-		return Definition{ID: id, Build: build, Specs: specs}
-	}
+	// The other builders take the runner. The harness-backed ones (eq5,
+	// fig18, security, prac, ablation-rfm, attackzoo) simulate nothing,
+	// so they are analytical, but the runner's bound context cancels
+	// them, ablation-rfm also uses its parallelism, and attackzoo its
+	// attack-evaluation cache.
 	return []Definition{
 		a("table1", TableI),
 		a("table2", TableII),
-		s("fig3", Figure3, figure3Specs),
+		{ID: "fig3", Build: Figure3},
 		a("fig4", Figure4),
-		s("fig5", Figure5, figure5Specs),
+		{ID: "fig5", Build: Figure5},
 		a("fig6", Figure6),
 		a("fig7", Figure7),
 		a("fig8", Figure8),
-		h("eq5", ImpressNWorstCase),
+		{ID: "eq5", Build: ImpressNWorstCase},
 		a("fig12", Figure12),
-		s("fig13", Figure13, figure13Specs),
+		{ID: "fig13", Build: Figure13},
 		a("table3", TableIII),
-		s("fig14", Figure14, figure14Specs),
-		s("energy", EnergyTable, figure14Specs),
-		s("fig15", Figure15, figure15Specs),
-		s("fig16", Figure16, figure16Specs),
-		h("fig18", Figure18),
+		{ID: "fig14", Build: Figure14},
+		{ID: "energy", Build: EnergyTable},
+		{ID: "fig15", Build: Figure15},
+		{ID: "fig16", Build: Figure16},
+		{ID: "fig18", Build: Figure18},
 		a("fig19", Figure19),
 		a("storage", StorageTable),
-		h("security", SecuritySummary),
-		h("prac", PRACTable),
+		{ID: "security", Build: SecuritySummary},
+		{ID: "prac", Build: PRACTable},
 		a("dsac", RelatedWorkDSAC),
-		h("ablation-rfm", AblationRFMPacing),
-		h("attackzoo", AttackZooTable),
+		{ID: "ablation-rfm", Build: AblationRFMPacing},
+		{ID: "attackzoo", Build: AttackZooTable},
 	}
 }
 
@@ -85,11 +77,14 @@ func KnownIDs() []string {
 type RunOptions struct {
 	// Only restricts assembly to these experiment IDs (nil = all).
 	Only []string
-	// Analytical restricts to the simulation-free experiments.
+	// Analytical restricts to the simulation-free experiments: those
+	// whose plan names no simulation.
 	Analytical bool
 	// OnTable, when non-nil, receives each table as soon as it is
 	// assembled, in paper order — CLIs stream output through it instead
-	// of waiting for the full slice.
+	// of waiting for the full slice. Assembly starts once every
+	// selected run and attack evaluation is done, so a cold sweep
+	// delivers its first table after its last simulation.
 	OnTable func(*Table)
 }
 
@@ -105,32 +100,33 @@ type RunOptions struct {
 // Store attached — so a cancelled sweep rerun resumes warm. Internal
 // invariant panics still propagate.
 func RunTables(ctx context.Context, r *Runner, opts RunOptions) (tables []*Table, err error) {
-	selected, err := selectDefs(opts)
-	if err != nil {
-		return nil, err
-	}
-
 	defer r.bind(ctx)()
 	defer func() {
 		if p := recover(); p != nil {
 			tables, err = nil, abortErr(p)
 		}
 	}()
-
-	// A batch full sweep prefetches the union up front so independent
-	// runs across figures execute concurrently. Streaming callers
-	// (OnTable) want completed tables incrementally, so each figure
-	// prefetches its own set lazily instead — the memo still
-	// deduplicates cross-figure overlap, and output is byte-identical
-	// either way. Filtered runs are always lazy.
-	if len(opts.Only) == 0 && !opts.Analytical && opts.OnTable == nil {
-		r.prefetch(SimSpecs(r))
+	selected, err := selectDefs(r, opts)
+	if err != nil {
+		return nil, err
 	}
+
+	// Fan the union of every selected table's runs, then of its attack
+	// evaluations, out over one worker pool, so independent work across
+	// tables runs concurrently. Then assemble the tables serially, in
+	// paper order, against the warm memo.
+	var all buildPlan
+	for _, d := range selected {
+		all.runs = append(all.runs, d.plan.runs...)
+		all.attacks = append(all.attacks, d.plan.attacks...)
+	}
+	r.prefetch(all.runs)
+	r.prefetchAttacks(all.attacks)
 	for _, d := range selected {
 		r.checkCtx()
 		t := d.Build(r)
-		if r.Clock == sim.ClockSampled && d.Specs != nil {
-			annotateCI(r, d, t)
+		if r.Clock == sim.ClockSampled {
+			annotateCI(r, d.plan.runs, t)
 		}
 		r.emit(Progress{Kind: ProgressTableRendered, Table: t.ID})
 		if opts.OnTable != nil {
@@ -141,41 +137,63 @@ func RunTables(ctx context.Context, r *Runner, opts RunOptions) (tables []*Table
 	return tables, nil
 }
 
+// buildPlan is what one table builder asks of its runner, in call
+// order with repeats: every simulation and every attack evaluation.
+type buildPlan struct {
+	runs    []RunSpec
+	attacks []resultstore.AttackSpec
+}
+
+// plan runs d.Build against a planning copy of r — same scale and
+// clocking, no store, no progress, serial — whose Run and Attack record
+// their spec and return the zero result, and whose harness returns the
+// zero result. Nothing simulates or evaluates. Builders only do float
+// arithmetic on results, so zero results cannot change which specs
+// they ask for; the tables they produce here are discarded. Keys are
+// not computed: prefetch and SpecsFor deduplicate.
+func (r *Runner) plan(d Definition) buildPlan {
+	p := &buildPlan{}
+	d.Build(&Runner{Scale: r.Scale, Clock: r.Clock, MaxRelError: r.MaxRelError, Parallelism: 1, planned: p})
+	return *p
+}
+
+// plannedDef is a selected definition with its plan.
+type plannedDef struct {
+	Definition
+	plan buildPlan
+}
+
 // selectDefs resolves a RunOptions selection against the registry: the
-// selected definitions in paper order, or a typed error for an unknown
-// ID or an -only/-analytical conflict. RunTables and SpecsFor share it
-// so "which experiments does this request name" can never disagree
-// between validation, sharding and assembly.
-func selectDefs(opts RunOptions) ([]Definition, error) {
+// selected definitions in paper order, each with its plan, or a typed
+// error for an unknown ID or an -only/-analytical conflict. RunTables
+// and SpecsFor share it so "which experiments does this request name"
+// can never disagree between validation, sharding and assembly. An
+// unresolvable scale workload panics out of planning as a runAbort for
+// the caller to recover.
+func selectDefs(r *Runner, opts RunOptions) ([]plannedDef, error) {
 	defs := Definitions()
 	want := map[string]bool{}
 	for _, id := range opts.Only {
-		var def *Definition
-		for i := range defs {
-			if defs[i].ID == id {
-				def = &defs[i]
-				break
-			}
-		}
-		if def == nil {
+		if !slices.ContainsFunc(defs, func(d Definition) bool { return d.ID == id }) {
 			return nil, fmt.Errorf("experiments: %w: unknown experiment ID %q (known: %s)",
 				errs.ErrBadSpec, id, strings.Join(KnownIDs(), ", "))
 		}
-		if opts.Analytical && !def.Analytical {
-			return nil, fmt.Errorf("experiments: %w: experiment %q is simulation-backed; drop the analytical restriction to run it",
-				errs.ErrBadSpec, id)
-		}
 		want[id] = true
 	}
-	var selected []Definition
+	var selected []plannedDef
 	for _, d := range defs {
 		if len(want) > 0 && !want[d.ID] {
 			continue
 		}
-		if opts.Analytical && !d.Analytical {
+		p := r.plan(d)
+		if opts.Analytical && len(p.runs) > 0 {
+			if want[d.ID] {
+				return nil, fmt.Errorf("experiments: %w: experiment %q is simulation-backed; drop the analytical restriction to run it",
+					errs.ErrBadSpec, d.ID)
+			}
 			continue
 		}
-		selected = append(selected, d)
+		selected = append(selected, plannedDef{d, p})
 	}
 	return selected, nil
 }
@@ -184,30 +202,25 @@ func selectDefs(opts RunOptions) ([]Definition, error) {
 // experiments selected by opts need — the exact universe a sweep
 // service shards across its worker fleet before assembling any table
 // (OnTable is ignored; an all-analytical selection returns an empty
-// universe). Specs keep their first-seen declaration order, so every
-// node computes the same list. Unknown IDs, selection conflicts and
-// unresolvable scale workloads surface as typed errors (errs.ErrBadSpec,
+// universe). It is the key-deduplicated union of the selected
+// definitions' plans, so it names exactly the runs RunTables will ask
+// for. Specs keep their first-seen call order, so every node computes
+// the same list. Unknown IDs, selection conflicts and unresolvable
+// scale workloads surface as typed errors (errs.ErrBadSpec,
 // errs.ErrUnknownWorkload) exactly as RunTables would report them.
 func SpecsFor(r *Runner, opts RunOptions) (specs []RunSpec, err error) {
-	selected, err := selectDefs(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Workload resolution (r.Workloads inside the Specs funcs) reports
-	// scale typos through the runAbort panic; recover it
-	// into the typed error here like the other context-aware
-	// boundaries.
 	defer func() {
 		if p := recover(); p != nil {
 			specs, err = nil, abortErr(p)
 		}
 	}()
+	selected, err := selectDefs(r, opts)
+	if err != nil {
+		return nil, err
+	}
 	seen := make(map[string]bool)
 	for _, d := range selected {
-		if d.Specs == nil || opts.Analytical {
-			continue
-		}
-		for _, s := range d.Specs(r) {
+		for _, s := range d.plan.runs {
 			if k := string(r.storeSpec(s).Key()); !seen[k] {
 				seen[k] = true
 				specs = append(specs, s)
@@ -221,15 +234,15 @@ func SpecsFor(r *Runner, opts RunOptions) (specs []RunSpec, err error) {
 // simulation-backed table assembled from sampled runs: the worst
 // (largest) 95% relative half-width over the table's spec universe for
 // each tracked metric, plus the early-stop count. RunTables calls it
-// for every table of a sampled-clock runner; exact-mode results carry
-// no estimates, so exact tables never get the note. Every spec is
-// memoized by the Build that just ran, so the Run calls here are pure
-// memo hits.
-func annotateCI(r *Runner, d Definition, t *Table) {
+// for every table of a sampled-clock runner with the table's planned
+// runs; exact-mode results carry no estimates, so exact tables never get
+// the note. Every spec is memoized by the Build that just ran, so the
+// Run calls here are pure memo hits.
+func annotateCI(r *Runner, runs []RunSpec, t *Table) {
 	seen := make(map[string]bool)
 	var n, early int
 	var worstIPC, worstACT float64
-	for _, s := range d.Specs(r) {
+	for _, s := range runs {
 		k := string(r.storeSpec(s).Key())
 		if seen[k] {
 			continue

@@ -65,7 +65,16 @@ func TestWarmStoreServesIdenticalTablesWithZeroSims(t *testing.T) {
 // deduplicated spec universe exactly.
 func TestShardPartitionIsExactCover(t *testing.T) {
 	r := NewRunner(QuickScale())
-	specs := SimSpecs(r)
+	// Each definition's own universe, concatenated: the figures share
+	// baselines, so the list repeats specs ShardSpecs must deduplicate.
+	var specs []RunSpec
+	for _, d := range Definitions() {
+		fig, err := SpecsFor(r, RunOptions{Only: []string{d.ID}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, fig...)
+	}
 	whole := map[string]bool{}
 	for _, s := range specs {
 		whole[string(r.storeSpec(s).Key())] = true
@@ -121,9 +130,9 @@ func TestShardSpecsRejectsBadIndices(t *testing.T) {
 
 // TestSpecsForMatchesSweepUniverse checks that the sharding seam sees
 // exactly the universe the sweep itself will simulate: no selection
-// equals the full deduplicated union, an -only selection equals that
-// figure's deduplicated list, analytical selections are empty, and
-// selection errors are typed.
+// equals the deduplicated union of every definition's own selection, an
+// -only selection names that figure's distinct runs, analytical
+// selections are empty, and selection errors are typed.
 func TestSpecsForMatchesSweepUniverse(t *testing.T) {
 	r := NewRunner(QuickScale())
 	keysOf := func(specs []RunSpec) map[string]bool {
@@ -138,7 +147,16 @@ func TestSpecsForMatchesSweepUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := keysOf(SimSpecs(r))
+	want := map[string]bool{}
+	for _, d := range Definitions() {
+		fig, err := SpecsFor(r, RunOptions{Only: []string{d.ID}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range keysOf(fig) {
+			want[k] = true
+		}
+	}
 	if got := keysOf(full); len(got) != len(want) || len(full) != len(want) {
 		t.Fatalf("SpecsFor(all) has %d specs (%d distinct), want the %d-spec deduplicated universe",
 			len(full), len(got), len(want))
@@ -148,8 +166,8 @@ func TestSpecsForMatchesSweepUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := keysOf(fig3), keysOf(figure3Specs(r)); len(got) != len(want) {
-		t.Fatalf("SpecsFor(fig3) covers %d distinct specs, want %d", len(got), len(want))
+	if got := keysOf(fig3); len(got) != fig3Specs || len(fig3) != fig3Specs {
+		t.Fatalf("SpecsFor(fig3) has %d specs (%d distinct), want %d", len(fig3), len(got), fig3Specs)
 	}
 
 	analytical, err := SpecsFor(r, RunOptions{Analytical: true})
@@ -194,7 +212,10 @@ func TestShardedSweepMergesThroughStore(t *testing.T) {
 	reference := NewRunner(scale)
 	want := renderFig3(reference)
 
-	specs := figure3Specs(NewRunner(scale))
+	specs, err := SpecsFor(NewRunner(scale), RunOptions{Only: []string{"fig3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i <= 2; i++ {
 		shardRunner := NewRunner(scale)
 		shardRunner.Store = openStore(t, dir)

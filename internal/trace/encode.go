@@ -212,11 +212,13 @@ func Decode(r io.Reader) (*Trace, error) {
 		LineSize: rd.h.LineSize,
 		PerCore:  make([][]Request, rd.h.Cores),
 	}
+	// One generator decodes every core in turn, reusing its buffers.
+	g := sizedStreamGen(rd, rd.perCore)
 	for c := range t.PerCore {
 		// Grow frame by frame: the index's request counts are claims,
 		// and each frame's requests are appended only once it decodes.
 		reqs := []Request{}
-		g := newStreamGen(rd, c)
+		g.core, g.frames, g.fi = c, rd.perCore[c], 0
 		for g.fi < len(g.frames) {
 			if err := g.load(); err != nil {
 				return nil, fmt.Errorf("trace: frame at offset %d: %w", g.frames[g.fi].off, err)

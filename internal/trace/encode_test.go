@@ -260,3 +260,53 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkDecode decodes the five recordings FuzzDecode seeds with:
+// two-core recordings of mcf, copy, a gcc/copy/hammer co-run and a
+// Row-Press aggressor, and a compressed copy recording in 256-request
+// frames. One op decodes all five.
+func BenchmarkDecode(b *testing.B) {
+	var files [][]byte
+	for _, name := range []string{"mcf", "copy", "mix:gcc,copy,attack:hammer", "attack:rowpress"} {
+		w, err := WorkloadByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Record(w, 2, 200, 1).Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+		files = append(files, buf.Bytes())
+	}
+	w, err := WorkloadByName("copy")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := Record(w, 2, 700, 1)
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf, Header{
+		Name: rec.Name, Stream: rec.Stream, Seed: rec.Seed, LineSize: rec.LineSize, Cores: 2,
+	}, &WriterOptions{FrameRequests: 256, Compress: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c, reqs := range rec.PerCore {
+		for _, req := range reqs {
+			if err := tw.Append(c, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := tw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	files = append(files, buf.Bytes())
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, data := range files {
+			if _, err := Decode(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -350,18 +350,26 @@ type streamGen struct {
 // newStreamGen sizes a generator for core's frames so the replay loop
 // itself is allocation-free.
 func newStreamGen(r *Reader, core int) *streamGen {
-	frames := r.perCore[core]
+	g := sizedStreamGen(r, r.perCore[core:core+1])
+	g.core, g.frames = core, r.perCore[core]
+	return g
+}
+
+// sizedStreamGen returns a generator with no frames to replay whose
+// buffers and inflater fit the largest frame in perCore. Decode sizes
+// one for every core and moves it from core to core.
+func sizedStreamGen(r *Reader, perCore [][]frameInfo) *streamGen {
 	maxCount, maxLen, compressed := 0, 0, false
-	for _, f := range frames {
-		maxCount = max(maxCount, f.count)
-		maxLen = max(maxLen, f.length)
-		compressed = compressed || f.flags&frameFlagDeflate != 0
+	for _, frames := range perCore {
+		for _, f := range frames {
+			maxCount = max(maxCount, f.count)
+			maxLen = max(maxLen, f.length)
+			compressed = compressed || f.flags&frameFlagDeflate != 0
+		}
 	}
 	g := &streamGen{
 		name:     r.h.Name,
-		core:     core,
 		src:      r.src,
-		frames:   frames,
 		lineSize: uint64(r.h.LineSize),
 		maxLine:  maxLineFor(uint64(r.h.LineSize)),
 		buf:      make([]Request, 0, maxCount),

@@ -275,6 +275,8 @@ func ExperimentsAnalytical() ExperimentsOption {
 
 // ExperimentsOnTable streams each table to fn as soon as it is
 // assembled (paper order), so long sweeps can render incrementally.
+// Assembly starts once every simulation the selection needs has run,
+// so a cold sweep's first table arrives after its last simulation.
 func ExperimentsOnTable(fn func(*ExperimentTable)) ExperimentsOption {
 	return func(o *experiments.RunOptions) { o.OnTable = fn }
 }
