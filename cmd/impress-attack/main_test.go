@@ -85,4 +85,16 @@ func TestRunExitCodes(t *testing.T) {
 	if !strings.Contains(stderr.String(), "no-rp, express, impress-n or impress-p") {
 		t.Errorf("unknown design: stderr %q does not list the known designs", stderr.String())
 	}
+	// A negative device alpha makes every access deal no damage; it must
+	// be rejected, not reported as a contained attack.
+	for _, alpha := range []string{"-5", "NaN"} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(context.Background(), []string{"-pattern", "rowpress", "-alpha-true", alpha}, &stdout, &stderr); code != 2 {
+			t.Errorf("-alpha-true %s: exit %d, want 2; stdout:\n%s", alpha, code, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "alpha") {
+			t.Errorf("-alpha-true %s: stderr %q does not name the alpha", alpha, stderr.String())
+		}
+	}
 }

@@ -158,7 +158,11 @@ func TestCacheVerifyAllSkippedFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracePath := filepath.Join(t.TempDir(), "gcc.trace")
-	if err := trace.Record(w, 2, 100, 1).WriteFile(tracePath); err != nil {
+	rec, err := trace.RecordContext(context.Background(), w, 2, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteFile(tracePath); err != nil {
 		t.Fatal(err)
 	}
 	cfg := tinyConfig(t)

@@ -2,15 +2,17 @@
 // (DESIGN.md §10) over Go packages: determinism (map iteration order,
 // wall clock, global rand, unsorted directory listings), ctxfirst (the
 // context-first public API gate), errtaxonomy (typed errors at the
-// public boundary, %w wrapping) and hotpath (//impress:hotpath
-// hygiene).
+// public boundary, %w wrapping), hotpath (//impress:hotpath hygiene)
+// and deadexport (internal exports that only tests reference).
 //
-// Standalone, whole-module mode (full hotpath callee propagation):
+// Standalone, whole-module mode (full hotpath callee propagation; the
+// only mode in which deadexport reports):
 //
 //	impress-lint ./...
 //	impress-lint -only determinism,hotpath ./internal/sim/...
 //
-// As a go vet tool (per-package; hotpath stops at package boundaries):
+// As a go vet tool (per-package; hotpath stops at package boundaries
+// and deadexport reports nothing):
 //
 //	go vet -vettool=$(which impress-lint) ./...
 //

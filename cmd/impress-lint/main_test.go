@@ -13,17 +13,35 @@ import (
 // its directory.
 func writeModule(t *testing.T, src string) string {
 	t.Helper()
+	return writeFiles(t, map[string]string{"x.go": src})
+}
+
+// writeFiles lays out a throwaway module holding files (paths relative
+// to the module root) and returns its directory.
+func writeFiles(t *testing.T, files map[string]string) string {
+	t.Helper()
 	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module example.com/seeded\n\ngo 1.24\n",
-		"x.go":   src,
-	}
+	files["go.mod"] = "module example.com/seeded\n\ngo 1.24\n"
 	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dir
+}
+
+// deadExportFiles is a module whose internal package exports a function
+// nothing calls.
+func deadExportFiles() map[string]string {
+	return map[string]string{
+		"x.go": "package seeded\n\nimport \"example.com/seeded/internal/dead\"\n\n// Run calls the live export.\nfunc Run() int { return dead.Live() }\n",
+		"internal/dead/dead.go": "package dead\n\n// Live has a caller.\nfunc Live() int { return 1 }\n\n" +
+			"// Unused has none.\nfunc Unused() int { return 2 }\n",
+	}
 }
 
 // seededSrc carries a Figure15-class violation: float accumulation over
@@ -66,6 +84,18 @@ func TestSeededMapRangeViolationFails(t *testing.T) {
 	}
 }
 
+func TestSeededDeadExportFails(t *testing.T) {
+	dir := writeFiles(t, deadExportFiles())
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dir", dir, "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "[deadexport]") || !strings.Contains(out, "func Unused") || strings.Contains(out, "Live") {
+		t.Fatalf("want one deadexport diagnostic naming Unused:\n%s", out)
+	}
+}
+
 func TestCleanModulePasses(t *testing.T) {
 	dir := writeModule(t, cleanSrc)
 	var stdout, stderr bytes.Buffer
@@ -89,7 +119,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "ctxfirst", "errtaxonomy", "hotpath"} {
+	for _, name := range []string{"determinism", "ctxfirst", "errtaxonomy", "hotpath", "deadexport"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output omits %s:\n%s", name, stdout.String())
 		}
@@ -116,14 +146,22 @@ func TestGoVetVettool(t *testing.T) {
 		t.Fatalf("building impress-lint: %v\n%s", err, out)
 	}
 
-	dir := writeModule(t, seededSrc)
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = dir
-	out, err := vet.CombinedOutput()
+	vet := func(dir string) ([]byte, error) {
+		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+		cmd.Dir = dir
+		return cmd.CombinedOutput()
+	}
+	out, err := vet(writeModule(t, seededSrc))
 	if err == nil {
 		t.Fatalf("go vet -vettool passed on a seeded map-range violation:\n%s", out)
 	}
 	if !strings.Contains(string(out), "nondeterministic order") {
 		t.Fatalf("vet output lacks the determinism diagnostic:\n%s", out)
+	}
+
+	// deadexport needs the whole module, which the per-package vet
+	// driver never loads, so there it reports nothing.
+	if out, err := vet(writeFiles(t, deadExportFiles())); err != nil {
+		t.Fatalf("go vet -vettool failed on a module whose only finding is a dead export: %v\n%s", err, out)
 	}
 }

@@ -1,7 +1,8 @@
 // Package suite instantiates the impress-lint analyzers with this
 // repository's frozen configuration: the deterministic-output packages,
 // the context-first boundary and its allowlists, the error-taxonomy
-// boundary, and the hot-path directive. cmd/impress-lint (standalone
+// boundary, the hot-path directive, and the perfbench module whose
+// references keep internal exports alive. cmd/impress-lint (standalone
 // and go vet -vettool modes) runs exactly this suite; the analyzer
 // packages themselves stay repo-agnostic.
 package suite
@@ -9,6 +10,7 @@ package suite
 import (
 	"impress/internal/analysis"
 	"impress/internal/analysis/ctxfirst"
+	"impress/internal/analysis/deadexport"
 	"impress/internal/analysis/determinism"
 	"impress/internal/analysis/errtaxonomy"
 	"impress/internal/analysis/hotpath"
@@ -95,5 +97,6 @@ func Analyzers() []*analysis.Analyzer {
 			TaxonomyPkg: "impress/internal/errs",
 		}),
 		hotpath.New(),
+		deadexport.New(deadexport.Config{Extra: []string{"perfbench"}}),
 	}
 }

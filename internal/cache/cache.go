@@ -107,9 +107,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// NumSets returns the set count.
-func (c *Cache) NumSets() int { return len(c.lines) / int(c.ways) }
-
 // set returns the ways of set idx.
 func (c *Cache) set(idx uint64) []line {
 	return c.lines[idx*c.ways : (idx+1)*c.ways]
@@ -209,12 +206,6 @@ func (c *Cache) Hits() uint64 { return c.hits }
 
 // Misses returns the miss count.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// Evictions returns the eviction count.
-func (c *Cache) Evictions() uint64 { return c.evictions }
-
-// Writebacks returns the dirty-eviction count.
-func (c *Cache) Writebacks() uint64 { return c.writebacks }
 
 // HitRate returns hits/(hits+misses), or 0 with no accesses.
 func (c *Cache) HitRate() float64 {

@@ -13,8 +13,8 @@ func TestDefaultConfigTableII(t *testing.T) {
 		t.Fatalf("default config %+v does not match Table II", cfg)
 	}
 	c := New(cfg)
-	if c.NumSets() != 16384 {
-		t.Fatalf("sets = %d, want 16384", c.NumSets())
+	if len(c.lines)/int(c.ways) != 16384 {
+		t.Fatalf("sets = %d, want 16384", len(c.lines)/int(c.ways))
 	}
 }
 
@@ -68,8 +68,8 @@ func TestDirtyWriteback(t *testing.T) {
 	if v.Addr%setStride != 0 {
 		t.Fatalf("victim address %x not one of the inserted lines", v.Addr)
 	}
-	if c.Writebacks() != 1 {
-		t.Fatalf("writebacks = %d", c.Writebacks())
+	if c.writebacks != 1 {
+		t.Fatalf("writebacks = %d", c.writebacks)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestFillIdempotentWhenPresent(t *testing.T) {
 	if evicted {
 		t.Fatalf("duplicate fill evicted %+v", v)
 	}
-	ev := c.Evictions()
+	ev := c.evictions
 	if ev != 0 {
 		t.Fatalf("evictions = %d", ev)
 	}

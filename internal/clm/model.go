@@ -54,8 +54,8 @@ func New(alpha float64) Model {
 
 // Validate checks the model parameters.
 func (m Model) Validate() error {
-	if m.Alpha < 0 {
-		return fmt.Errorf("clm: negative alpha %v", m.Alpha)
+	if !(m.Alpha >= 0) {
+		return fmt.Errorf("clm: alpha %v is not a non-negative number", m.Alpha)
 	}
 	return m.Timings.Validate()
 }

@@ -579,14 +579,6 @@ func (c *Core) WakesOnCompletion() bool {
 		(c.hint.FetchPerStep == 0 && !c.hint.memBlocked)
 }
 
-// Fetched returns total fetched instructions (the clock cross-check in
-// sim's tests compares it).
-func (c *Core) Fetched() int64 { return c.fetched }
-
-// Outstanding returns in-flight reads (the clock cross-check in sim's
-// tests compares it).
-func (c *Core) Outstanding() int { return c.outstanding }
-
 func (c *Core) advanceRetired(n int64) {
 	c.retired += n
 	if c.finishedAt < 0 && c.instrBudget > 0 && c.retired >= c.instrBudget {

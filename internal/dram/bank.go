@@ -56,9 +56,6 @@ func NewBank(t Timings) *Bank {
 	return &Bank{t: t, readyAt: 0, lastACT: -t.TRC}
 }
 
-// State returns the current coarse state.
-func (b *Bank) State() BankState { return b.state }
-
 // OpenRow returns the open row and true, or 0 and false when no row is open.
 func (b *Bank) OpenRow() (int64, bool) {
 	if b.state == BankActive && b.rowValid {
@@ -66,22 +63,6 @@ func (b *Bank) OpenRow() (int64, bool) {
 	}
 	return 0, false
 }
-
-// OpenSince returns the tick at which the currently open row was activated.
-// It is only meaningful when a row is open.
-func (b *Bank) OpenSince() Tick { return b.openSince }
-
-// OpenFor returns how long the current row has been open at time now
-// (zero when no row is open).
-func (b *Bank) OpenFor(now Tick) Tick {
-	if b.state != BankActive {
-		return 0
-	}
-	return now - b.openSince
-}
-
-// Activations returns the lifetime ACT count (demand + mitigative).
-func (b *Bank) Activations() uint64 { return b.acts }
 
 // CanActivate reports whether ACT is legal at time now.
 func (b *Bank) CanActivate(now Tick) bool {

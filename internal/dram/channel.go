@@ -86,10 +86,8 @@ type Channel struct {
 
 	observers []Observer
 
-	// Refresh bookkeeping: REF is due every tREFI; DDR5 allows postponing
-	// up to MaxPostponedRefreshes.
+	// Refresh bookkeeping: REF is due every tREFI.
 	nextRefreshDue Tick
-	postponed      int
 
 	// Per-bank ACT counters since the last RFM (RAA counters).
 	actsSinceRFM []int
@@ -154,9 +152,6 @@ func (c *Channel) SubChannel(bank int) int {
 func (c *Channel) ActivateFloor(sub int) Tick {
 	return max(c.lastSubACT[sub]+c.cfg.Timings.TRRD, c.actRing[sub][c.actRingPos[sub]]+c.cfg.Timings.TFAW)
 }
-
-// Timings returns the channel's timing set.
-func (c *Channel) Timings() Timings { return c.cfg.Timings }
 
 // NumBanks returns the number of banks.
 func (c *Channel) NumBanks() int { return c.cfg.Banks }
@@ -244,11 +239,6 @@ func (c *Channel) Precharge(now Tick, bank int, mitigative bool) Tick {
 	return tON
 }
 
-// CanColumn reports whether a RD/WR to row on bank is legal at now.
-func (c *Channel) CanColumn(now Tick, bank int, row int64) bool {
-	return c.banks[bank].CanColumn(now, row)
-}
-
 // Column issues a RD or WR and returns the data-completion tick.
 func (c *Channel) Column(now Tick, bank int, row int64, write bool) Tick {
 	done := c.banks[bank].Column(now, row)
@@ -260,31 +250,12 @@ func (c *Channel) Column(now Tick, bank int, row int64, write bool) Tick {
 	return done
 }
 
-// RefreshDue reports whether a REF is due at time now (accounting for
-// postponement already consumed).
+// RefreshDue reports whether a REF is due at time now.
 func (c *Channel) RefreshDue(now Tick) bool { return now >= c.nextRefreshDue }
 
 // NextRefreshDue returns the tick at which the next REF becomes due (the
 // refresh horizon of an otherwise idle channel).
 func (c *Channel) NextRefreshDue() Tick { return c.nextRefreshDue }
-
-// RefreshDeadline returns the latest tick by which REF must be issued: the
-// due time plus the remaining postponement allowance.
-func (c *Channel) RefreshDeadline() Tick {
-	slack := Tick(c.cfg.Timings.MaxPostponed-c.postponed) * c.cfg.Timings.TREFI
-	return c.nextRefreshDue + slack
-}
-
-// PostponeRefresh consumes one unit of refresh postponement; it returns
-// false when the allowance is exhausted (REF must be issued now).
-func (c *Channel) PostponeRefresh() bool {
-	if c.postponed >= c.cfg.Timings.MaxPostponed {
-		return false
-	}
-	c.postponed++
-	c.nextRefreshDue += c.cfg.Timings.TREFI
-	return true
-}
 
 // CanRefresh reports whether all banks are idle so REF can start at now.
 func (c *Channel) CanRefresh(now Tick) bool {
@@ -298,7 +269,7 @@ func (c *Channel) CanRefresh(now Tick) bool {
 }
 
 // Refresh issues an all-bank REF at now. Open rows must have been closed by
-// the controller beforehand. Postponement debt is repaid one REF at a time.
+// the controller beforehand.
 func (c *Channel) Refresh(now Tick) {
 	if !c.CanRefresh(now) {
 		panic("dram: REF with non-idle banks")
@@ -307,23 +278,9 @@ func (c *Channel) Refresh(now Tick) {
 		b.Refresh(now, c.cfg.Timings.TRFC)
 	}
 	c.refreshes++
-	if c.postponed > 0 {
-		c.postponed--
-	} else {
-		c.nextRefreshDue += c.cfg.Timings.TREFI
-	}
+	c.nextRefreshDue += c.cfg.Timings.TREFI
 	c.notify(CommandEvent{Now: now, Cmd: CmdREF})
 }
-
-// RFMDue reports whether bank's ACT count since its last RFM has reached
-// threshold (the RFMTH management policy lives in the controller; the
-// channel just counts).
-func (c *Channel) RFMDue(bank, threshold int) bool {
-	return c.actsSinceRFM[bank] >= threshold
-}
-
-// ActsSinceRFM returns bank's RAA counter value.
-func (c *Channel) ActsSinceRFM(bank int) int { return c.actsSinceRFM[bank] }
 
 // RFM issues a Refresh Management command to bank at now: the bank is busy
 // for tRFM and the in-DRAM tracker (an observer) gets its mitigation
@@ -339,15 +296,3 @@ func (c *Channel) RFM(now Tick, bank int) {
 	c.rfms++
 	c.notify(CommandEvent{Now: now, Cmd: CmdRFM, Bank: bank})
 }
-
-// DemandACTs returns the count of demand activations issued.
-func (c *Channel) DemandACTs() uint64 { return c.demandACTs }
-
-// MitigativeACTs returns the count of mitigation activations issued.
-func (c *Channel) MitigativeACTs() uint64 { return c.mitigativeACTs }
-
-// Refreshes returns the count of REF commands issued.
-func (c *Channel) Refreshes() uint64 { return c.refreshes }
-
-// RFMs returns the count of RFM commands issued.
-func (c *Channel) RFMs() uint64 { return c.rfms }

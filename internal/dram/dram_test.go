@@ -81,7 +81,7 @@ func TestActsPerRefreshWindow(t *testing.T) {
 func TestBankActivatePrechargeCycle(t *testing.T) {
 	tm := DDR5()
 	b := NewBank(tm)
-	if b.State() != BankIdle {
+	if b.state != BankIdle {
 		t.Fatal("new bank not idle")
 	}
 	if !b.CanActivate(0) {
@@ -126,8 +126,8 @@ func TestBankTRCEnforcement(t *testing.T) {
 		t.Fatal("back-to-back ACT at tRC must be legal")
 	}
 	b.Activate(tm.TRC, 2)
-	if b.Activations() != 2 {
-		t.Fatalf("Activations = %d", b.Activations())
+	if b.acts != 2 {
+		t.Fatalf("Activations = %d", b.acts)
 	}
 }
 
@@ -155,9 +155,6 @@ func TestBankRowPressOpenTime(t *testing.T) {
 	b := NewBank(tm)
 	b.Activate(0, 3)
 	longOpen := tm.TREFI // a Row-Press style long open
-	if got := b.OpenFor(longOpen); got != longOpen {
-		t.Fatalf("OpenFor = %d, want %d", got, longOpen)
-	}
 	tON := b.Precharge(longOpen)
 	if tON != longOpen {
 		t.Fatalf("tON = %d, want %d", tON, longOpen)
@@ -168,14 +165,14 @@ func TestBankRefresh(t *testing.T) {
 	tm := DDR5()
 	b := NewBank(tm)
 	b.Refresh(0, tm.TRFC)
-	if b.State() != BankRefreshing {
+	if b.state != BankRefreshing {
 		t.Fatal("bank should be refreshing")
 	}
 	if b.CanActivate(tm.TRFC - 1) {
 		t.Fatal("ACT during REF must be illegal")
 	}
 	b.Tick(tm.TRFC)
-	if b.State() != BankIdle {
+	if b.state != BankIdle {
 		t.Fatal("bank should return to idle after tRFC")
 	}
 	if !b.CanActivate(tm.TRFC) {
@@ -227,7 +224,7 @@ func TestBankRoundTripProperty(t *testing.T) {
 			now += tON
 			rounds++
 		}
-		return b.Activations() == uint64(rounds)
+		return b.acts == uint64(rounds)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -258,7 +255,7 @@ func TestChannelBasics(t *testing.T) {
 	if events[2].TON != tON {
 		t.Fatalf("PRE event tON = %d, want %d", events[2].TON, tON)
 	}
-	if ch.DemandACTs() != 1 || ch.MitigativeACTs() != 0 {
+	if ch.demandACTs != 1 || ch.mitigativeACTs != 0 {
 		t.Fatal("ACT accounting wrong")
 	}
 }
@@ -268,7 +265,7 @@ func TestChannelMitigativeAccounting(t *testing.T) {
 	ch := NewChannel(ChannelConfig{Banks: 1, Timings: tm})
 	ch.Activate(0, 0, 5, true)
 	ch.Precharge(tm.TRAS, 0, true)
-	if ch.MitigativeACTs() != 1 || ch.DemandACTs() != 0 {
+	if ch.mitigativeACTs != 1 || ch.demandACTs != 0 {
 		t.Fatal("mitigative ACT accounting wrong")
 	}
 }
@@ -286,7 +283,7 @@ func TestChannelRefreshSchedule(t *testing.T) {
 		t.Fatal("idle banks should allow refresh")
 	}
 	ch.Refresh(tm.TREFI)
-	if ch.Refreshes() != 1 {
+	if ch.refreshes != 1 {
 		t.Fatal("refresh count wrong")
 	}
 	if ch.RefreshDue(tm.TREFI + 1) {
@@ -298,24 +295,6 @@ func TestChannelRefreshSchedule(t *testing.T) {
 	}
 	if !ch.CanActivate(tm.TREFI+tm.TRFC, 0) {
 		t.Fatal("ACT after REF must be legal")
-	}
-}
-
-func TestChannelRefreshPostponement(t *testing.T) {
-	tm := DDR5()
-	ch := NewChannel(ChannelConfig{Banks: 1, Timings: tm})
-	due := ch.RefreshDeadline()
-	want := tm.TREFI + Tick(tm.MaxPostponed)*tm.TREFI
-	if due != want {
-		t.Fatalf("deadline = %d, want %d (5x tREFI per DDR5)", due, want)
-	}
-	for i := 0; i < tm.MaxPostponed; i++ {
-		if !ch.PostponeRefresh() {
-			t.Fatalf("postpone %d rejected", i)
-		}
-	}
-	if ch.PostponeRefresh() {
-		t.Fatal("postponement beyond the DDR5 limit must be rejected")
 	}
 }
 
@@ -332,20 +311,20 @@ func TestChannelRFM(t *testing.T) {
 		now += tm.TRAS
 		ch.Precharge(now, 0, false)
 	}
-	if !ch.RFMDue(0, rfmth) {
+	if ch.actsSinceRFM[0] < rfmth {
 		t.Fatal("RFM should be due after RFMTH ACTs")
 	}
-	if ch.RFMDue(1, rfmth) {
+	if ch.actsSinceRFM[1] >= rfmth {
 		t.Fatal("bank 1 had no ACTs; RFM must not be due")
 	}
 	for !ch.CanActivate(now, 0) {
 		now += TicksPerDRAMCycle
 	}
 	ch.RFM(now, 0)
-	if ch.ActsSinceRFM(0) != 0 {
+	if ch.actsSinceRFM[0] != 0 {
 		t.Fatal("RAA counter should reset after RFM")
 	}
-	if ch.RFMs() != 1 {
+	if ch.rfms != 1 {
 		t.Fatal("RFM count wrong")
 	}
 	// RFM blocks only its bank for tRFM.

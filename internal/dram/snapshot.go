@@ -22,7 +22,6 @@ type BankSnapshot struct {
 // bookkeeping, rate-limiter rings and counters, plus all of its banks.
 type ChannelSnapshot struct {
 	NextRefreshDue Tick           `json:"nextRefreshDue"`
-	Postponed      int            `json:"postponed,omitempty"`
 	ActsSinceRFM   []int          `json:"actsSinceRFM"`
 	ActRing        [2][4]Tick     `json:"actRing"`
 	ActRingPos     [2]int         `json:"actRingPos"`
@@ -68,7 +67,6 @@ func (b *Bank) Restore(s BankSnapshot) error {
 func (c *Channel) Snapshot() ChannelSnapshot {
 	s := ChannelSnapshot{
 		NextRefreshDue: c.nextRefreshDue,
-		Postponed:      c.postponed,
 		ActsSinceRFM:   append([]int(nil), c.actsSinceRFM...),
 		ActRing:        c.actRing,
 		ActRingPos:     c.actRingPos,
@@ -108,7 +106,6 @@ func (c *Channel) Restore(s ChannelSnapshot) error {
 		}
 	}
 	c.nextRefreshDue = s.NextRefreshDue
-	c.postponed = s.Postponed
 	copy(c.actsSinceRFM, s.ActsSinceRFM)
 	c.actRing = s.ActRing
 	c.actRingPos = s.ActRingPos

@@ -78,30 +78,6 @@ type Timings struct {
 	MaxPostponed int
 }
 
-// DDR4 returns a representative DDR4-2400 timing set. The Row-Press
-// characterization the paper builds on (Luo et al.) was measured on DDR4
-// devices: tREFI is 7800 ns (162 tRC) and refresh postponement extends to
-// 9 tREFI, which is where the paper's "1 tREFI = 162 tRC" and "9 tREFI =
-// 1462 tRC" long-duration points come from.
-func DDR4() Timings {
-	return Timings{
-		TACT:         Ns(13),
-		TPRE:         Ns(13),
-		TRAS:         Ns(35),
-		TRC:          Ns(48), // 47.75 ns nominal; kept at 48 for tick alignment
-		TREFW:        Ms(64),
-		TREFI:        Ns(7800),
-		TRFC:         Ns(350),
-		TRFM:         Ns(175),
-		TONMax:       Ns(70200), // 9 x tREFI with max postponement
-		TCAS:         Ns(15),
-		TBurst:       Ns(4),
-		TFAW:         Ns(30),
-		TRRD:         Ns(5),
-		MaxPostponed: 8,
-	}
-}
-
 // DDR5 returns the paper's Table I timing set.
 func DDR5() Timings {
 	return Timings{

@@ -46,15 +46,3 @@ func (t *Table) WriteJSON(w io.Writer) error {
 		ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes,
 	})
 }
-
-// ParseTableJSON reads a table back from its JSON form (used by tooling
-// that post-processes saved results).
-func ParseTableJSON(r io.Reader) (*Table, error) {
-	var tj tableJSON
-	if err := json.NewDecoder(r).Decode(&tj); err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: tj.ID, Title: tj.Title, Header: tj.Header, Rows: tj.Rows, Notes: tj.Notes,
-	}, nil
-}

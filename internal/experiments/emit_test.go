@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -44,8 +45,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := orig.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseTableJSON(&buf)
-	if err != nil {
+	var back tableJSON
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.ID != orig.ID || back.Title != orig.Title {
@@ -64,8 +65,8 @@ func TestJSONOfRealExperiment(t *testing.T) {
 	if err := Figure12().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseTableJSON(&buf)
-	if err != nil {
+	var back tableJSON
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.ID != "fig12" || len(back.Rows) != 8 {

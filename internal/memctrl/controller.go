@@ -411,9 +411,6 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// ChannelStats returns the stats of one channel.
-func (c *Controller) ChannelStats(ch int) Stats { return c.channels[ch].stats }
-
 // Channel exposes the underlying DRAM channel (tests, energy accounting).
 func (c *Controller) Channel(ch int) *dram.Channel { return c.channels[ch].ch }
 
@@ -437,8 +434,8 @@ func (c *Controller) feed(cc *channelCtl, b int, events []core.Event, demandACT 
 			if len(bank.mitigQ) == 0 && !bank.mitigOpen {
 				cc.mitigBanks = append(cc.mitigBanks, b)
 			}
-			// The victims of trackers.VictimsOf, in its order, without
-			// its per-call slice.
+			// The victims: BlastRadius rows on each side of the
+			// aggressor, nearest first.
 			for d := int64(1); d <= trackers.BlastRadius; d++ {
 				bank.mitigQ = append(bank.mitigQ, aggressor-d, aggressor+d)
 			}

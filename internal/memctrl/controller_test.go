@@ -122,7 +122,7 @@ func TestRefreshCadence(t *testing.T) {
 	// Run for 4 tREFI with no traffic: expect 4 refreshes per channel.
 	cycles := int(4 * tm.TREFI / dram.TicksPerDRAMCycle)
 	tick(c, 0, cycles+100)
-	if got := c.Channel(0).Refreshes(); got < 3 || got > 5 {
+	if got := c.channels[0].stats.Refreshes; got < 3 || got > 5 {
 		t.Fatalf("channel refreshes = %d, want ~4", got)
 	}
 }
@@ -278,7 +278,7 @@ func TestRefreshDrainWithTRASHeldRow(t *testing.T) {
 	if !opened {
 		t.Fatal("test setup: row never opened before the refresh due time")
 	}
-	if got := ch.Refreshes(); got == 0 {
+	if got := c.channels[0].stats.Refreshes; got == 0 {
 		t.Fatalf("refresh never issued while draining a tRAS-held row (now=%d, due=%d)", now, due)
 	}
 	if done != 1 {

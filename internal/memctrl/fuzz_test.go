@@ -153,7 +153,7 @@ func scanPick(cc *channelCtl, now dram.Tick, q []refReq, write bool) refPick {
 		switch {
 		case bank.mitigOpen:
 		case bank.openValid && bank.openRow == r.loc.Row:
-			if now >= cc.busFreeAt[cc.ch.SubChannel(b)] && cc.ch.CanColumn(now, b, r.loc.Row) {
+			if now >= cc.busFreeAt[cc.ch.SubChannel(b)] && cc.ch.Bank(b).CanColumn(now, r.loc.Row) {
 				cmd := dram.CmdRD
 				if write {
 					cmd = dram.CmdWR

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -132,7 +133,10 @@ func TestTraceFileKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.Record(w, 2, 100, 7)
+	rec, err := trace.RecordContext(context.Background(), w, 2, 100, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pathA := filepath.Join(dir, "a.trace")
 	pathB := filepath.Join(dir, "b.trace")
 	if err := rec.WriteFile(pathA); err != nil {
@@ -161,7 +165,10 @@ func TestTraceFileKeying(t *testing.T) {
 		t.Fatal("identical trace content at a different path must share the key")
 	}
 
-	other := trace.Record(w, 2, 101, 7)
+	other, err := trace.RecordContext(context.Background(), w, 2, 101, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pathC := filepath.Join(dir, "c.trace")
 	if err := other.WriteFile(pathC); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package security
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"impress/internal/attack"
@@ -49,15 +50,26 @@ func TestRunContextPreCancelled(t *testing.T) {
 }
 
 // TestValidateTypedErrors: invalid configs are ErrBadSpec through both
-// Validate and RunContext.
+// Validate and RunContext. A negative or NaN device alpha would make
+// every access deal no damage, so any attack would look contained.
 func TestValidateTypedErrors(t *testing.T) {
 	tm := dram.DDR5()
-	cfg := ctxTestConfig()
-	cfg.Tracker = nil
-	if err := cfg.Validate(); !errors.Is(err, errs.ErrBadSpec) {
-		t.Fatalf("Validate() = %v, want ErrBadSpec", err)
-	}
-	if _, err := RunContext(context.Background(), cfg, &attack.Rowhammer{Row: 1, Timings: tm}); !errors.Is(err, errs.ErrBadSpec) {
-		t.Fatalf("RunContext() = %v, want ErrBadSpec", err)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"no tracker", func(c *Config) { c.Tracker = nil }},
+		{"negative alpha", func(c *Config) { c.AlphaTrue = -5 }},
+		{"NaN alpha", func(c *Config) { c.AlphaTrue = math.NaN() }},
+	} {
+		name, cfg := tc.name, ctxTestConfig()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, errs.ErrBadSpec) {
+			t.Errorf("%s: Validate() = %v, want ErrBadSpec", name, err)
+		}
+		pattern := &attack.RowPress{Row: 1, TON: tm.TREFI, Timings: tm}
+		if _, err := RunContext(context.Background(), cfg, pattern); !errors.Is(err, errs.ErrBadSpec) {
+			t.Errorf("%s: RunContext() = %v, want ErrBadSpec", name, err)
+		}
 	}
 }

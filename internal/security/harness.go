@@ -97,6 +97,9 @@ func (cfg Config) Validate() error {
 	if cfg.Tracker == nil {
 		return fmt.Errorf("security: %w: missing tracker factory", errs.ErrBadSpec)
 	}
+	if err := (clm.Model{Alpha: cfg.AlphaTrue, Timings: cfg.Design.Timings}).Validate(); err != nil {
+		return fmt.Errorf("security: %w: %w", errs.ErrBadSpec, err)
+	}
 	return nil
 }
 

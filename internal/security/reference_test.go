@@ -14,6 +14,32 @@ import (
 	"impress/internal/trackers"
 )
 
+// victimsOf returns the victim rows of an aggressor: BlastRadius rows
+// on each side, nearest first.
+func victimsOf(aggressor int64) []int64 {
+	victims := make([]int64, 0, 2*trackers.BlastRadius)
+	for d := int64(1); d <= trackers.BlastRadius; d++ {
+		victims = append(victims, aggressor-d, aggressor+d)
+	}
+	return victims
+}
+
+func TestVictimsOf(t *testing.T) {
+	v := victimsOf(100)
+	want := map[int64]bool{98: true, 99: true, 101: true, 102: true}
+	if len(v) != 4 {
+		t.Fatalf("want 4 victims, got %d", len(v))
+	}
+	for _, r := range v {
+		if !want[r] {
+			t.Fatalf("unexpected victim %d", r)
+		}
+	}
+	if trackers.ActsPerMitigation != 4 {
+		t.Fatal("Appendix B assumes 4 activations per mitigation")
+	}
+}
+
 // referenceRun is the straightforward harness RunContext must match bit
 // for bit: per-victim damage in a row -> damage map and the loop written
 // out with closures, no cancellation. It is the oracle for the paged
@@ -50,13 +76,13 @@ func referenceRun(cfg Config, pattern attack.Pattern) Result {
 		}
 	}
 	refreshVictims := func(aggressor int64) {
-		for _, v := range trackers.VictimsOf(aggressor) {
+		for _, v := range victimsOf(aggressor) {
 			damage[v] = 0
 		}
 	}
 	accrue := func(row int64, tON dram.Tick) {
 		d := model.AccessTCL(tON)
-		for _, v := range trackers.VictimsOf(row) {
+		for _, v := range victimsOf(row) {
 			damage[v] += d
 			if damage[v] > res.MaxDamage {
 				res.MaxDamage = damage[v]

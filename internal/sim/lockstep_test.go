@@ -124,7 +124,8 @@ func coreView(s *simulator, i int) lockstepCore {
 	if s.parked[i] {
 		cycles = s.cycle
 	}
-	return lockstepCore{cycles, c.Fetched(), c.Retired(), c.FinishCycle(), c.Outstanding()}
+	snap := c.Snapshot()
+	return lockstepCore{cycles, snap.Fetched, c.Retired(), c.FinishCycle(), snap.Outstanding}
 }
 
 // diverged describes the first difference between the pair after both

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -47,13 +48,24 @@ func replayConfig(w trace.Workload, clock ClockMode) Config {
 // cycle-accurate clock — which also makes replay a differential-testing
 // axis for the event clock, so the live event-driven and cycle-accurate
 // results are cross-checked here too.
+// recordTrace records replayRecordBudget requests per core of w on 8
+// cores.
+func recordTrace(t *testing.T, w trace.Workload, seed uint64) *trace.Trace {
+	t.Helper()
+	rec, err := trace.RecordContext(context.Background(), w, 8, replayRecordBudget, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func TestRecordReplayBitIdentical(t *testing.T) {
 	for _, name := range replayWorkloads {
 		w, err := trace.WorkloadByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rec := trace.Record(w, 8, replayRecordBudget, 1)
+		rec := recordTrace(t, w, 1)
 		replayW, err := rec.Workload()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -82,7 +94,7 @@ func TestTraceFileConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.Record(w, 8, replayRecordBudget, 1)
+	rec := recordTrace(t, w, 1)
 	path := filepath.Join(t.TempDir(), "mcf.trace")
 	if err := rec.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -108,7 +120,7 @@ func TestTraceFileUsesRecordedSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seed = 2
-	rec := trace.Record(w, 8, replayRecordBudget, seed)
+	rec := recordTrace(t, w, seed)
 	path := filepath.Join(t.TempDir(), "mcf-seed2.trace")
 	if err := rec.WriteFile(path); err != nil {
 		t.Fatal(err)

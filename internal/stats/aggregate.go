@@ -35,34 +35,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Min returns the smallest value in xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs, or NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks. xs is not modified.
 func Percentile(xs []float64, p float64) float64 {
@@ -87,24 +59,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// WeightedSpeedup computes the weighted speedup of a multi-programmed run:
-// the sum over cores of IPC_shared[i] / IPC_reference[i]. The paper reports
-// performance as weighted speedup normalized to a baseline configuration;
-// NormalizedWeightedSpeedup performs that normalization directly.
-func WeightedSpeedup(ipcShared, ipcReference []float64) float64 {
-	if len(ipcShared) != len(ipcReference) {
-		panic("stats: WeightedSpeedup length mismatch")
-	}
-	ws := 0.0
-	for i := range ipcShared {
-		if ipcReference[i] <= 0 {
-			panic("stats: non-positive reference IPC")
-		}
-		ws += ipcShared[i] / ipcReference[i]
-	}
-	return ws
-}
-
 // NormalizedWeightedSpeedup returns WS(config)/WS(baseline) where both runs
 // use the same per-core reference IPCs. When the reference IPCs are the
 // baseline run itself (rate mode with identical copies), this reduces to the
@@ -122,12 +76,4 @@ func NormalizedWeightedSpeedup(ipcConfig, ipcBaseline []float64) float64 {
 	}
 	den = float64(len(ipcBaseline))
 	return num / den
-}
-
-// Ratio is a convenience for x/y that panics on y==0 with a clear message.
-func Ratio(x, y float64) float64 {
-	if y == 0 {
-		panic("stats: division by zero ratio")
-	}
-	return x / y
 }

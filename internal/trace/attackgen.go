@@ -24,13 +24,6 @@ const attackRowBase = 1 << 17
 // attackRowsPerCore spaces the per-core aggressor row ranges.
 const attackRowsPerCore = 1 << 12
 
-// AttackPatternNames lists the paper patterns NewAttackWorkload accepts
-// in "attack:<name>" workload-spec order; it additionally accepts
-// "synth:<genome>" specs (attack.BySpec resolves both).
-func AttackPatternNames() []string {
-	return attack.PaperPatternNames()
-}
-
 // newAttackPattern builds the pattern named by a spec with the paper's
 // DDR5 timings — a paper pattern name or a "synth:<genome>" canonical
 // genome, both resolved by attack.BySpec. Rows are pattern-local; the

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ type craftFrame struct {
 // frame sections, in file order.
 func splitV2(t *testing.T, data []byte) ([]byte, []craftFrame) {
 	t.Helper()
-	d := newDecodeState(bytes.NewReader(data))
+	d := newDecodeState(io.NewSectionReader(bytes.NewReader(data), 0, int64(len(data))))
 	if _, _, err := d.header(); err != nil {
 		t.Fatal(err)
 	}

@@ -82,25 +82,16 @@ func (t *Trace) Requests() int {
 	return n
 }
 
-// Record drains perCore requests from each of cores fresh generators of w
-// (seeded exactly as a live simulation would seed them) into a Trace.
-// Replaying the result through sim.RunContext reproduces the live run
-// bit-identically as long as perCore covers every request the simulated
-// cores consume; the replay generator fails loudly if it does not.
-func Record(w Workload, cores, perCore int, seed uint64) *Trace {
-	t, err := RecordContext(context.Background(), w, cores, perCore, seed)
-	if err != nil {
-		panic(fmt.Sprintf("trace: %v", err))
-	}
-	return t
-}
-
-// RecordContext is Record with caller-input validation surfaced as typed
-// errors (errs.ErrBadSpec) instead of panics, and cooperative
-// cancellation: ctx is checked every few thousand requests, so
-// recording a multi-million-request trace stops promptly when the
-// context ends (errs.ErrCancelled wrapping ctx.Err()). To record
-// straight to disk without materializing, use RecordTo or RecordFile.
+// RecordContext drains perCore requests from each of cores fresh
+// generators of w (seeded exactly as a live simulation would seed them)
+// into a Trace. Replaying the result through sim.RunContext reproduces
+// the live run bit-identically as long as perCore covers every request
+// the simulated cores consume; the replay generator fails loudly if it
+// does not. Invalid caller input is a typed error (errs.ErrBadSpec), and
+// ctx is checked every few thousand requests, so recording a
+// multi-million-request trace stops promptly when the context ends
+// (errs.ErrCancelled wrapping ctx.Err()). To record straight to disk
+// without materializing, use RecordTo or RecordFile.
 func RecordContext(ctx context.Context, w Workload, cores, perCore int, seed uint64) (*Trace, error) {
 	var t *Trace
 	err := record(ctx, w, cores, perCore, seed, func(h Header) (func(int, Request) error, error) {
@@ -136,7 +127,7 @@ func record(ctx context.Context, w Workload, cores, perCore int, seed uint64,
 		return fmt.Errorf("%w: workload %q has no generator", errs.ErrBadSpec, w.Name)
 	}
 	if cores <= 0 || perCore <= 0 {
-		return fmt.Errorf("%w: Record needs positive core and request counts (got %d cores x %d)",
+		return fmt.Errorf("%w: recording needs positive core and request counts (got %d cores x %d)",
 			errs.ErrBadSpec, cores, perCore)
 	}
 	emit, err := open(Header{Name: w.Name, Stream: w.Stream, Seed: seed, LineSize: LineSize, Cores: cores})
@@ -197,10 +188,20 @@ func (t *Trace) Encode(w io.Writer) error {
 // between its header and its index, exactly as the Writer lays them
 // out (checkTiling). For files too large to materialize, use Reader.
 func Decode(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	// Read a source that knows its length into one exactly sized buffer
+	// rather than one grown by doubling.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
+	return decode(buf.Bytes())
+}
+
+// decode is Decode over the whole file in data.
+func decode(data []byte) (*Trace, error) {
 	rd, err := newReader(bytes.NewReader(data), int64(len(data)), true)
 	if err != nil {
 		return nil, err
@@ -245,10 +246,9 @@ func (t *Trace) WriteFile(path string) error {
 
 // ReadFile decodes the trace stored at path.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Decode(f)
+	return decode(data)
 }

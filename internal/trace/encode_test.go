@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -17,7 +18,17 @@ func sampleTrace(t *testing.T, name string, cores, perCore int) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Record(w, cores, perCore, 1)
+	return mustRecord(t, w, cores, perCore, 1)
+}
+
+// mustRecord records w through RecordContext, failing tb on error.
+func mustRecord(tb testing.TB, w Workload, cores, perCore int, seed uint64) *Trace {
+	tb.Helper()
+	tr, err := RecordContext(context.Background(), w, cores, perCore, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
 }
 
 func encodeToBytes(t *testing.T, tr *Trace) []byte {
@@ -59,7 +70,7 @@ func TestReplayMatchesLiveGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2000
-	rec := Record(w, 2, n, 7)
+	rec := mustRecord(t, w, 2, n, 7)
 	replayW, err := rec.Workload()
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +207,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		rec := Record(w, 2, 200, 1)
+		rec := mustRecord(f, w, 2, 200, 1)
 		var buf bytes.Buffer
 		if err := rec.Encode(&buf); err != nil {
 			f.Fatal(err)
@@ -221,7 +232,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		rec := Record(w, 2, 700, 1)
+		rec := mustRecord(f, w, 2, 700, 1)
 		var buf bytes.Buffer
 		tw, err := NewWriter(&buf, Header{
 			Name: rec.Name, Stream: rec.Stream, Seed: rec.Seed, LineSize: rec.LineSize, Cores: 2,
@@ -273,7 +284,7 @@ func BenchmarkDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := Record(w, 2, 200, 1).Encode(&buf); err != nil {
+		if err := mustRecord(b, w, 2, 200, 1).Encode(&buf); err != nil {
 			b.Fatal(err)
 		}
 		files = append(files, buf.Bytes())
@@ -282,7 +293,7 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := Record(w, 2, 700, 1)
+	rec := mustRecord(b, w, 2, 700, 1)
 	var buf bytes.Buffer
 	tw, err := NewWriter(&buf, Header{
 		Name: rec.Name, Stream: rec.Stream, Seed: rec.Seed, LineSize: rec.LineSize, Cores: 2,

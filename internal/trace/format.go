@@ -257,8 +257,10 @@ type decodeState struct {
 	off int64
 }
 
-func newDecodeState(r io.Reader) *decodeState {
-	return &decodeState{br: bufio.NewReader(r)}
+// newDecodeState buffers r in at most bufio's default 4 KB, and in no
+// more than the section holds.
+func newDecodeState(r *io.SectionReader) *decodeState {
+	return &decodeState{br: bufio.NewReaderSize(r, int(min(r.Size(), 4096)))}
 }
 
 // readFull fills p or fails with a truncation error naming what.

@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+
+	"impress/internal/attack"
+)
 
 func TestMixAssignsSourcesRoundRobin(t *testing.T) {
 	mcf, _ := WorkloadByName("mcf")
@@ -72,7 +76,7 @@ func TestMixNameRoundTripsThroughWorkloadByName(t *testing.T) {
 }
 
 func TestAttackWorkloadProperties(t *testing.T) {
-	for _, pattern := range AttackPatternNames() {
+	for _, pattern := range attack.PaperPatternNames() {
 		w, err := WorkloadByName("attack:" + pattern)
 		if err != nil {
 			t.Fatalf("%s: %v", pattern, err)

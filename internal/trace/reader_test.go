@@ -132,7 +132,7 @@ func TestCompressedTraceRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cores, perCore = 2, 1500
-	rec := Record(w, cores, perCore, 3)
+	rec := mustRecord(t, w, cores, perCore, 3)
 	path := filepath.Join(t.TempDir(), "trace.z")
 	f, err := os.Create(path)
 	if err != nil {

@@ -122,7 +122,7 @@ func Workloads() []Workload {
 
 // WorkloadByName resolves a workload spec: one of the 20 built-in
 // workload names, an "attack:<pattern>" adversarial workload (see
-// AttackPatternNames; "attack:synth:<genome>" runs a synthesized
+// attack.PaperPatternNames; "attack:synth:<genome>" runs a synthesized
 // genome), an "attackzoo:<name>" archived champion, or a
 // "mix:<entry>,<entry>,..." per-core co-run assignment (see ParseMix).
 // Recorded trace headers store these specs, so any name a simulation ran

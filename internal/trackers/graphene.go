@@ -68,9 +68,6 @@ func (g *Graphene) Name() string { return "graphene" }
 // InDRAM implements Tracker.
 func (g *Graphene) InDRAM() bool { return false }
 
-// Threshold returns the internal fixed-point mitigation threshold.
-func (g *Graphene) Threshold() clm.EACT { return g.threshold }
-
 // OnActivation implements Tracker using the Space-Saving update rule.
 //
 //impress:hotpath

@@ -72,9 +72,6 @@ func (h *Hydra) Name() string { return "hydra" }
 // InDRAM implements Tracker.
 func (h *Hydra) InDRAM() bool { return false }
 
-// Mitigations returns the number of mitigations issued so far.
-func (h *Hydra) Mitigations() uint64 { return h.mitigations }
-
 func (h *Hydra) group(row int64) int64 {
 	return ((row % int64(h.groups)) + int64(h.groups)) & h.groupMask
 }
@@ -111,19 +108,6 @@ func (h *Hydra) OnActivation(row int64, weight clm.EACT) []int64 {
 	}
 	h.rows[row] = c
 	return nil
-}
-
-// Count returns the row's effective counter (its exact counter once the
-// group spilled, else the group's aggregate); exposed for tests.
-func (h *Hydra) Count(row int64) clm.EACT {
-	g := h.group(row)
-	if h.gct[g] < h.groupSpill {
-		return h.gct[g]
-	}
-	if c, ok := h.rows[row]; ok {
-		return c
-	}
-	return h.groupSpill
 }
 
 // OnRFM implements Tracker (no-op: Hydra mitigates inline).

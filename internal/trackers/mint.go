@@ -50,15 +50,6 @@ func MINTToleratedTRH(rfmth int) float64 {
 	return MINTBaseTolerated * float64(rfmth)
 }
 
-// MINTToleratedTRHImpressN returns the threshold MINT tolerates when
-// ImPress-N leaves sub-tRC Row-Press unmitigated: the decoy pattern
-// inflates per-round damage by (1+alpha), so the tolerated threshold
-// scales by the same factor (1.6K -> 3.1K at alpha = 1, 2.1K at 0.35,
-// Section VI-C / Appendix A).
-func MINTToleratedTRHImpressN(rfmth int, alpha float64) float64 {
-	return MINTToleratedTRH(rfmth) * (1 + alpha)
-}
-
 // NewMINT builds a per-bank MINT instance with the given RFM threshold,
 // drawing slot selections from rng.
 func NewMINT(rfmth int, rng *stats.Rand) *MINT {
@@ -85,12 +76,6 @@ func (m *MINT) Name() string { return "mint" }
 
 // InDRAM implements Tracker.
 func (m *MINT) InDRAM() bool { return true }
-
-// RFMTH returns the configured RFM threshold.
-func (m *MINT) RFMTH() int { return m.rfmth }
-
-// Mitigations returns the number of mitigations performed under RFM.
-func (m *MINT) Mitigations() uint64 { return m.mitigations }
 
 // OnActivation implements Tracker: advance CAN by the activation's weight
 // and capture the row if it crosses the selected slot.

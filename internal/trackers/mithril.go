@@ -67,9 +67,6 @@ func (m *Mithril) Name() string { return "mithril" }
 // InDRAM implements Tracker.
 func (m *Mithril) InDRAM() bool { return true }
 
-// RFMTH returns the RFM threshold this instance was sized for.
-func (m *Mithril) RFMTH() int { return m.rfmth }
-
 // OnActivation implements Tracker with the Space-Saving update rule;
 // in-DRAM trackers never mitigate inline, so it always returns nil.
 //

@@ -46,26 +46,11 @@ func NewPARA(trh float64, rng *stats.Rand) *PARA {
 	return &PARA{p: PARAProbability(trh), rng: rng}
 }
 
-// NewPARAWithProbability builds a PARA instance with an explicit p; used by
-// the attack analysis, which follows the paper's Appendix B constants.
-func NewPARAWithProbability(p float64, rng *stats.Rand) *PARA {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("trackers: PARA probability %v out of (0,1]", p))
-	}
-	return &PARA{p: p, rng: rng}
-}
-
 // Name implements Tracker.
 func (p *PARA) Name() string { return "para" }
 
 // InDRAM implements Tracker.
 func (p *PARA) InDRAM() bool { return false }
-
-// Probability returns the configured base selection probability.
-func (p *PARA) Probability() float64 { return p.p }
-
-// Mitigations returns the number of mitigations issued so far.
-func (p *PARA) Mitigations() uint64 { return p.mitigations }
 
 // OnActivation implements Tracker: select the row with probability
 // p * weight (saturating at 1, as in the paper's Appendix B analysis).

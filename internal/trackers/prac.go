@@ -58,16 +58,6 @@ func (p *PRAC) Name() string { return "prac" }
 // InDRAM implements Tracker.
 func (p *PRAC) InDRAM() bool { return true }
 
-// AlertThreshold returns the fixed-point per-row alert level.
-func (p *PRAC) AlertThreshold() clm.EACT { return p.alert }
-
-// Mitigations returns the mitigation count.
-func (p *PRAC) Mitigations() uint64 { return p.mitigations }
-
-// PendingAlerts returns the number of rows whose ALERT has fired but whose
-// mitigation has not yet been serviced.
-func (p *PRAC) PendingAlerts() int { return len(p.alerted) }
-
 // OnActivation implements Tracker: increment the row's in-array counter by
 // the activation's weight; queue an ALERT when it crosses the threshold.
 func (p *PRAC) OnActivation(row int64, weight clm.EACT) []int64 {
@@ -106,9 +96,6 @@ func (p *PRAC) ResetWindow() {
 	clear(p.counts)
 	p.alerted = p.alerted[:0]
 }
-
-// Count returns the row's accumulated fixed-point activation count.
-func (p *PRAC) Count(row int64) clm.EACT { return p.counts[row] }
 
 // PRACStorageBitsPerRow returns the in-array counter width per row: the
 // integer bits needed for the alert threshold plus the fractional EACT

@@ -13,21 +13,21 @@ func TestPRACAlertAtThreshold(t *testing.T) {
 			t.Fatal("in-DRAM tracker must not mitigate inline")
 		}
 	}
-	if p.PendingAlerts() != 0 {
+	if len(p.alerted) != 0 {
 		t.Fatal("alert fired early")
 	}
 	p.OnActivation(7, clm.One) // 50th crosses
-	if p.PendingAlerts() != 1 {
+	if len(p.alerted) != 1 {
 		t.Fatal("alert did not fire at the threshold")
 	}
 	rows := p.OnRFM()
 	if len(rows) != 1 || rows[0] != 7 {
 		t.Fatalf("RFM serviced %v", rows)
 	}
-	if p.Count(7) != 0 {
+	if p.counts[7] != 0 {
 		t.Fatal("serviced row's counter must reset")
 	}
-	if p.Mitigations() != 1 {
+	if p.mitigations != 1 {
 		t.Fatal("mitigation count wrong")
 	}
 }
@@ -38,11 +38,11 @@ func TestPRACFractionalEACT(t *testing.T) {
 	p := NewPRAC(10) // alert at 5
 	w := 2*clm.One + clm.One/2
 	p.OnActivation(3, w)
-	if p.PendingAlerts() != 0 {
+	if len(p.alerted) != 0 {
 		t.Fatal("2.5 < 5: no alert yet")
 	}
 	p.OnActivation(3, w) // 5.0 crosses
-	if p.PendingAlerts() != 1 {
+	if len(p.alerted) != 1 {
 		t.Fatal("fractional accumulation failed to alert")
 	}
 }
@@ -57,12 +57,12 @@ func TestPRACTracksEveryRow(t *testing.T) {
 		}
 	}
 	for row := int64(0); row < 10000; row++ {
-		if p.Count(row) != 4*clm.One {
+		if p.counts[row] != 4*clm.One {
 			t.Fatalf("row %d lost its count", row)
 		}
 	}
 	p.OnActivation(1234, clm.One)
-	if p.PendingAlerts() != 1 {
+	if len(p.alerted) != 1 {
 		t.Fatal("the crossing row must alert")
 	}
 }
@@ -84,7 +84,7 @@ func TestPRACResetWindow(t *testing.T) {
 	p := NewPRAC(4)
 	p.OnActivation(1, 2*clm.One)
 	p.ResetWindow()
-	if p.PendingAlerts() != 0 || p.Count(1) != 0 {
+	if len(p.alerted) != 0 || p.counts[1] != 0 {
 		t.Fatal("window reset incomplete")
 	}
 }

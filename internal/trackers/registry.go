@@ -11,10 +11,10 @@ import (
 // flag help. The exhaustiveness test in the experiments package walks
 // this list, so adding an entry here forces every one of those surfaces
 // to grow with it (and forgetting to register a new tracker fails the
-// zoo test that asserts registration). PRAC, TWiCe and the vendor TRR
-// models stay outside the registry: they are analytic-side models
-// without the Snapshotter support the simulator's checkpoint contract
-// requires.
+// zoo test that asserts registration). PRAC stays outside the
+// registry: it is an analytic-side model (the prac table runs it in the
+// security harness) without the Snapshotter support the simulator's
+// checkpoint contract requires.
 
 // Info describes one registered tracker.
 type Info struct {

@@ -61,7 +61,7 @@ func (t *scanTable) minSlot() int {
 	return best
 }
 
-func (t *scanTable) Count(row int64) clm.EACT {
+func (t *scanTable) count(row int64) clm.EACT {
 	if slot, ok := t.rows[row]; ok {
 		return t.slotCount[slot]
 	}
@@ -255,8 +255,17 @@ type slotTracker interface {
 	OnActivation(row int64, weight clm.EACT) []int64
 	OnRFM() []int64
 	ResetWindow()
-	Count(row int64) clm.EACT
+	count(row int64) clm.EACT
 	Snapshotter
+}
+
+// count returns the tracked fixed-point count for row (zero if
+// untracked).
+func (t *slotTable) count(row int64) clm.EACT {
+	if slot := t.lookup(row); slot >= 0 {
+		return t.slots[slot].count
+	}
+	return 0
 }
 
 // oracleWeights mixes plain ACTs with fractional ImPress-P weights
@@ -355,7 +364,7 @@ func FuzzSlotTrackersMatchScan(f *testing.F) {
 				if !slices.Equal(g, w) {
 					t.Fatalf("%s op %d (%d, row %d): got %v, want %v", name, i/2, op, row, g, w)
 				}
-				if gc, wc := got.Count(row), want.Count(row); gc != wc {
+				if gc, wc := got.count(row), want.count(row); gc != wc {
 					t.Fatalf("%s op %d: Count(%d) = %v, want %v", name, i/2, row, gc, wc)
 				}
 				if gs, ws := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(gs, ws) {

@@ -84,18 +84,6 @@ func newSlotTable(entries int, policy slotPolicy) slotTable {
 // Entries returns the table size.
 func (t *slotTable) Entries() int { return cap(t.slots) }
 
-// Count returns the tracked fixed-point count for row (zero if
-// untracked); exposed for tests and the security analysis.
-func (t *slotTable) Count(row int64) clm.EACT {
-	if slot := t.lookup(row); slot >= 0 {
-		return t.slots[slot].count
-	}
-	return 0
-}
-
-// Mitigations returns the number of mitigations issued so far.
-func (t *slotTable) Mitigations() uint64 { return t.mitigations }
-
 // mitigateSlot resets slot's count — a mitigation refreshed its row's
 // victims, so the row must re-earn the next one — and returns the row as
 // a one-row mitigation list in the table's buffer.

@@ -62,16 +62,6 @@ func mitigate(buf *[1]int64, row int64) []int64 {
 // victim rows and 4 mitigative activations per mitigation).
 const BlastRadius = 2
 
-// VictimsOf returns the victim rows of an aggressor: BlastRadius rows on
-// each side.
-func VictimsOf(aggressor int64) []int64 {
-	victims := make([]int64, 0, 2*BlastRadius)
-	for d := int64(1); d <= BlastRadius; d++ {
-		victims = append(victims, aggressor-d, aggressor+d)
-	}
-	return victims
-}
-
 // ActsPerMitigation is the bus cost of one memory-controller-side
 // mitigation: one ACT per victim row (4 activations, per Appendix B).
 const ActsPerMitigation = 2 * BlastRadius

@@ -9,22 +9,6 @@ import (
 	"impress/internal/stats"
 )
 
-func TestVictimsOf(t *testing.T) {
-	v := VictimsOf(100)
-	want := map[int64]bool{98: true, 99: true, 101: true, 102: true}
-	if len(v) != 4 {
-		t.Fatalf("want 4 victims, got %d", len(v))
-	}
-	for _, r := range v {
-		if !want[r] {
-			t.Fatalf("unexpected victim %d", r)
-		}
-	}
-	if ActsPerMitigation != 4 {
-		t.Fatal("Appendix B assumes 4 activations per mitigation")
-	}
-}
-
 func TestGrapheneEntriesPaperValues(t *testing.T) {
 	// Section VI-C: TRH=4K -> 448 entries; T*=2K -> 896 (2x).
 	if got := GrapheneEntries(4000); got != 448 {
@@ -58,8 +42,8 @@ func TestGrapheneDetectsHeavyHitter(t *testing.T) {
 	if !mitigated {
 		t.Fatal("heavy hitter not mitigated within the internal threshold")
 	}
-	if g.Mitigations() != 1 {
-		t.Fatalf("mitigation count = %d", g.Mitigations())
+	if g.mitigations != 1 {
+		t.Fatalf("mitigation count = %d", g.mitigations)
 	}
 }
 
@@ -73,8 +57,8 @@ func TestGrapheneCounterResetsAfterMitigation(t *testing.T) {
 	if rows := g.OnActivation(1, clm.One); len(rows) != 1 {
 		t.Fatal("expected mitigation at threshold")
 	}
-	if g.Count(1) != 0 {
-		t.Fatalf("counter not reset: %v", g.Count(1))
+	if g.count(1) != 0 {
+		t.Fatalf("counter not reset: %v", g.count(1))
 	}
 }
 
@@ -108,7 +92,7 @@ func TestGrapheneNeverUndercounts(t *testing.T) {
 		}
 		total := clm.EACT(len(seq)) * clm.One
 		for row, trueCount := range truth {
-			got := g.Count(row)
+			got := g.count(row)
 			if got != 0 && got < trueCount {
 				return false // tracked row under-counted: security violation
 			}
@@ -128,7 +112,7 @@ func TestGrapheneResetWindow(t *testing.T) {
 	g.OnActivation(1, clm.One)
 	g.OnActivation(2, clm.One)
 	g.ResetWindow()
-	if g.Count(1) != 0 || g.Count(2) != 0 {
+	if g.count(1) != 0 || g.count(2) != 0 {
 		t.Fatal("window reset did not clear counters")
 	}
 	// Tracker stays usable after reset.
@@ -143,8 +127,8 @@ func TestGrapheneEviction(t *testing.T) {
 	g.OnActivation(2, clm.One)
 	// Table full; a third row evicts the minimum and inherits its count.
 	g.OnActivation(3, clm.One)
-	if g.Count(3) < 2*clm.One {
-		t.Fatalf("evicting row should inherit min count + weight, got %v", g.Count(3).Float())
+	if g.count(3) < 2*clm.One {
+		t.Fatalf("evicting row should inherit min count + weight, got %v", g.count(3).Float())
 	}
 }
 
@@ -164,7 +148,7 @@ func TestPARAProbabilityPaperValues(t *testing.T) {
 
 func TestPARASelectionRate(t *testing.T) {
 	rng := stats.NewRand(1)
-	p := NewPARAWithProbability(0.05, rng)
+	p := &PARA{p: 0.05, rng: rng}
 	const n = 200000
 	hits := 0
 	for i := 0; i < n; i++ {
@@ -176,7 +160,7 @@ func TestPARASelectionRate(t *testing.T) {
 	if math.Abs(rate-0.05) > 0.005 {
 		t.Fatalf("selection rate %v, want ~0.05", rate)
 	}
-	if p.Mitigations() != uint64(hits) {
+	if p.mitigations != uint64(hits) {
 		t.Fatal("mitigation accounting wrong")
 	}
 }
@@ -184,7 +168,7 @@ func TestPARASelectionRate(t *testing.T) {
 func TestPARAEACTScalesProbability(t *testing.T) {
 	// ImPress-P: weight w multiplies the selection probability.
 	rng := stats.NewRand(2)
-	p := NewPARAWithProbability(0.02, rng)
+	p := &PARA{p: 0.02, rng: rng}
 	const n = 200000
 	hits := 0
 	w := 4 * clm.One // EACT = 4
@@ -201,7 +185,7 @@ func TestPARAEACTScalesProbability(t *testing.T) {
 
 func TestPARASaturatesAtOne(t *testing.T) {
 	rng := stats.NewRand(3)
-	p := NewPARAWithProbability(0.5, rng)
+	p := &PARA{p: 0.5, rng: rng}
 	// weight 100 -> probability 50, clamps to 1: every ACT mitigates.
 	for i := 0; i < 100; i++ {
 		if rows := p.OnActivation(1, 100*clm.One); len(rows) != 1 {
@@ -289,17 +273,6 @@ func TestMINTToleratedThresholds(t *testing.T) {
 	// Section III-B: RFMTH=80 -> 1.6K.
 	if got := MINTToleratedTRH(80); got != 1600 {
 		t.Fatalf("MINT TRH(80) = %v, want 1600", got)
-	}
-	// Section VI-C: ImPress-N alpha=1 -> 3.1K (we model 3.2K), alpha=0.35 -> 2.1K (2.16K).
-	if got := MINTToleratedTRHImpressN(80, 1); math.Abs(got-3200) > 1 {
-		t.Fatalf("MINT ImPress-N TRH(80, 1) = %v, want 3200", got)
-	}
-	if got := MINTToleratedTRHImpressN(80, 0.35); math.Abs(got-2160) > 1 {
-		t.Fatalf("MINT ImPress-N TRH(80, 0.35) = %v, want 2160", got)
-	}
-	// Appendix A: RFMTH 40 at alpha=1 restores 1.6K.
-	if got := MINTToleratedTRHImpressN(40, 1); got != 1600 {
-		t.Fatalf("MINT RFM-40 ImPress-N = %v, want 1600", got)
 	}
 }
 

@@ -13,6 +13,19 @@ import (
 
 // ---- Hydra ----
 
+// count returns the row's effective counter: its exact counter once
+// the group spilled, else the group's aggregate.
+func (h *Hydra) count(row int64) clm.EACT {
+	g := h.group(row)
+	if h.gct[g] < h.groupSpill {
+		return h.gct[g]
+	}
+	if c, ok := h.rows[row]; ok {
+		return c
+	}
+	return h.groupSpill
+}
+
 func TestHydraSoloHammerMitigatesAtInternalThreshold(t *testing.T) {
 	h := NewHydra(4000)
 	internal := 4000 / HydraInternalDivisor
@@ -31,11 +44,11 @@ func TestHydraSoloHammerMitigatesAtInternalThreshold(t *testing.T) {
 			t.Fatalf("activation %d mitigated %v, want row 7", i, rows)
 		}
 	}
-	if h.Mitigations() != 1 {
-		t.Fatalf("mitigation count = %d", h.Mitigations())
+	if h.mitigations != 1 {
+		t.Fatalf("mitigation count = %d", h.mitigations)
 	}
-	if h.Count(7) != 0 {
-		t.Fatalf("counter not reset after mitigation: %v", h.Count(7))
+	if h.count(7) != 0 {
+		t.Fatalf("counter not reset after mitigation: %v", h.count(7))
 	}
 }
 
@@ -55,12 +68,12 @@ func TestHydraGroupInheritanceIsConservative(t *testing.T) {
 	if rows := h.OnActivation(513, clm.One); rows != nil {
 		t.Fatalf("spill itself must not mitigate, got %v", rows)
 	}
-	if got := h.Count(513); got != clm.EACT(spillActs)*clm.One {
+	if got := h.count(513); got != clm.EACT(spillActs)*clm.One {
 		t.Fatalf("spilling row's inherited count = %v, want %d", got.Float(), spillActs)
 	}
 	// Row 1, first seen after the spill, also inherits — its 999 true
 	// activations are covered by the inherited 1000.
-	if got := h.Count(1); got < 999*clm.One {
+	if got := h.count(1); got < 999*clm.One {
 		t.Fatalf("row 1 under-counted after spill: %v < 999", got.Float())
 	}
 	// From the inherited base, 1000 more activations reach the per-row
@@ -82,8 +95,8 @@ func TestHydraResetWindow(t *testing.T) {
 		h.OnActivation(9, clm.One)
 	}
 	h.ResetWindow()
-	if h.Count(9) != 0 {
-		t.Fatalf("window reset left count %v", h.Count(9).Float())
+	if h.count(9) != 0 {
+		t.Fatalf("window reset left count %v", h.count(9).Float())
 	}
 	if rows := h.OnActivation(9, clm.One); rows != nil {
 		t.Fatalf("unexpected mitigation after reset: %v", rows)
@@ -122,8 +135,8 @@ func TestABACuSDetectsHeavyHitter(t *testing.T) {
 			t.Fatalf("activation %d mitigated %v, want row 7", i, rows)
 		}
 	}
-	if a.Mitigations() != 1 || a.Count(7) != 0 {
-		t.Fatalf("after mitigation: count=%v mitigations=%d", a.Count(7).Float(), a.Mitigations())
+	if a.mitigations != 1 || a.count(7) != 0 {
+		t.Fatalf("after mitigation: count=%v mitigations=%d", a.count(7).Float(), a.mitigations)
 	}
 }
 
@@ -138,10 +151,10 @@ func TestABACuSEvictionDoesNotInherit(t *testing.T) {
 	a.OnActivation(2, clm.One)
 	// The newcomer replaced row 1 and started from its own activation —
 	// no Space-Saving inheritance (unlike Graphene's eviction).
-	if got := a.Count(2); got != clm.One {
+	if got := a.count(2); got != clm.One {
 		t.Fatalf("newcomer count = %v, want 1 (no inheritance)", got.Float())
 	}
-	if got := a.Count(1); got != 0 {
+	if got := a.count(1); got != 0 {
 		t.Fatalf("evicted row still tracked at %v", got.Float())
 	}
 }
@@ -158,12 +171,12 @@ func TestABACuSThrashUndercounts(t *testing.T) {
 		a.OnActivation(1, clm.One)
 		a.OnActivation(2, clm.One)
 	}
-	if a.Mitigations() != 0 {
-		t.Fatalf("thrash produced %d mitigations; the model should under-count", a.Mitigations())
+	if a.mitigations != 0 {
+		t.Fatalf("thrash produced %d mitigations; the model should under-count", a.mitigations)
 	}
-	if a.Count(1) > clm.One || a.Count(2) > clm.One {
+	if a.count(1) > clm.One || a.count(2) > clm.One {
 		t.Fatalf("thrashed counts %v/%v exceed one activation",
-			a.Count(1).Float(), a.Count(2).Float())
+			a.count(1).Float(), a.count(2).Float())
 	}
 }
 
@@ -221,8 +234,7 @@ func TestZooSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("step %d diverged: live=%v restored=%v", i, a, b)
 				}
 			}
-			if live.(interface{ Mitigations() uint64 }).Mitigations() !=
-				restored.(interface{ Mitigations() uint64 }).Mitigations() {
+			if live.Snapshot().Mitigations != restored.Snapshot().Mitigations {
 				t.Fatal("mitigation counters diverged")
 			}
 		})
