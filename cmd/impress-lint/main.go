@@ -11,8 +11,9 @@
 //	impress-lint ./...
 //	impress-lint -only determinism,hotpath ./internal/sim/...
 //
-// As a go vet tool (per-package; hotpath stops at package boundaries
-// and deadexport reports nothing):
+// As a go vet tool (per-package, over the same non-test files as the
+// standalone run; hotpath stops at package boundaries and deadexport
+// reports nothing):
 //
 //	go vet -vettool=$(which impress-lint) ./...
 //

@@ -164,4 +164,15 @@ func TestGoVetVettool(t *testing.T) {
 	if out, err := vet(writeFiles(t, deadExportFiles())); err != nil {
 		t.Fatalf("go vet -vettool failed on a module whose only finding is a dead export: %v\n%s", err, out)
 	}
+
+	// Like the standalone loader, vet mode analyzes non-test files only:
+	// a violation confined to test files, internal or external, passes.
+	testOnly := writeFiles(t, map[string]string{
+		"x.go":      cleanSrc,
+		"x_test.go": seededSrc,
+		"y_test.go": strings.Replace(seededSrc, "package seeded", "package seeded_test", 1),
+	})
+	if out, err := vet(testOnly); err != nil {
+		t.Fatalf("go vet -vettool failed on a module whose only violations are in test files: %v\n%s", err, out)
+	}
 }

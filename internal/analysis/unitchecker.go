@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // unitConfig is the JSON configuration cmd/go passes to a -vettool for
@@ -59,6 +60,20 @@ func RunUnit(cfgFile string, analyzers []*Analyzer, w io.Writer) (int, error) {
 		return 0, nil
 	}
 
+	// cmd/go vets a package together with its tests; the standalone
+	// loader analyzes non-test files only, and so does vet mode, so
+	// both modes report on the same files. An external test package has
+	// nothing left to analyze.
+	var files []string
+	for _, name := range cfg.GoFiles {
+		if !strings.HasSuffix(name, "_test.go") {
+			files = append(files, name)
+		}
+	}
+	if len(files) == 0 {
+		return 0, nil
+	}
+
 	fset := token.NewFileSet()
 	pkg := &Package{
 		PkgPath:  cfg.ImportPath,
@@ -68,7 +83,7 @@ func RunUnit(cfgFile string, analyzers []*Analyzer, w io.Writer) (int, error) {
 		Module:   cfg.ModulePath,
 		Root:     true,
 	}
-	for _, name := range cfg.GoFiles {
+	for _, name := range files {
 		if !filepath.IsAbs(name) {
 			name = filepath.Join(cfg.Dir, name)
 		}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -174,6 +175,11 @@ type Runner struct {
 	bindMu    sync.Mutex
 	bindCtx   context.Context
 	bindCount int
+
+	// keys memoizes each distinct spec's content address (see
+	// storeSpec).
+	keyMu sync.Mutex
+	keys  map[resultstore.Spec]resultstore.Key
 
 	// runs memoizes simulations by canonical key; sims counts actual
 	// simulator executions (memo and store hits excluded), which a
@@ -415,20 +421,58 @@ func (r *Runner) config(spec RunSpec) sim.Config {
 	return cfg
 }
 
-// storeSpec materializes the canonical resultstore spec for one run at
-// this runner's scale. It is the single key-derivation path: the memo
-// cache keys on storeSpec(spec).Key() and the persistent store looks up
-// the identical Spec, so an in-memory hit and an on-disk hit can never
-// name different simulations.
-func (r *Runner) storeSpec(spec RunSpec) resultstore.Spec {
+// storeSpec returns the canonical resultstore spec for one run at this
+// runner's scale, with its content address. It is the single
+// key-derivation path: the memo cache keys on storeSpec(spec).Key() and
+// the persistent store looks up the identical Spec, so an in-memory hit
+// and an on-disk hit can never name different simulations. The key is
+// derived once per distinct Spec and memoized, so the many callers of a
+// sweep (SpecsFor, ShardSpecs, prefetch, Run, annotateCI) hash each spec
+// once, not once per call.
+func (r *Runner) storeSpec(spec RunSpec) keyedSpec {
 	sp, err := resultstore.SpecFor(r.config(spec))
 	if err != nil {
 		// Unreachable: SpecFor fails only for trace-file replays, which
 		// RunSpec cannot express.
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return sp
+	// == on Specs is preimage equality except for signed zeros: -0 == 0,
+	// but the two marshal as "-0" and "0". Such a spec is keyed afresh.
+	if hasNegZero(sp) {
+		return keyedSpec{sp, sp.Key()}
+	}
+	r.keyMu.Lock()
+	defer r.keyMu.Unlock()
+	k, ok := r.keys[sp]
+	if !ok {
+		k = sp.Key()
+		if r.keys == nil {
+			r.keys = make(map[resultstore.Spec]resultstore.Key)
+		}
+		r.keys[sp] = k
+	}
+	return keyedSpec{sp, k}
 }
+
+// hasNegZero reports whether a float field of sp holds negative zero.
+func hasNegZero(sp resultstore.Spec) bool {
+	for _, v := range [...]float64{sp.DesignTRH, sp.Design.Alpha, sp.MaxRelError} {
+		if v == 0 && math.Signbit(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyedSpec is a canonical store spec with its memoized content address.
+type keyedSpec struct {
+	resultstore.Spec
+	key resultstore.Key
+}
+
+// Key returns the memoized content address. It shadows Spec.Key, which
+// would marshal and hash the spec again.
+func (ks keyedSpec) Key() resultstore.Key { return ks.key }
 
 // Sims reports how many simulations this runner actually executed —
 // memoized repeats and persistent-store hits are excluded. A second sweep
@@ -449,8 +493,8 @@ func (r *Runner) Run(spec RunSpec) sim.Result {
 		return sim.Result{}
 	}
 	r.checkCtx()
-	sp := r.storeSpec(spec)
-	k := string(sp.Key())
+	ks := r.storeSpec(spec)
+	sp, k := ks.Spec, string(ks.Key())
 	return r.runs.do(k, func() sim.Result {
 		cfg := r.config(spec)
 		res, simulated, err := RunCached(r.runCtx(), r.Store, r.emit, cfg, sp, k)

@@ -134,6 +134,9 @@ type job struct {
 	hub    *hub
 	shards [][]experiments.RunSpec
 	specs  int
+	// shardCount is len(shards), kept for the status snapshot after
+	// release drops the shards.
+	shardCount int
 
 	pending sync.WaitGroup
 
@@ -277,15 +280,16 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	}
 	s.nextID++
 	j := &job{
-		id:     fmt.Sprintf("job-%d", s.nextID),
-		srv:    s,
-		req:    req,
-		opts:   opts,
-		runner: runner,
-		hub:    newHub(s.cfg.retainEvents()),
-		shards: shards,
-		specs:  len(specs),
-		state:  StateQueued,
+		id:         fmt.Sprintf("job-%d", s.nextID),
+		srv:        s,
+		req:        req,
+		opts:       opts,
+		runner:     runner,
+		hub:        newHub(s.cfg.retainEvents()),
+		shards:     shards,
+		specs:      len(specs),
+		shardCount: len(shards),
+		state:      StateQueued,
 	}
 	j.ctx, j.cancel = context.WithCancel(s.jobCtx)
 	runner.Progress = j.onProgress
@@ -332,6 +336,7 @@ func (s *Server) snapshotAll() []Job {
 func (j *job) run() {
 	defer j.srv.jobWG.Done()
 	defer j.cancel()
+	defer j.release()
 	j.setState(StateRunning, nil)
 
 	j.pending.Add(len(j.shards))
@@ -358,6 +363,16 @@ func (j *job) run() {
 	}
 	_, err := experiments.RunTables(j.ctx, j.runner, opts)
 	j.finish(err)
+}
+
+// release drops the job's runner and shards once it has run: the job
+// table keeps every finished job, and a runner holds its memoized
+// results and keys. Every shard task has finished by then, and the
+// snapshot reads shardCount, not the shards.
+func (j *job) release() {
+	j.mu.Lock()
+	j.runner, j.shards = nil, nil
+	j.mu.Unlock()
 }
 
 // onProgress is the job runner's progress callback: counters for the
@@ -448,7 +463,7 @@ func (j *job) snapshot() Job {
 		Only:       append([]string(nil), j.req.Only...),
 		Analytical: j.req.Analytical,
 		Specs:      j.specs,
-		Shards:     len(j.shards),
+		Shards:     j.shardCount,
 		Started:    j.started,
 		CacheHits:  j.cacheHits,
 		Simulated:  j.simulated,
@@ -640,30 +655,33 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	// Flush once after the backlog and after a live event only when no
+	// further event is already queued: a burst goes out in one write,
+	// and the last event of any burst is never held back.
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeEvent := func(e Event) bool {
-		if err := enc.Encode(e); err != nil {
-			return false
-		}
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
+	enc := json.NewEncoder(w)
 	for _, e := range backlog {
-		if !writeEvent(e) {
+		if enc.Encode(e) != nil {
 			return
 		}
 	}
+	flush()
 	for {
 		select {
 		case e, ok := <-ch:
 			if !ok {
 				return
 			}
-			if !writeEvent(e) {
+			if enc.Encode(e) != nil {
 				return
+			}
+			if len(ch) == 0 {
+				flush()
 			}
 		case <-r.Context().Done():
 			return

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,6 +66,10 @@ type Store struct {
 
 	results, checkpoints, attacks kindCounters
 	writeErrors                   atomic.Int64
+
+	// mem is the memory tier: result records this handle has already
+	// read from disk and validated (see get).
+	mem memTier
 
 	// afterMkdir, when non-nil, runs between writeEntry's MkdirAll and
 	// its CreateTemp. Tests use it to interleave a GC sweep into the
@@ -187,16 +193,96 @@ func (st *Store) Get(s Spec) (sim.Result, bool) {
 // stored preimage is exactly canon and — when payload is non-nil — its
 // Payload decodes into payload. Anything else is a miss (returned as the
 // zero record). The hit or miss is counted for kind.
+//
+// Result records are served from the handle's memory tier once a disk
+// read has validated them, so a warm hit costs a map lookup and a
+// preimage compare instead of a file read and a JSON decode. Every hit
+// returns its own copy of the result.
 func (st *Store) get(kind, preamble string, canon []byte, payload any) (record, bool) {
-	rec, ok := readRecord(st.path(keyOf(preamble, canon)))
+	k := keyOf(preamble, canon)
+	if kind == "" {
+		if res, ok := st.mem.get(k, canon); ok {
+			st.results.hits.Add(1)
+			return record{Result: res}, true
+		}
+	}
+	rec, ok := readRecord(st.path(k))
 	ok = ok && rec.Kind == kind && string(rec.specJSON()) == string(canon) &&
 		(payload == nil || json.Unmarshal(rec.Payload, payload) == nil)
 	if !ok {
 		st.counters(kind).misses.Add(1)
 		return record{}, false
 	}
+	if kind == "" {
+		st.mem.add(k, canon, rec.Result)
+		rec.Result = cloneResult(rec.Result)
+	}
 	st.counters(kind).hits.Add(1)
 	return rec, true
+}
+
+// memEntries bounds a handle's memory tier. It covers the whole
+// QuickScale universe (282 specs) several times over at well under a
+// megabyte.
+const memEntries = 1024
+
+// memTier is a handle's bounded in-process map from content address to
+// a validated result record's canonical preimage and result. Entries
+// enter only after a disk read validates them, never on Put, and leave
+// oldest first once memEntries are held. While it holds an entry, a
+// handle does not see on-disk changes to it; a new handle (`cache
+// verify`, another process) reads the disk afresh.
+type memTier struct {
+	mu    sync.Mutex
+	m     map[Key]memEntry
+	order [memEntries]Key // insertion ring: order[next] is evicted first
+	next  int
+}
+
+// memEntry is one memory-tier record.
+type memEntry struct {
+	canon []byte
+	res   sim.Result
+}
+
+// get returns a copy of k's result if the tier holds k with exactly the
+// preimage canon.
+func (t *memTier) get(k Key, canon []byte) (sim.Result, bool) {
+	t.mu.Lock()
+	e, ok := t.m[k]
+	t.mu.Unlock()
+	if !ok || string(e.canon) != string(canon) {
+		return sim.Result{}, false
+	}
+	return cloneResult(e.res), true
+}
+
+// add records k's validated preimage and result, evicting the oldest
+// entry when the tier is full. The tier keeps res; callers hand out
+// copies.
+func (t *memTier) add(k Key, canon []byte, res sim.Result) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[Key]memEntry, memEntries)
+	}
+	if _, ok := t.m[k]; !ok {
+		delete(t.m, t.order[t.next])
+		t.order[t.next] = k
+		t.next = (t.next + 1) % memEntries
+	}
+	t.m[k] = memEntry{canon: canon, res: res}
+}
+
+// cloneResult deep-copies a result: its IPC slice and Estimates are
+// the only state it shares by reference.
+func cloneResult(r sim.Result) sim.Result {
+	r.IPC = slices.Clone(r.IPC)
+	if r.Estimates != nil {
+		est := *r.Estimates
+		r.Estimates = &est
+	}
+	return r
 }
 
 // specJSON returns the record's key preimage: its attack spec for

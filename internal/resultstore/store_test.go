@@ -18,7 +18,7 @@ import (
 )
 
 // testConfig returns a small but fully-populated simulation config.
-func testConfig(t *testing.T) sim.Config {
+func testConfig(t testing.TB) sim.Config {
 	t.Helper()
 	w, err := trace.WorkloadByName("gcc")
 	if err != nil {
@@ -61,7 +61,7 @@ func testAttackResult() security.Result {
 	}
 }
 
-func mustSpec(t *testing.T, cfg sim.Config) Spec {
+func mustSpec(t testing.TB, cfg sim.Config) Spec {
 	t.Helper()
 	sp, err := SpecFor(cfg)
 	if err != nil {
