@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
-	"reflect"
 	"testing"
 
 	"impress/internal/core"
@@ -11,10 +13,24 @@ import (
 	"impress/internal/trace"
 )
 
-// TestStoreSpecKeyIsExact pins the runner's key memo to a fresh
-// derivation: for every spec, in either order of a signed-zero pair,
-// storeSpec's key equals resultstore.SpecFor(r.config(spec)) keyed
-// afresh, under exact and sampled clocks.
+// unmemoizedKey derives a store spec's result key the long way, as
+// resultstore defines it: the sha256 of the key preamble and the spec's
+// JSON encoding, in hex.
+func unmemoizedKey(t *testing.T, sp resultstore.Spec) resultstore.Key {
+	t.Helper()
+	canon, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(append([]byte("impress-resultstore/v1\n"), canon...))
+	return resultstore.Key(hex.EncodeToString(sum[:]))
+}
+
+// TestStoreSpecKeyIsExact pins the memoized key behind storeSpec to an
+// unmemoized derivation: for every spec, in either order of a
+// signed-zero pair, storeSpec's key equals the hash of
+// resultstore.SpecFor(r.config(spec))'s JSON, under exact and sampled
+// clocks.
 func TestStoreSpecKeyIsExact(t *testing.T) {
 	w, err := trace.WorkloadByName("gcc")
 	if err != nil {
@@ -53,7 +69,7 @@ func TestStoreSpecKeyIsExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := r.storeSpec(s).Key(), sp.Key(); got != want {
+					if got, want := r.storeSpec(s).Key(), unmemoizedKey(t, sp); got != want {
 						t.Errorf("%s: spec %d: memoized key %s, fresh key %s", name, i, got[:12], want[:12])
 					}
 				}
@@ -66,36 +82,23 @@ func TestStoreSpecKeyIsExact(t *testing.T) {
 	}
 }
 
-// TestHasNegZeroCoversEverySpecFloat guards the memo's signed-zero
-// bypass against a float field added to resultstore.Spec later: every
-// float64 field, at any depth, set to -0 must be detected.
-func TestHasNegZeroCoversEverySpecFloat(t *testing.T) {
-	var sp resultstore.Spec
-	var walk func(v reflect.Value, path string)
-	found := 0
-	walk = func(v reflect.Value, path string) {
-		for i := range v.NumField() {
-			f, name := v.Field(i), path+"."+v.Type().Field(i).Name
-			switch f.Kind() {
-			case reflect.Struct:
-				walk(f, name)
-			case reflect.Float64:
-				found++
-				f.SetFloat(math.Copysign(0, -1))
-				if !hasNegZero(sp) {
-					t.Errorf("hasNegZero misses -0 in Spec%s", name)
-				}
-				f.SetFloat(0)
-			case reflect.Float32:
-				t.Errorf("Spec%s is a float32; extend hasNegZero", name)
-			}
+// TestScaleUniversesFitKeyMemo pins the spec universe of each scale:
+// resultstore's key memo is sized to hold the three together (its
+// TestKeyMemoIsBounded), so a universe that grows must revisit that
+// bound.
+func TestScaleUniversesFitKeyMemo(t *testing.T) {
+	want := map[string]int{"quick": 282, "standard": 940, "full": 940}
+	for name, n := range want {
+		scale, err := ScaleByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	walk(reflect.ValueOf(&sp).Elem(), "")
-	if found == 0 {
-		t.Fatal("found no float fields in resultstore.Spec")
-	}
-	if hasNegZero(resultstore.Spec{}) {
-		t.Fatal("a zero Spec holds no negative zero")
+		specs, err := SpecsFor(NewRunner(scale), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(specs) != n {
+			t.Errorf("the %s universe has %d specs, want %d: revisit resultstore's keyMemoEntries", name, len(specs), n)
+		}
 	}
 }

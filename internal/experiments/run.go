@@ -89,48 +89,100 @@ type RunOptions struct {
 }
 
 // RunTables assembles the selected experiment tables under a context —
-// the package's context-aware boundary. Everything the table builders
-// reject by runAbort surfaces here as a typed error: an unknown
-// experiment ID or unresolvable scale workload (wrapping
-// errs.ErrBadSpec / errs.ErrUnknownWorkload), a simulation or harness
-// run rejecting its config, and cancellation (matching
-// errs.ErrCancelled and ctx.Err(), honored within one simulation macro
-// cycle, a few hundred harness accesses, and between tables).
-// Completed simulations stay memoized — and persistently stored with a
-// Store attached — so a cancelled sweep rerun resumes warm. Internal
-// invariant panics still propagate.
-func RunTables(ctx context.Context, r *Runner, opts RunOptions) (tables []*Table, err error) {
-	defer r.bind(ctx)()
-	defer func() {
-		if p := recover(); p != nil {
-			tables, err = nil, abortErr(p)
-		}
-	}()
-	selected, err := selectDefs(r, opts)
+// the package's context-aware boundary. It is PlanTables followed by
+// Plan.Tables. Everything the table builders reject by runAbort
+// surfaces here as a typed error: an unknown experiment ID or
+// unresolvable scale workload (wrapping errs.ErrBadSpec /
+// errs.ErrUnknownWorkload), a simulation or harness run rejecting its
+// config, and cancellation (matching errs.ErrCancelled and ctx.Err(),
+// honored within one simulation macro cycle, a few hundred harness
+// accesses, and between tables). Completed simulations stay memoized —
+// and persistently stored with a Store attached — so a cancelled sweep
+// rerun resumes warm. Internal invariant panics still propagate.
+func RunTables(ctx context.Context, r *Runner, opts RunOptions) ([]*Table, error) {
+	p, err := PlanTables(r, opts)
 	if err != nil {
 		return nil, err
 	}
+	return p.Tables(ctx, opts.OnTable)
+}
 
-	// Fan the union of every selected table's runs, then of its attack
-	// evaluations, out over one worker pool, so independent work across
-	// tables runs concurrently. Then assemble the tables serially, in
-	// paper order, against the warm memo.
+// Plan is one planning pass over an experiment selection, bound to the
+// runner it planned on: the selected definitions in paper order, each
+// with what its builder asks of the runner. A sweep service plans once
+// per request, shards Specs, and assembles the tables from the same
+// value.
+type Plan struct {
+	r    *Runner
+	defs []plannedDef
+}
+
+// PlanTables resolves opts against the registry and plans every
+// selected definition on r (see selectDefs). Unknown IDs, selection
+// conflicts and unresolvable scale workloads are typed errors
+// (errs.ErrBadSpec, errs.ErrUnknownWorkload). Nothing simulates.
+func PlanTables(r *Runner, opts RunOptions) (p *Plan, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			p, err = nil, abortErr(rec)
+		}
+	}()
+	defs, err := selectDefs(r, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{r: r, defs: defs}, nil
+}
+
+// Specs returns the deduplicated union of the plan's simulation specs —
+// the exact universe a sweep service shards across its workers before
+// assembling any table (empty for an all-analytical selection). Specs
+// keep their first-seen call order, so every node computes the same
+// list.
+func (p *Plan) Specs() []RunSpec {
+	var specs []RunSpec
+	seen := make(map[resultstore.Key]bool)
+	for _, d := range p.defs {
+		for _, s := range d.plan.runs {
+			if k := p.r.storeSpec(s).Key(); !seen[k] {
+				seen[k] = true
+				specs = append(specs, s)
+			}
+		}
+	}
+	return specs
+}
+
+// Tables assembles the plan's tables on its runner under ctx, with
+// RunTables' errors. It fans the union of every table's runs, then of
+// its attack evaluations, out over one worker pool, so independent work
+// across tables runs concurrently, then builds the tables serially, in
+// paper order, against the warm memo. onTable, when non-nil, receives
+// each table as soon as it is built (see RunOptions.OnTable).
+func (p *Plan) Tables(ctx context.Context, onTable func(*Table)) (tables []*Table, err error) {
+	r := p.r
+	defer r.bind(ctx)()
+	defer func() {
+		if rec := recover(); rec != nil {
+			tables, err = nil, abortErr(rec)
+		}
+	}()
 	var all buildPlan
-	for _, d := range selected {
+	for _, d := range p.defs {
 		all.runs = append(all.runs, d.plan.runs...)
 		all.attacks = append(all.attacks, d.plan.attacks...)
 	}
 	r.prefetch(all.runs)
 	r.prefetchAttacks(all.attacks)
-	for _, d := range selected {
+	for _, d := range p.defs {
 		r.checkCtx()
 		t := d.Build(r)
 		if r.Clock == sim.ClockSampled {
 			annotateCI(r, d.plan.runs, t)
 		}
 		r.emit(Progress{Kind: ProgressTableRendered, Table: t.ID})
-		if opts.OnTable != nil {
-			opts.OnTable(t)
+		if onTable != nil {
+			onTable(t)
 		}
 		tables = append(tables, t)
 	}
@@ -165,8 +217,9 @@ type plannedDef struct {
 
 // selectDefs resolves a RunOptions selection against the registry: the
 // selected definitions in paper order, each with its plan, or a typed
-// error for an unknown ID or an -only/-analytical conflict. RunTables
-// and SpecsFor share it so "which experiments does this request name"
+// error for an unknown ID or an -only/-analytical conflict. PlanTables
+// is its one caller, and RunTables, SpecsFor and a sweep service all
+// go through PlanTables, so "which experiments does this request name"
 // can never disagree between validation, sharding and assembly. An
 // unresolvable scale workload panics out of planning as a runAbort for
 // the caller to recover.
@@ -199,35 +252,15 @@ func selectDefs(r *Runner, opts RunOptions) ([]plannedDef, error) {
 }
 
 // SpecsFor returns the deduplicated union of the simulation specs the
-// experiments selected by opts need — the exact universe a sweep
-// service shards across its worker fleet before assembling any table
-// (OnTable is ignored; an all-analytical selection returns an empty
-// universe). It is the key-deduplicated union of the selected
-// definitions' plans, so it names exactly the runs RunTables will ask
-// for. Specs keep their first-seen call order, so every node computes
-// the same list. Unknown IDs, selection conflicts and unresolvable
-// scale workloads surface as typed errors (errs.ErrBadSpec,
-// errs.ErrUnknownWorkload) exactly as RunTables would report them.
-func SpecsFor(r *Runner, opts RunOptions) (specs []RunSpec, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			specs, err = nil, abortErr(p)
-		}
-	}()
-	selected, err := selectDefs(r, opts)
+// experiments selected by opts need: PlanTables followed by Plan.Specs
+// (OnTable is ignored). It names exactly the runs RunTables will ask
+// for, and reports selection errors exactly as RunTables would.
+func SpecsFor(r *Runner, opts RunOptions) ([]RunSpec, error) {
+	p, err := PlanTables(r, opts)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
-	for _, d := range selected {
-		for _, s := range d.plan.runs {
-			if k := string(r.storeSpec(s).Key()); !seen[k] {
-				seen[k] = true
-				specs = append(specs, s)
-			}
-		}
-	}
-	return specs, nil
+	return p.Specs(), nil
 }
 
 // annotateCI appends a confidence-interval summary note to a

@@ -98,3 +98,51 @@ func planTestScale() Scale {
 	return Scale{Name: "custom", Warmup: 1_000, Run: 5_000,
 		Workloads: []string{"gcc", "copy", "mix:copy,add", "attack:hammer"}}
 }
+
+// TestPlanTablesMatchRunTables pins the sweep-service path: a plan made
+// once before the sweep, whose specs are prefetched shard by shard as
+// impress-labd does, assembles tables byte-identical to RunTables over
+// the same selection, for fig13 and for the analytical set.
+func TestPlanTablesMatchRunTables(t *testing.T) {
+	ctx := context.Background()
+	st := openStore(t, t.TempDir())
+	for _, opts := range []RunOptions{{Only: []string{"fig13"}}, {Analytical: true}} {
+		r := NewRunner(tinyScale())
+		r.Parallelism, r.Store = 1, st
+		p, err := PlanTables(r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := p.Specs()
+		for i := 1; i <= 3; i++ {
+			shard, err := r.ShardSpecs(specs, i, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.PrefetchContext(ctx, shard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var streamed []*Table
+		got, err := p.Tables(ctx, func(tab *Table) { streamed = append(streamed, tab) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := NewRunner(tinyScale())
+		direct.Store = st
+		want, err := RunTables(ctx, direct, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%+v: RunTables built no tables", opts)
+		}
+		if renderAll(got) != renderAll(want) || renderAll(streamed) != renderAll(want) {
+			t.Fatalf("%+v: tables from the plan differ from RunTables:\n%s", opts, diffHint(renderAll(got), renderAll(want)))
+		}
+		if r.Sims() != int64(len(specs)) || direct.Sims() != 0 {
+			t.Fatalf("%+v: the plan's sweep simulated %d of its %d specs, RunTables %d after it",
+				opts, r.Sims(), len(specs), direct.Sims())
+		}
+	}
+}

@@ -127,8 +127,10 @@ type job struct {
 	id     string
 	srv    *Server
 	req    SweepRequest
-	opts   experiments.RunOptions
 	runner *experiments.Runner
+	// plan is the selection's one planning pass, made at submit: it
+	// names the shards' specs and assembles the tables.
+	plan   *experiments.Plan
 	ctx    context.Context
 	cancel context.CancelFunc
 	hub    *hub
@@ -243,15 +245,15 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := experiments.RunOptions{Only: req.Only, Analytical: req.Analytical}
 	runner := experiments.NewRunner(scale)
 	// Each shard runs serially; the worker pool is the parallelism.
 	runner.Parallelism = 1
 	runner.Store = s.store
-	specs, err := experiments.SpecsFor(runner, opts)
+	plan, err := experiments.PlanTables(runner, experiments.RunOptions{Only: req.Only, Analytical: req.Analytical})
 	if err != nil {
 		return nil, err
 	}
+	specs := plan.Specs()
 	shardCount := req.Shards
 	if shardCount == 0 {
 		shardCount = s.cfg.shardsPerJob()
@@ -283,8 +285,8 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 		id:         fmt.Sprintf("job-%d", s.nextID),
 		srv:        s,
 		req:        req,
-		opts:       opts,
 		runner:     runner,
+		plan:       plan,
 		hub:        newHub(s.cfg.retainEvents()),
 		shards:     shards,
 		specs:      len(specs),
@@ -331,8 +333,9 @@ func (s *Server) snapshotAll() []Job {
 }
 
 // run drives one job to a terminal state: fan the shards out to the
-// pool, wait for them, then assemble the tables — memo- and store-warm
-// by then, so assembly simulates nothing new.
+// pool, wait for them, then assemble the tables from the submit-time
+// plan — memo- and store-warm by then, so assembly simulates nothing
+// new and plans nothing again.
 func (j *job) run() {
 	defer j.srv.jobWG.Done()
 	defer j.cancel()
@@ -353,25 +356,24 @@ func (j *job) run() {
 		j.finish(err)
 		return
 	}
-	opts := j.opts
-	opts.OnTable = func(t *experiments.Table) {
+	_, err := j.plan.Tables(j.ctx, func(t *experiments.Table) {
 		var buf bytes.Buffer
 		t.Render(&buf)
 		j.mu.Lock()
 		j.tables = append(j.tables, RenderedTable{ID: t.ID, Text: buf.String()})
 		j.mu.Unlock()
-	}
-	_, err := experiments.RunTables(j.ctx, j.runner, opts)
+	})
 	j.finish(err)
 }
 
-// release drops the job's runner and shards once it has run: the job
-// table keeps every finished job, and a runner holds its memoized
-// results and keys. Every shard task has finished by then, and the
-// snapshot reads shardCount, not the shards.
+// release drops the job's runner, plan and shards once it has run: the
+// job table keeps every finished job, a runner holds its memoized
+// results, and a plan holds its runner and every planned spec. Every
+// shard task has finished by then, and the snapshot reads shardCount,
+// not the shards.
 func (j *job) release() {
 	j.mu.Lock()
-	j.runner, j.shards = nil, nil
+	j.runner, j.plan, j.shards = nil, nil, nil
 	j.mu.Unlock()
 }
 

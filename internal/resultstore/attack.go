@@ -106,7 +106,8 @@ func (s AttackSpec) SecurityConfig() (security.Config, attack.Pattern, error) {
 // a miss, never an error.
 func (st *Store) GetAttack(s AttackSpec) (security.Result, bool) {
 	var res security.Result
-	if _, ok := st.get(KindAttack, attackPreamble, s.canonicalJSON(), &res); !ok {
+	canon := s.canonicalJSON()
+	if _, ok := st.get(KindAttack, keyOf(attackPreamble, canon), canon, &res); !ok {
 		return security.Result{}, false
 	}
 	return res, true

@@ -163,8 +163,12 @@ func (s Spec) canonicalJSON() []byte {
 	return b
 }
 
-// Key returns the spec's content address.
-func (s Spec) Key() Key { return keyOf(keyPreamble, s.canonicalJSON()) }
+// Key returns the spec's content address, derived once per distinct
+// spec value in the process (see specKeys).
+func (s Spec) Key() Key {
+	_, k := s.keyed()
+	return k
+}
 
 // keyOf returns the content address of a canonical preimage under a
 // record kind's domain-separating preamble.

@@ -183,23 +183,25 @@ func (st *Store) path(k Key) string {
 // format-version skew, a record whose stored spec does not match s — is a
 // miss, never an error: the caller simulates and overwrites.
 func (st *Store) Get(s Spec) (sim.Result, bool) {
-	rec, ok := st.get("", keyPreamble, s.canonicalJSON(), nil)
+	canon, k := s.keyed()
+	rec, ok := st.get("", k, canon, nil)
 	return rec.Result, ok
 }
 
 // get is the one read path behind Get, GetCheckpoint and GetAttack: it
-// loads the record addressed by the canonical preimage canon under the
-// kind's key preamble, and accepts it only if it has the given kind, its
-// stored preimage is exactly canon and — when payload is non-nil — its
-// Payload decodes into payload. Anything else is a miss (returned as the
-// zero record). The hit or miss is counted for kind.
+// loads the record at key k, the address of the canonical preimage
+// canon under the kind's key preamble, and accepts it only if it has
+// the given kind, its stored preimage is exactly canon and — when
+// payload is non-nil — its Payload decodes into payload. Anything else
+// is a miss (returned as the zero record). The hit or miss is counted
+// for kind.
 //
 // Result records are served from the handle's memory tier once a disk
-// read has validated them, so a warm hit costs a map lookup and a
-// preimage compare instead of a file read and a JSON decode. Every hit
-// returns its own copy of the result.
-func (st *Store) get(kind, preamble string, canon []byte, payload any) (record, bool) {
-	k := keyOf(preamble, canon)
+// read has validated them. Get takes canon and k from the key memo, so
+// a warm hit costs two map lookups and a preimage compare: no file
+// read, no JSON and no hashing. Every hit returns its own copy of the
+// result.
+func (st *Store) get(kind string, k Key, canon []byte, payload any) (record, bool) {
 	if kind == "" {
 		if res, ok := st.mem.get(k, canon); ok {
 			st.results.hits.Add(1)
@@ -286,12 +288,17 @@ func cloneResult(r sim.Result) sim.Result {
 }
 
 // specJSON returns the record's key preimage: its attack spec for
-// attack records, its simulation spec otherwise.
+// attack records, its simulation spec otherwise, from the key memo for
+// result records.
 func (rec record) specJSON() []byte {
-	if rec.Kind == KindAttack {
+	switch rec.Kind {
+	case KindAttack:
 		return rec.Attack.canonicalJSON()
+	case KindCheckpoint:
+		return rec.Spec.canonicalJSON()
 	}
-	return rec.Spec.canonicalJSON()
+	canon, _ := rec.Spec.keyed()
+	return canon
 }
 
 // readRecord loads and validates one entry file; ok is false for any
@@ -332,8 +339,8 @@ func readRecord(path string) (record, bool) {
 // GetCheckpoint returns the cached warmup checkpoint for spec s, if
 // present. Like Get, every failure mode is a miss, never an error.
 func (st *Store) GetCheckpoint(s Spec) ([]byte, bool) {
-	cs := s.checkpointSpec()
-	rec, ok := st.get(KindCheckpoint, ckptPreamble, cs.canonicalJSON(), nil)
+	canon := s.checkpointSpec().canonicalJSON()
+	rec, ok := st.get(KindCheckpoint, keyOf(ckptPreamble, canon), canon, nil)
 	return rec.Payload, ok
 }
 

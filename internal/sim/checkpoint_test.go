@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"compress/flate"
 	"context"
 	"errors"
 	"reflect"
@@ -108,6 +109,36 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ck, ck2) {
 		t.Fatal("checkpoint does not survive an encode/decode round trip")
+	}
+}
+
+// TestCheckpointDefaultCompressionDecodes pins that checkpoints written
+// before Encode moved to flate.BestSpeed, at flate.DefaultCompression,
+// still decode to the same Checkpoint: stores keep serving them.
+func TestCheckpointDefaultCompressionDecodes(t *testing.T) {
+	cfg := checkpointConfig(t, "copy", core.ImpressP, TrackerGraphene, 4000)
+	straight, data := capture(t, cfg)
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := ck.encode(flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(old) == string(data) {
+		t.Fatal("DefaultCompression and Encode wrote the same bytes; the test covers no older encoding")
+	}
+	got, err := DecodeCheckpoint(old)
+	if err != nil {
+		t.Fatalf("a DefaultCompression checkpoint no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(got, ck) {
+		t.Fatal("a DefaultCompression checkpoint decodes to a different Checkpoint")
+	}
+	cfg.RestoreCheckpoint = old
+	if restored := mustRun(t, cfg); !reflect.DeepEqual(restored, straight) {
+		t.Fatal("a run restored from a DefaultCompression checkpoint diverged from the straight-through run")
 	}
 }
 
