@@ -142,28 +142,21 @@ func BenchmarkFigure16(b *testing.B)    { benchTable(b, "fig16") }
 
 // --- Parallel run scheduler ---
 
-// prefetchBenchSpecs is a fixed spec list (a Fig. 13-like sweep over the
-// bench workloads) used to compare serial and parallel prefetching.
-func prefetchBenchSpecs(r *experiments.Runner) []experiments.RunSpec {
-	var specs []experiments.RunSpec
-	for _, w := range r.Workloads() {
-		for _, tracker := range []impress.TrackerKind{impress.TrackerGraphene, impress.TrackerPARA} {
-			for _, kind := range []impress.DesignKind{impress.NoRP, impress.ExPress, impress.ImpressP} {
-				specs = append(specs, experiments.RunSpec{
-					Workload: w, Design: impress.NewDesign(kind), Tracker: tracker,
-					DesignTRH: experiments.TRH(4000), RFMTH: experiments.RFM(80),
-				})
-			}
-		}
-	}
-	return specs
-}
-
+// benchmarkPrefetch runs the Fig. 13 plan's specs at the bench scale as
+// one shard, to compare serial and parallel prefetching.
 func benchmarkPrefetch(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchScale())
 		r.Parallelism = parallelism
-		if err := r.PrefetchContext(context.Background(), prefetchBenchSpecs(r)); err != nil {
+		p, err := experiments.PlanTables(r, experiments.RunOptions{Only: []string{"fig13"}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shard, err := p.Shard(1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := shard.Prefetch(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

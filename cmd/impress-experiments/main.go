@@ -201,7 +201,7 @@ func cacheSummary(counts *simcli.Counts, store *resultstore.Store) string {
 // parseShard parses a 1-based "i/n" shard spec, rejecting anything but
 // exactly two integers (a typo like "1/2/8" must not silently run as
 // shard 1 of 2 and skew a fleet's partition). Range checks belong to
-// Runner.ShardSpecs.
+// experiments.Plan.Shard.
 func parseShard(s string) (index, count int, err error) {
 	before, after, ok := strings.Cut(s, "/")
 	if ok {
@@ -226,12 +226,12 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	specs, err := experiments.SpecsFor(runner, experiments.RunOptions{})
+	plan, err := experiments.PlanTables(runner, experiments.RunOptions{})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	mine, err := runner.ShardSpecs(specs, index, count)
+	mine, err := plan.Shard(index, count)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -241,10 +241,10 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 		return 2
 	}
 	start := time.Now()
-	if err := runner.PrefetchContext(ctx, mine); err != nil {
+	if err := mine.Prefetch(ctx); err != nil {
 		if simcli.ReportInterrupted(stderr, err, store.Dir()) {
 			fmt.Fprintf(stderr, "shard %d/%d: %d of %d owned specs were simulated before the interrupt\n",
-				index, count, runner.Sims(), len(mine))
+				index, count, runner.Sims(), mine.Len())
 			return 1
 		}
 		fmt.Fprintln(stderr, err)
@@ -252,7 +252,7 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 	}
 	c := store.Counters()
 	fmt.Fprintf(stdout, "shard %d/%d: %d specs owned, simulated=%d hits=%d writes=%d in %v\n",
-		index, count, len(mine), runner.Sims(), c.Hits, c.Writes,
+		index, count, mine.Len(), runner.Sims(), c.Hits, c.Writes,
 		time.Since(start).Round(time.Millisecond))
 	if c.WriteErrors > 0 {
 		fmt.Fprintf(stderr, "shard %d/%d: %d results could not be written to %s — the merge run would re-simulate them\n",

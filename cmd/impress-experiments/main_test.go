@@ -40,7 +40,7 @@ func TestParseShard(t *testing.T) {
 }
 
 // TestShardOutOfRangeIsTyped: well-formed but out-of-range shard specs
-// are rejected by Runner.ShardSpecs — exit 2 with its ErrBadSpec
+// are rejected by experiments.Plan.Shard — exit 2 with its ErrBadSpec
 // message, never a panic.
 func TestShardOutOfRangeIsTyped(t *testing.T) {
 	for _, shard := range []string{"3/2", "0/2", "1/0", "-1/2"} {

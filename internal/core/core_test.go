@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"impress/internal/clm"
 	"impress/internal/dram"
+	"impress/internal/errs"
 )
 
 func TestDesignDefaults(t *testing.T) {
@@ -310,6 +312,22 @@ func TestPolicyEventsDoNotAllocate(t *testing.T) {
 		}
 		if evs := p.Advance(now); evs != nil {
 			t.Errorf("%v: Advance with the bank closed returned %v, want nil", k, evs)
+		}
+	}
+}
+
+// TestDesignValidateRejectsNonFiniteAlpha: a NaN or infinite alpha is
+// invalid for every design kind, including those that ignore alpha,
+// and the error is a typed errs.ErrBadSpec.
+func TestDesignValidateRejectsNonFiniteAlpha(t *testing.T) {
+	for _, kind := range []Kind{NoRP, ExPress, ImpressN, ImpressP} {
+		if err := NewDesign(kind).Validate(); err != nil {
+			t.Fatalf("%s: default design invalid: %v", kind, err)
+		}
+		for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := NewDesign(kind).WithAlpha(alpha).Validate(); !errors.Is(err, errs.ErrBadSpec) {
+				t.Errorf("%s with alpha %v: Validate() = %v, want errs.ErrBadSpec", kind, alpha, err)
+			}
 		}
 	}
 }

@@ -21,9 +21,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"impress/internal/clm"
 	"impress/internal/dram"
+	"impress/internal/errs"
 )
 
 // Kind enumerates the Row-Press handling designs.
@@ -129,8 +131,13 @@ func (d Design) WithFracBits(b int) Design {
 	return d
 }
 
-// Validate checks the design parameters.
+// Validate checks the design parameters. A non-finite alpha, which no
+// design can use and no result-store key can encode, is rejected for
+// every kind with an error wrapping errs.ErrBadSpec.
 func (d Design) Validate() error {
+	if math.IsNaN(d.Alpha) || math.IsInf(d.Alpha, 0) {
+		return fmt.Errorf("core: %w: non-finite alpha %v", errs.ErrBadSpec, d.Alpha)
+	}
 	if err := d.Timings.Validate(); err != nil {
 		return err
 	}

@@ -93,12 +93,20 @@ func (r *Runner) AttackSims() int64 { return r.atkSims.Load() }
 // entry points recover into errors. Cancelled specs are dropped from
 // the memo so a retry under a live context re-evaluates.
 func (r *Runner) Attack(spec resultstore.AttackSpec) security.Result {
-	if r.planned != nil {
+	switch {
+	case r.planned != nil:
 		r.planned.attacks = append(r.planned.attacks, spec)
 		return security.Result{}
+	case r.replay != nil:
+		return r.replay.attack(spec)
 	}
+	return r.attack(&attackEntry{spec: spec, key: string(spec.Key())})
+}
+
+// attack executes (or recalls) a keyed evaluation, memoized by its key.
+func (r *Runner) attack(e *attackEntry) security.Result {
 	r.checkCtx()
-	k := string(spec.Key())
+	spec, k := e.spec, e.key
 	return r.attacks.do(k, func() security.Result {
 		label := fmt.Sprintf("%s vs %s", spec.Pattern, spec.Tracker)
 		r.emit(Progress{Kind: ProgressAttackStarted, Spec: label, Key: k})
@@ -124,7 +132,7 @@ func (r *Runner) Attack(spec resultstore.AttackSpec) security.Result {
 
 // harness replays one pattern through the security harness under the
 // runner's bound context. A failure raises the runAbort the
-// context-aware boundaries (RunTables, EvaluateAttacks) recover:
+// context-aware boundaries (Plan.Tables, EvaluateAttacks) recover:
 // cancellation as "sweep stopped" (matching errs.ErrCancelled and
 // ctx.Err()), anything else under label. A planning copy replays
 // nothing and returns the zero result.
@@ -142,20 +150,13 @@ func (r *Runner) harness(label string, cfg security.Config, p attack.Pattern) se
 	return res
 }
 
-// prefetchAttacks evaluates the given specs over the runner's worker
-// pool (prefetch's contract: deduplicated, drains on cancellation,
-// re-panics the first failure after draining).
-func (r *Runner) prefetchAttacks(specs []resultstore.AttackSpec) {
-	pool(r, specs, func(s resultstore.AttackSpec) string { return string(s.Key()) },
-		func(s resultstore.AttackSpec) { r.Attack(s) })
-}
-
 // EvaluateAttacks is the context-aware batch entry point: it evaluates
 // every spec (parallel, deduplicated, cache-backed) and returns results
 // in spec order. Cancellation and harness errors surface as typed
 // errors; completed evaluations stay memoized and store-written, so a
 // retried batch resumes warm. It is the evaluation seam the synthesis
-// engine and the labd attack endpoint plug into.
+// engine and the labd attack endpoint plug into. Each spec is keyed
+// once.
 func (r *Runner) EvaluateAttacks(ctx context.Context, specs []resultstore.AttackSpec) (results []security.Result, err error) {
 	defer r.bind(ctx)()
 	defer func() {
@@ -163,10 +164,14 @@ func (r *Runner) EvaluateAttacks(ctx context.Context, specs []resultstore.Attack
 			results, err = nil, abortErr(p)
 		}
 	}()
-	r.prefetchAttacks(specs)
-	results = make([]security.Result, len(specs))
+	entries := make([]*attackEntry, len(specs))
 	for i, s := range specs {
-		results[i] = r.Attack(s)
+		entries[i] = &attackEntry{spec: s, key: string(s.Key())}
+	}
+	pool(r, entries, func(e *attackEntry) string { return e.key }, func(e *attackEntry) { r.attack(e) })
+	results = make([]security.Result, len(specs))
+	for i, e := range entries {
+		results[i] = r.attack(e)
 	}
 	return results, nil
 }

@@ -121,7 +121,7 @@ func TestCancellationMidSweep(t *testing.T) {
 }
 
 // TestCancellationDrainsParallelPrefetch: with a parallel pool, a
-// cancelled PrefetchContext returns the typed error after the pool
+// cancelled Shard.Prefetch returns the typed error after the pool
 // drains, and in-flight simulations persist to the store.
 func TestCancellationDrainsParallelPrefetch(t *testing.T) {
 	if testing.Short() {
@@ -149,11 +149,7 @@ func TestCancellationDrainsParallelPrefetch(t *testing.T) {
 			}
 		}
 	}
-	specs, err := SpecsFor(r, RunOptions{Only: []string{"fig3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = r.PrefetchContext(ctx, specs)
+	err = wholePlan(t, r, RunOptions{Only: []string{"fig3"}}).Prefetch(ctx)
 	if !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("cancelled prefetch returned %v", err)
 	}
@@ -338,15 +334,12 @@ func TestCancelledRunnerIsRetryable(t *testing.T) {
 			}
 		}
 	}
-	specs, err := SpecsFor(r, RunOptions{Only: []string{"fig3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.PrefetchContext(ctx, specs); !errors.Is(err, errs.ErrCancelled) {
+	shard := wholePlan(t, r, RunOptions{Only: []string{"fig3"}})
+	if err := shard.Prefetch(ctx); !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("cancelled prefetch returned %v", err)
 	}
 	r.Progress = nil
-	if err := r.PrefetchContext(context.Background(), specs); err != nil {
+	if err := shard.Prefetch(context.Background()); err != nil {
 		t.Fatalf("retry on the same runner failed: %v", err)
 	}
 	if _, err := fig3Only(context.Background(), r); err != nil {

@@ -23,10 +23,7 @@ func TestClockEquivalenceQuickScaleSpecs(t *testing.T) {
 		t.Skip("QuickScale clock-equivalence comparison skipped in -short mode")
 	}
 	r := NewRunner(QuickScale())
-	specs, err := SpecsFor(r, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := planSpecs(t, r, RunOptions{})
 	stride := 13
 	if os.Getenv("IMPRESS_CLOCK_EQUIV") == "all" {
 		stride = 1

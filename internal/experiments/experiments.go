@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -125,7 +126,7 @@ func ScaleByName(name string) (Scale, error) {
 //
 // Runner is safe for concurrent use: Run deduplicates concurrent requests
 // for the same spec (singleflight), so a spec simulates exactly once no
-// matter how many goroutines ask for it, and prefetch fans a spec list out
+// matter how many goroutines ask for it, and a Plan fans its specs out
 // over a worker pool. Results are independent of execution order — every
 // simulation is seeded from its own Config (see sim.RunContext) — so a parallel
 // prefetch followed by serial table assembly is byte-identical to the
@@ -166,11 +167,10 @@ type Runner struct {
 	Progress func(Progress)
 
 	// bindCtx is the cancellation signal bound by the context-aware
-	// entry points (RunTables, PrefetchContext, impress.Lab); nil means
-	// uncancellable. bindMu + bindCount make overlapping sweeps on one
-	// runner race-free: the first binder's signal is shared by all and
-	// held until the last overlapping sweep releases (documented on
-	// PrefetchContext).
+	// entry points (Plan.Tables, Shard.Prefetch, EvaluateAttacks); nil
+	// means uncancellable. bindMu + bindCount make overlapping sweeps on
+	// one runner race-free: the first binder's signal is shared by all
+	// and held until the last overlapping sweep releases (see bind).
 	bindMu    sync.Mutex
 	bindCtx   context.Context
 	bindCount int
@@ -186,9 +186,17 @@ type Runner struct {
 	attacks memo[security.Result]
 	atkSims atomic.Int64
 
+	// derived counts derive calls: a plan derives each distinct spec
+	// once, and nothing after it derives again.
+	derived atomic.Int64
+
 	// planned, when non-nil, makes this a planning copy (see plan): Run
 	// and Attack append their spec to it and return the zero result.
 	planned *buildPlan
+	// replay, when non-nil, makes this an assembly copy (see
+	// Plan.build): Run and Attack must repeat the planned calls and are
+	// served from the planning runner's memo.
+	replay *replay
 
 	progressMu sync.Mutex
 }
@@ -196,8 +204,8 @@ type Runner struct {
 // runAbort carries a typed error out of the figure-assembly call tree by
 // panic: Runner.Run and Runner.Attack return bare results (every table
 // builder depends on that), so cancellation and input errors
-// travel as this sentinel and the context-aware boundaries (RunTables,
-// PrefetchContext) recover it back into an ordinary error. It
+// travel as this sentinel and the context-aware boundaries (Plan.Tables,
+// Shard.Prefetch) recover it back into an ordinary error. It
 // implements error so an uncaught escape still prints cleanly.
 type runAbort struct{ err error }
 
@@ -235,8 +243,12 @@ func (r *Runner) checkCtx() {
 }
 
 // runCtx returns the context simulations run under: the bound one, or
-// context.Background() when none is bound.
+// context.Background() when none is bound. An assembly copy runs under
+// its planning runner's.
 func (r *Runner) runCtx() context.Context {
+	if r.replay != nil {
+		return r.replay.p.r.runCtx()
+	}
 	r.bindMu.Lock()
 	defer r.bindMu.Unlock()
 	if r.bindCtx != nil {
@@ -403,8 +415,8 @@ func (s RunSpec) config(scale Scale) sim.Config {
 
 // config materializes the full sim configuration for one run under this
 // runner's scale and clocking. It is the single materialization path:
-// both the store key (storeSpec) and the executed run derive from it, so
-// the key always describes exactly the run that produced the result —
+// both the store key and the executed run derive from it (see derive),
+// so the key always describes exactly the run that produced the result —
 // in particular, sampled runs key with their Sampled/MaxRelError fields.
 func (r *Runner) config(spec RunSpec) sim.Config {
 	cfg := spec.config(r.Scale)
@@ -415,21 +427,59 @@ func (r *Runner) config(spec RunSpec) sim.Config {
 	return cfg
 }
 
-// storeSpec returns the canonical resultstore spec for one run at this
-// runner's scale. It is the single key-derivation path: the memo cache
-// keys on storeSpec(spec).Key() and the persistent store looks up the
-// identical Spec, so an in-memory hit and an on-disk hit can never name
-// different simulations. resultstore memoizes each distinct spec's key
-// for the whole process, so the many callers of a sweep (SpecsFor,
-// ShardSpecs, prefetch, Run, annotateCI) hash each spec once.
-func (r *Runner) storeSpec(spec RunSpec) resultstore.Spec {
-	sp, err := resultstore.SpecFor(r.config(spec))
-	if err != nil {
-		// Unreachable: SpecFor fails only for trace-file replays, which
-		// RunSpec cannot express.
-		panic(fmt.Sprintf("experiments: %v", err))
+// runEntry is one run spec with everything executing it needs, derived
+// once: its sim.Config at the runner's scale and clocking, the
+// canonical resultstore spec of that config, and its key, on which the
+// memo and the persistent store both look the run up. A plan's entries
+// also carry the spec's identity (id), which assembly checks each
+// builder call against.
+type runEntry struct {
+	id   runID
+	spec RunSpec
+	cfg  sim.Config
+	sp   resultstore.Spec
+	key  string
+}
+
+// runID is a RunSpec's comparable identity. Floats are held by their
+// bits, so -0 and NaN are told apart exactly as the store keys them.
+type runID struct {
+	workload string
+	design   core.Design // Alpha zeroed; alpha holds its bits
+	alpha    uint64
+	tracker  sim.TrackerKind
+	trh      Opt[uint64]
+	rfmth    Opt[int]
+}
+
+func (s RunSpec) id() runID {
+	id := runID{
+		workload: s.Workload.Name,
+		design:   s.Design,
+		alpha:    math.Float64bits(s.Design.Alpha),
+		tracker:  s.Tracker,
+		trh:      Opt[uint64]{Set: s.DesignTRH.Set, Value: math.Float64bits(s.DesignTRH.Value)},
+		rfmth:    s.RFMTH,
 	}
-	return sp
+	id.design.Alpha = 0
+	return id
+}
+
+// derive is the single key-derivation path: spec's config, its
+// canonical resultstore spec and that spec's key. The memo keys on the
+// entry's key and the persistent store looks up the identical Spec, so
+// an in-memory hit and an on-disk hit can never name different
+// simulations. A plan derives each distinct spec once; direct Run
+// callers derive on every call. A spec the store cannot key (a
+// non-finite float) panics as a runAbort wrapping errs.ErrBadSpec.
+func (r *Runner) derive(spec RunSpec) runEntry {
+	r.derived.Add(1)
+	cfg := r.config(spec)
+	sp, err := resultstore.SpecFor(cfg)
+	if err != nil {
+		panic(&runAbort{fmt.Errorf("experiments: %w", err)})
+	}
+	return runEntry{spec: spec, cfg: cfg, sp: sp, key: string(sp.Key())}
 }
 
 // Sims reports how many simulations this runner actually executed —
@@ -446,18 +496,24 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 // runAbort); the context-aware entry points recover that into an error,
 // and every experiment table builder relies on the panicking signature.
 func (r *Runner) Run(spec RunSpec) sim.Result {
-	if r.planned != nil {
+	switch {
+	case r.planned != nil:
 		r.planned.runs = append(r.planned.runs, spec)
 		return sim.Result{}
+	case r.replay != nil:
+		return r.replay.run(spec)
 	}
+	e := r.derive(spec)
+	return r.run(&e)
+}
+
+// run executes (or recalls) a derived run, memoized by its key.
+func (r *Runner) run(e *runEntry) sim.Result {
 	r.checkCtx()
-	sp := r.storeSpec(spec)
-	k := string(sp.Key())
-	return r.runs.do(k, func() sim.Result {
-		cfg := r.config(spec)
-		res, simulated, err := RunCached(r.runCtx(), r.Store, r.emit, cfg, sp, k)
+	return r.runs.do(e.key, func() sim.Result {
+		res, simulated, err := RunCached(r.runCtx(), r.Store, r.emit, e.cfg, e.sp, e.key)
 		if err != nil {
-			panic(&runAbort{fmt.Errorf("experiments: %s: %w", runLabel(cfg, sp), err)})
+			panic(&runAbort{fmt.Errorf("experiments: %s: %w", runLabel(e.cfg, e.sp), err)})
 		}
 		if simulated {
 			r.sims.Add(1)
@@ -497,28 +553,15 @@ func RunCached(ctx context.Context, st *resultstore.Store, emit func(Progress), 
 	return res, true, nil
 }
 
-// prefetch executes the given specs over a worker pool of r.Parallelism
-// goroutines (GOMAXPROCS by default), deduplicating repeated and
-// already-cached specs. Table assembly that follows then hits the memo
-// cache only, so output is identical to running the specs serially. If any
-// simulation panics, prefetch re-panics after the pool drains. When the
-// runner is bound to a context that ends mid-sweep, workers stop pulling
-// new specs, in-flight simulations return at their next macro-cycle
-// boundary, and the pool drains before the cancellation surfaces —
-// every result already produced is memoized (and store-written), so a
-// rerun resumes warm.
-func (r *Runner) prefetch(specs []RunSpec) {
-	pool(r, specs, func(s RunSpec) string { return string(r.storeSpec(s).Key()) }, func(s RunSpec) { r.Run(s) })
-}
-
 // pool runs fn over the distinct specs (by key) on a worker pool of
-// r.parallelism() goroutines, the engine behind prefetch and
+// r.parallelism() goroutines, the engine behind plan prefetches and
 // prefetchAttacks. If any fn panics, pool re-panics after the pool
-// drains; on cancellation workers stop pulling specs and the drained
-// pool raises the cancellation. fn memoizes by key (Run, Attack), so a
-// serial pool hands it every spec in order: a repeat costs fn the key
-// derivation a dedupe pass would cost, and a spec seen once is keyed
-// once, not twice.
+// drains. When the runner is bound to a context that ends mid-sweep,
+// workers stop pulling new specs, in-flight simulations return at their
+// next macro-cycle boundary, and the drained pool raises the
+// cancellation — every result already produced is memoized (and
+// store-written), so a rerun resumes warm. fn memoizes by key, so a
+// serial pool hands it every spec in order without a dedupe pass.
 func pool[S any](r *Runner, specs []S, key func(S) string, fn func(S)) {
 	if r.parallelism() <= 1 {
 		for _, s := range specs {
@@ -601,56 +644,6 @@ func abortErr(p any) error {
 func isCancelAbort(p any) bool {
 	a, ok := p.(*runAbort)
 	return ok && errors.Is(a.err, errs.ErrCancelled)
-}
-
-// PrefetchContext is prefetch under a context: it binds ctx for the
-// sweep's duration and returns — instead of panicking — a typed error on
-// cancellation (matching errs.ErrCancelled and ctx.Err()) or simulation
-// failure. Completed specs stay memoized and store-written either way,
-// and cancelled specs are dropped from the memo so a retry under a live
-// context re-simulates them. Concurrent context-aware sweeps on one
-// runner share the first caller's cancellation signal.
-func (r *Runner) PrefetchContext(ctx context.Context, specs []RunSpec) (err error) {
-	defer r.bind(ctx)()
-	defer func() {
-		if p := recover(); p != nil {
-			err = abortErr(p)
-		}
-	}()
-	r.prefetch(specs)
-	return nil
-}
-
-// ShardSpecs returns the deterministic subset of specs owned by shard
-// index (1-based) out of count. Specs are deduplicated by canonical key
-// and each distinct simulation is assigned to exactly one shard by its
-// key hash, so for any count the shards are pairwise disjoint and their
-// union is the full deduplicated spec set — an exact cover. The
-// assignment depends only on the canonical keys, so every machine in a
-// fleet computes the same partition and the shards merge losslessly
-// through a shared Store.
-//
-// Out-of-range index/count returns an error wrapping errs.ErrBadSpec —
-// shard parameters that arrive over the wire (the impress-labd job API)
-// must be rejectable without killing the server.
-func (r *Runner) ShardSpecs(specs []RunSpec, index, count int) ([]RunSpec, error) {
-	if count < 1 || index < 1 || index > count {
-		return nil, fmt.Errorf("experiments: %w: shard %d/%d out of range (want 1 <= index <= count)",
-			errs.ErrBadSpec, index, count)
-	}
-	seen := make(map[string]bool, len(specs))
-	var out []RunSpec
-	for _, s := range specs {
-		k := r.storeSpec(s).Key()
-		if seen[string(k)] {
-			continue
-		}
-		seen[string(k)] = true
-		if shardOf(k, count) == index-1 {
-			out = append(out, s)
-		}
-	}
-	return out, nil
 }
 
 // shardOf maps a canonical key to a shard in [0, count): the key is a

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"impress/internal/core"
+	"impress/internal/errs"
 	"impress/internal/sim"
 	"impress/internal/trace"
 )
@@ -258,8 +261,26 @@ func TestRunSpecKeyDistinguishes(t *testing.T) {
 	w, _ := trace.WorkloadByName("gcc")
 	a := RunSpec{Workload: w, Tracker: sim.TrackerGraphene, DesignTRH: TRH(4000)}
 	b := RunSpec{Workload: w, Tracker: sim.TrackerGraphene, DesignTRH: TRH(2000)}
-	if r.storeSpec(a).Key() == r.storeSpec(b).Key() {
+	if r.derive(a).key == r.derive(b).key {
 		t.Fatal("different TRH must produce different cache keys")
+	}
+}
+
+// TestRunRejectsNonFiniteSpec: a spec the store cannot key raises the
+// typed runAbort the context-aware boundaries recover into ErrBadSpec,
+// not a marshalling panic.
+func TestRunRejectsNonFiniteSpec(t *testing.T) {
+	r := NewRunner(tinyScale())
+	w, _ := trace.WorkloadByName("gcc")
+	for _, trh := range []float64{math.NaN(), math.Inf(1)} {
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			r.Run(RunSpec{Workload: w, Design: core.NewDesign(core.ImpressP), Tracker: sim.TrackerGraphene, DesignTRH: TRH(trh)})
+			return nil
+		}()
+		if a, ok := p.(*runAbort); !ok || !errors.Is(a.err, errs.ErrBadSpec) {
+			t.Errorf("Run with TRH %v raised %v, want a runAbort matching errs.ErrBadSpec", trh, p)
+		}
 	}
 }
 
@@ -268,7 +289,7 @@ func TestRunSpecExplicitZeroDistinctFromDefault(t *testing.T) {
 	w, _ := trace.WorkloadByName("gcc")
 	unset := RunSpec{Workload: w, Tracker: sim.TrackerGraphene}
 	zero := RunSpec{Workload: w, Tracker: sim.TrackerGraphene, DesignTRH: TRH(0)}
-	if r.storeSpec(unset).Key() == r.storeSpec(zero).Key() {
+	if r.derive(unset).key == r.derive(zero).key {
 		t.Fatal("an explicit TRH of 0 must not alias the default")
 	}
 	if unset.RFMTH.Set || zero.RFMTH.Set {

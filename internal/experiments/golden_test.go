@@ -67,10 +67,7 @@ func TestGoldenTables(t *testing.T) {
 	// Every planned spec simulated exactly once, and no builder read a
 	// spec that no plan names. TestDefinitionsPlanIsComplete checks each
 	// table's plan on its own.
-	planned, err := SpecsFor(r, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	planned := planSpecs(t, r, RunOptions{})
 	if r.Sims() != int64(len(planned)) {
 		t.Errorf("the sweep simulated %d specs; the plans name %d", r.Sims(), len(planned))
 	}

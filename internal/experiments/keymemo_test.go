@@ -26,9 +26,9 @@ func unmemoizedKey(t *testing.T, sp resultstore.Spec) resultstore.Key {
 	return resultstore.Key(hex.EncodeToString(sum[:]))
 }
 
-// TestStoreSpecKeyIsExact pins the memoized key behind storeSpec to an
+// TestStoreSpecKeyIsExact pins the memoized key behind derive to an
 // unmemoized derivation: for every spec, in either order of a
-// signed-zero pair, storeSpec's key equals the hash of
+// signed-zero pair, derive's key equals the hash of
 // resultstore.SpecFor(r.config(spec))'s JSON, under exact and sampled
 // clocks.
 func TestStoreSpecKeyIsExact(t *testing.T) {
@@ -69,7 +69,7 @@ func TestStoreSpecKeyIsExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := r.storeSpec(s).Key(), unmemoizedKey(t, sp); got != want {
+					if got, want := resultstore.Key(r.derive(s).key), unmemoizedKey(t, sp); got != want {
 						t.Errorf("%s: spec %d: memoized key %s, fresh key %s", name, i, got[:12], want[:12])
 					}
 				}
@@ -77,7 +77,7 @@ func TestStoreSpecKeyIsExact(t *testing.T) {
 		}
 	}
 	r := NewRunner(tinyScale())
-	if r.storeSpec(specs[0]).Key() == r.storeSpec(specs[1]).Key() {
+	if r.derive(specs[0]).key == r.derive(specs[1]).key {
 		t.Fatal("TRH 0 and -0 must key apart: they marshal differently")
 	}
 }
@@ -93,11 +93,7 @@ func TestScaleUniversesFitKeyMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs, err := SpecsFor(NewRunner(scale), RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(specs) != n {
+		if specs := planSpecs(t, NewRunner(scale), RunOptions{}); len(specs) != n {
 			t.Errorf("the %s universe has %d specs, want %d: revisit resultstore's keyMemoEntries", name, len(specs), n)
 		}
 	}

@@ -94,14 +94,19 @@ func TestConcurrentRunDistinctSpecs(t *testing.T) {
 	}
 }
 
-// TestPrefetchDedupsAndCaches verifies prefetch deduplicates repeated
+// prefetch runs specs over r's worker pool, deduplicated by key.
+func prefetch(r *Runner, specs []RunSpec) {
+	pool(r, specs, func(s RunSpec) string { return r.derive(s).key }, func(s RunSpec) { r.Run(s) })
+}
+
+// TestPrefetchDedupsAndCaches verifies the pool deduplicates repeated
 // specs and that assembly afterwards only hits the cache.
 func TestPrefetchDedupsAndCaches(t *testing.T) {
 	r := NewRunner(tinyScale())
 	r.Parallelism = 4
 	w := r.Workloads()[0]
 	spec := baselineSpec(w)
-	r.prefetch([]RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)})
+	prefetch(r, []RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)})
 	if len(r.runs.m) != 2 {
 		t.Fatalf("cache has %d entries, want 2", len(r.runs.m))
 	}
@@ -128,7 +133,7 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { r.prefetch([]RunSpec{bad}) })
+	mustPanic(func() { prefetch(r, []RunSpec{bad}) })
 	mustPanic(func() { r.Run(bad) })
 }
 

@@ -9,14 +9,15 @@ import (
 
 	"impress/internal/errs"
 	"impress/internal/resultstore"
+	"impress/internal/security"
 	"impress/internal/sim"
 )
 
 // Definition describes one runnable experiment: its CLI/-only ID and
 // its table builder. The builder's own Runner.Run and Runner.Attack
-// calls are the only statement of what it needs: RunTables and SpecsFor
-// learn its spec list by planning it (see plan), and a definition whose
-// plan names no simulation is analytical.
+// calls are the only statement of what it needs: PlanTables learns its
+// spec list by planning it (see plan), and a definition whose plan
+// names no simulation is analytical.
 type Definition struct {
 	ID string
 	// Build assembles the table, using r for simulation-backed runs.
@@ -108,18 +109,43 @@ func RunTables(ctx context.Context, r *Runner, opts RunOptions) ([]*Table, error
 }
 
 // Plan is one planning pass over an experiment selection, bound to the
-// runner it planned on: the selected definitions in paper order, each
-// with what its builder asks of the runner. A sweep service plans once
-// per request, shards Specs, and assembles the tables from the same
-// value.
+// runner it planned on. Every distinct simulation and attack evaluation
+// the selected definitions ask for is derived once into an entry (for a
+// run: its RunSpec, sim.Config, resultstore.Spec and key), and each
+// selected definition, in paper order, keeps its builder's calls as
+// indexes into those entries. Shard, shard prefetches and Tables read
+// the entries and derive nothing again, so a sweep service plans
+// once per request, shards the plan, and assembles the tables from the
+// same value.
 type Plan struct {
-	r    *Runner
-	defs []plannedDef
+	r       *Runner
+	runs    []runEntry
+	attacks []attackEntry
+	// distinct indexes the runs with distinct keys, in first-seen call
+	// order, so every node computes the same list: two RunSpecs can
+	// materialize the same config (an unset override and its explicit
+	// default).
+	distinct []int
+	defs     []plannedDef
 }
 
-// PlanTables resolves opts against the registry and plans every
-// selected definition on r (see selectDefs). Unknown IDs, selection
-// conflicts and unresolvable scale workloads are typed errors
+// attackEntry is one distinct attack evaluation of a plan with its key.
+type attackEntry struct {
+	spec resultstore.AttackSpec
+	key  string
+}
+
+// plannedDef is a selected definition with its builder's calls, in
+// call order with repeats, as indexes into the plan's entries.
+type plannedDef struct {
+	Definition
+	runs, attacks []int
+}
+
+// PlanTables resolves opts against the registry, plans every selected
+// definition on r (see selectDefs) and derives each distinct spec the
+// plans name once. Unknown IDs, selection conflicts, unresolvable scale
+// workloads and specs the store cannot key are typed errors
 // (errs.ErrBadSpec, errs.ErrUnknownWorkload). Nothing simulates.
 func PlanTables(r *Runner, opts RunOptions) (p *Plan, err error) {
 	defer func() {
@@ -131,34 +157,126 @@ func PlanTables(r *Runner, opts RunOptions) (p *Plan, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{r: r, defs: defs}, nil
+	return newPlan(r, defs), nil
 }
 
-// Specs returns the deduplicated union of the plan's simulation specs —
-// the exact universe a sweep service shards across its workers before
-// assembling any table (empty for an all-analytical selection). Specs
-// keep their first-seen call order, so every node computes the same
-// list.
-func (p *Plan) Specs() []RunSpec {
-	var specs []RunSpec
-	seen := make(map[resultstore.Key]bool)
-	for _, d := range p.defs {
-		for _, s := range d.plan.runs {
-			if k := p.r.storeSpec(s).Key(); !seen[k] {
-				seen[k] = true
-				specs = append(specs, s)
+// newPlan derives each distinct spec the selected definitions' calls
+// name once, in first-seen order, and indexes every call into those
+// entries. A run is identified by its RunSpec (runID) before it is
+// derived, so a repeated call costs a map lookup.
+func newPlan(r *Runner, defs []selectedDef) *Plan {
+	calls := 0
+	for _, d := range defs {
+		calls += len(d.calls.runs)
+	}
+	p := &Plan{r: r, runs: make([]runEntry, 0, calls), defs: make([]plannedDef, 0, len(defs))}
+	runIdx := make(map[runID]int, calls)
+	keys := make(map[string]bool, calls)
+	atkIdx := make(map[string]int)
+	for _, d := range defs {
+		pd := plannedDef{Definition: d.Definition, runs: make([]int, 0, len(d.calls.runs))}
+		for _, s := range d.calls.runs {
+			id := s.id()
+			i, ok := runIdx[id]
+			if !ok {
+				i = len(p.runs)
+				runIdx[id] = i
+				e := r.derive(s)
+				e.id = id
+				p.runs = append(p.runs, e)
+				if !keys[e.key] {
+					keys[e.key] = true
+					p.distinct = append(p.distinct, i)
+				}
 			}
+			pd.runs = append(pd.runs, i)
+		}
+		for _, s := range d.calls.attacks {
+			k := string(s.Key())
+			i, ok := atkIdx[k]
+			if !ok {
+				i = len(p.attacks)
+				atkIdx[k] = i
+				p.attacks = append(p.attacks, attackEntry{spec: s, key: k})
+			}
+			pd.attacks = append(pd.attacks, i)
+		}
+		p.defs = append(p.defs, pd)
+	}
+	return p
+}
+
+// Len reports how many distinct simulation specs the plan names: the
+// universe its shards partition (zero for an all-analytical selection).
+func (p *Plan) Len() int { return len(p.distinct) }
+
+// Shard is one partition of a plan's distinct simulation specs (see
+// Plan.Shard).
+type Shard struct {
+	p    *Plan
+	runs []int
+}
+
+// Shard returns the deterministic part of the plan's distinct specs
+// owned by shard index (1-based) out of count. Each distinct simulation
+// is assigned to exactly one shard by its key hash, so for any count
+// the shards are pairwise disjoint and their union is the plan's
+// distinct specs, in first-seen order — an exact cover. The assignment depends only on the canonical keys, so every
+// machine in a fleet computes the same partition and the shards merge
+// losslessly through a shared Store.
+//
+// Out-of-range index/count returns an error wrapping errs.ErrBadSpec —
+// shard parameters that arrive over the wire (the impress-labd job API)
+// must be rejectable without killing the server.
+func (p *Plan) Shard(index, count int) (Shard, error) {
+	if count < 1 || index < 1 || index > count {
+		return Shard{}, fmt.Errorf("experiments: %w: shard %d/%d out of range (want 1 <= index <= count)",
+			errs.ErrBadSpec, index, count)
+	}
+	s := Shard{p: p}
+	for _, i := range p.distinct {
+		if shardOf(resultstore.Key(p.runs[i].key), count) == index-1 {
+			s.runs = append(s.runs, i)
 		}
 	}
-	return specs
+	return s, nil
+}
+
+// Len reports how many distinct specs the shard owns.
+func (s Shard) Len() int { return len(s.runs) }
+
+// Prefetch runs the shard's specs on the plan's runner under ctx, over
+// its worker pool: memo and store hits cost a lookup, the rest
+// simulate. It returns — instead of panicking — a typed error on
+// cancellation (matching errs.ErrCancelled and ctx.Err()) or simulation
+// failure. Completed specs stay memoized and store-written either way,
+// and cancelled specs are dropped from the memo so a retry under a live
+// context re-simulates them. Concurrent context-aware sweeps on one
+// runner share the first caller's cancellation signal.
+func (s Shard) Prefetch(ctx context.Context) (err error) {
+	r := s.p.r
+	defer r.bind(ctx)()
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = abortErr(rec)
+		}
+	}()
+	s.p.prefetch(s.runs)
+	return nil
+}
+
+// prefetch runs the given entries over the runner's worker pool.
+func (p *Plan) prefetch(runs []int) {
+	pool(p.r, runs, func(i int) string { return p.runs[i].key }, func(i int) { p.r.run(&p.runs[i]) })
 }
 
 // Tables assembles the plan's tables on its runner under ctx, with
-// RunTables' errors. It fans the union of every table's runs, then of
-// its attack evaluations, out over one worker pool, so independent work
-// across tables runs concurrently, then builds the tables serially, in
-// paper order, against the warm memo. onTable, when non-nil, receives
-// each table as soon as it is built (see RunOptions.OnTable).
+// RunTables' errors. It fans every distinct run, then every attack
+// evaluation, out over one worker pool, so independent work across
+// tables runs concurrently, then builds the tables serially, in paper
+// order, replaying each builder against the warm memo (see build).
+// onTable, when non-nil, receives each table as soon as it is built
+// (see RunOptions.OnTable).
 func (p *Plan) Tables(ctx context.Context, onTable func(*Table)) (tables []*Table, err error) {
 	r := p.r
 	defer r.bind(ctx)()
@@ -167,18 +285,18 @@ func (p *Plan) Tables(ctx context.Context, onTable func(*Table)) (tables []*Tabl
 			tables, err = nil, abortErr(rec)
 		}
 	}()
-	var all buildPlan
-	for _, d := range p.defs {
-		all.runs = append(all.runs, d.plan.runs...)
-		all.attacks = append(all.attacks, d.plan.attacks...)
+	p.prefetch(p.distinct)
+	atks := make([]int, len(p.attacks))
+	for i := range atks {
+		atks[i] = i
 	}
-	r.prefetch(all.runs)
-	r.prefetchAttacks(all.attacks)
-	for _, d := range p.defs {
+	pool(r, atks, func(i int) string { return p.attacks[i].key }, func(i int) { r.attack(&p.attacks[i]) })
+	for i := range p.defs {
+		d := &p.defs[i]
 		r.checkCtx()
-		t := d.Build(r)
+		t := p.build(d)
 		if r.Clock == sim.ClockSampled {
-			annotateCI(r, d.plan.runs, t)
+			p.annotateCI(d, t)
 		}
 		r.emit(Progress{Kind: ProgressTableRendered, Table: t.ID})
 		if onTable != nil {
@@ -187,6 +305,54 @@ func (p *Plan) Tables(ctx context.Context, onTable func(*Table)) (tables []*Tabl
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// replay is an assembly copy's cursor over one planned definition.
+type replay struct {
+	p          *Plan
+	d          *plannedDef
+	runs, atks int // calls replayed so far
+}
+
+// build runs d's builder on an assembly copy of the plan's runner: the
+// builder's Run and Attack calls are matched, position by position,
+// against its planned calls and served from the runner's memo by the
+// planned entry, so assembly derives no spec. A call that differs from
+// its plan, an extra call or a missing one is a builder whose calls
+// depend on results, which the plan could not see: it panics as an
+// invariant violation rather than simulating outside the plan.
+func (p *Plan) build(d *plannedDef) *Table {
+	r := p.r
+	rp := &replay{p: p, d: d}
+	t := d.Build(&Runner{Scale: r.Scale, Clock: r.Clock, MaxRelError: r.MaxRelError,
+		Parallelism: r.Parallelism, replay: rp})
+	if rp.runs != len(d.runs) || rp.atks != len(d.attacks) {
+		panic(fmt.Sprintf("experiments: %s: assembly made %d runs and %d attack evaluations; its plan names %d and %d",
+			d.ID, rp.runs, rp.atks, len(d.runs), len(d.attacks)))
+	}
+	return t
+}
+
+// run serves the builder's next Run call from its planned entry.
+func (rp *replay) run(spec RunSpec) sim.Result {
+	n := rp.runs
+	if n >= len(rp.d.runs) || rp.p.runs[rp.d.runs[n]].id != spec.id() {
+		panic(fmt.Sprintf("experiments: %s: run call %d (%s/%s/%s) does not match its plan",
+			rp.d.ID, n, spec.Workload.Name, spec.Design.Name(), spec.Tracker))
+	}
+	rp.runs++
+	return rp.p.r.run(&rp.p.runs[rp.d.runs[n]])
+}
+
+// attack serves the builder's next Attack call from its planned entry.
+func (rp *replay) attack(spec resultstore.AttackSpec) security.Result {
+	n := rp.atks
+	if n >= len(rp.d.attacks) || rp.p.attacks[rp.d.attacks[n]].spec != spec {
+		panic(fmt.Sprintf("experiments: %s: attack call %d (%s vs %s) does not match its plan",
+			rp.d.ID, n, spec.Pattern, spec.Tracker))
+	}
+	rp.atks++
+	return rp.p.r.attack(&rp.p.attacks[rp.d.attacks[n]])
 }
 
 // buildPlan is what one table builder asks of its runner, in call
@@ -201,29 +367,30 @@ type buildPlan struct {
 // their spec and return the zero result, and whose harness returns the
 // zero result. Nothing simulates or evaluates. Builders only do float
 // arithmetic on results, so zero results cannot change which specs
-// they ask for; the tables they produce here are discarded. Keys are
-// not computed: prefetch and SpecsFor deduplicate.
+// they ask for (assembly panics if one does); the tables they produce
+// here are discarded. Keys are not computed: PlanTables derives each
+// distinct spec once.
 func (r *Runner) plan(d Definition) buildPlan {
 	p := &buildPlan{}
 	d.Build(&Runner{Scale: r.Scale, Clock: r.Clock, MaxRelError: r.MaxRelError, Parallelism: 1, planned: p})
 	return *p
 }
 
-// plannedDef is a selected definition with its plan.
-type plannedDef struct {
+// selectedDef is a selected definition with its builder's calls.
+type selectedDef struct {
 	Definition
-	plan buildPlan
+	calls buildPlan
 }
 
 // selectDefs resolves a RunOptions selection against the registry: the
-// selected definitions in paper order, each with its plan, or a typed
-// error for an unknown ID or an -only/-analytical conflict. PlanTables
-// is its one caller, and RunTables, SpecsFor and a sweep service all
-// go through PlanTables, so "which experiments does this request name"
-// can never disagree between validation, sharding and assembly. An
-// unresolvable scale workload panics out of planning as a runAbort for
-// the caller to recover.
-func selectDefs(r *Runner, opts RunOptions) ([]plannedDef, error) {
+// selected definitions in paper order, each with its builder's calls,
+// or a typed error for an unknown ID or an -only/-analytical conflict.
+// PlanTables is its one caller, and RunTables, impress-experiments
+// -shard and a sweep service all go through PlanTables, so "which
+// experiments does this request name" can never disagree between
+// validation, sharding and assembly. An unresolvable scale workload
+// panics out of planning as a runAbort for the caller to recover.
+func selectDefs(r *Runner, opts RunOptions) ([]selectedDef, error) {
 	defs := Definitions()
 	want := map[string]bool{}
 	for _, id := range opts.Only {
@@ -233,7 +400,7 @@ func selectDefs(r *Runner, opts RunOptions) ([]plannedDef, error) {
 		}
 		want[id] = true
 	}
-	var selected []plannedDef
+	var selected []selectedDef
 	for _, d := range defs {
 		if len(want) > 0 && !want[d.ID] {
 			continue
@@ -246,42 +413,29 @@ func selectDefs(r *Runner, opts RunOptions) ([]plannedDef, error) {
 			}
 			continue
 		}
-		selected = append(selected, plannedDef{d, p})
+		selected = append(selected, selectedDef{d, p})
 	}
 	return selected, nil
-}
-
-// SpecsFor returns the deduplicated union of the simulation specs the
-// experiments selected by opts need: PlanTables followed by Plan.Specs
-// (OnTable is ignored). It names exactly the runs RunTables will ask
-// for, and reports selection errors exactly as RunTables would.
-func SpecsFor(r *Runner, opts RunOptions) ([]RunSpec, error) {
-	p, err := PlanTables(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.Specs(), nil
 }
 
 // annotateCI appends a confidence-interval summary note to a
 // simulation-backed table assembled from sampled runs: the worst
 // (largest) 95% relative half-width over the table's spec universe for
-// each tracked metric, plus the early-stop count. RunTables calls it
-// for every table of a sampled-clock runner with the table's planned
-// runs; exact-mode results carry no estimates, so exact tables never get
-// the note. Every spec is memoized by the Build that just ran, so the
-// Run calls here are pure memo hits.
-func annotateCI(r *Runner, runs []RunSpec, t *Table) {
+// each tracked metric, plus the early-stop count. Tables calls it for
+// every table of a sampled-clock runner; exact-mode results carry no
+// estimates, so exact tables never get the note. Every spec is memoized
+// by the build that just ran, so the lookups here are pure memo hits.
+func (p *Plan) annotateCI(d *plannedDef, t *Table) {
 	seen := make(map[string]bool)
 	var n, early int
 	var worstIPC, worstACT float64
-	for _, s := range runs {
-		k := string(r.storeSpec(s).Key())
-		if seen[k] {
+	for _, i := range d.runs {
+		e := &p.runs[i]
+		if seen[e.key] {
 			continue
 		}
-		seen[k] = true
-		est := r.Run(s).Estimates
+		seen[e.key] = true
+		est := p.r.run(e).Estimates
 		if est == nil {
 			continue
 		}

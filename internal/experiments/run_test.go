@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"impress/internal/resultstore"
+	"impress/internal/security"
+	"impress/internal/sim"
 )
 
 // simBacked names the definitions whose plans must name simulations;
@@ -14,8 +17,8 @@ var simBacked = map[string]bool{
 	"energy": true, "fig15": true, "fig16": true,
 }
 
-// TestDefinitionsPlan pins the plan pass RunTables and SpecsFor take
-// every table through. For every definition, at QuickScale and at a
+// TestDefinitionsPlan pins the plan pass PlanTables takes every table
+// through. For every definition, at QuickScale and at a
 // custom scale with co-run and aggressor workloads, planning must not
 // panic on the zero results it hands the builder, must simulate and
 // evaluate nothing, must touch no store, and must find runs exactly for
@@ -75,10 +78,7 @@ func TestDefinitionsPlanIsComplete(t *testing.T) {
 		if _, err := RunTables(context.Background(), r, only); err != nil {
 			t.Fatalf("%s: %v", d.ID, err)
 		}
-		specs, err := SpecsFor(r, only)
-		if err != nil {
-			t.Fatal(err)
-		}
+		specs := planSpecs(t, r, only)
 		if r.Sims() != int64(len(specs)) {
 			t.Errorf("%s simulated %d specs; its plan names %d", d.ID, r.Sims(), len(specs))
 		}
@@ -113,13 +113,13 @@ func TestPlanTablesMatchRunTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := p.Specs()
+		specs := specsOf(p)
 		for i := 1; i <= 3; i++ {
-			shard, err := r.ShardSpecs(specs, i, 3)
+			shard, err := p.Shard(i, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.PrefetchContext(ctx, shard); err != nil {
+			if err := shard.Prefetch(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -143,6 +143,143 @@ func TestPlanTablesMatchRunTables(t *testing.T) {
 		if r.Sims() != int64(len(specs)) || direct.Sims() != 0 {
 			t.Fatalf("%+v: the plan's sweep simulated %d of its %d specs, RunTables %d after it",
 				opts, r.Sims(), len(specs), direct.Sims())
+		}
+	}
+}
+
+// wholePlan plans opts on r and returns its one shard: every distinct
+// spec the selection needs.
+func wholePlan(t *testing.T, r *Runner, opts RunOptions) Shard {
+	t.Helper()
+	p, err := PlanTables(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := p.Shard(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shard
+}
+
+// planSpecs returns the deduplicated spec universe of opts on r.
+func planSpecs(t *testing.T, r *Runner, opts RunOptions) []RunSpec {
+	t.Helper()
+	p, err := PlanTables(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specsOf(p)
+}
+
+// specsOf returns the plan's distinct specs in first-seen order.
+func specsOf(p *Plan) []RunSpec {
+	specs := make([]RunSpec, p.Len())
+	for i, e := range p.distinct {
+		specs[i] = p.runs[e].spec
+	}
+	return specs
+}
+
+// TestWarmJobDerivesEachSpecOnce follows a sweep service's job over a
+// warm store — plan at submit, shards prefetched, tables assembled
+// from the plan — and requires each distinct spec to be derived (its
+// config, store spec and key) exactly once: at planning.
+func TestWarmJobDerivesEachSpecOnce(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fig13 := RunOptions{Only: []string{"fig13"}}
+	cold := NewRunner(tinyScale())
+	cold.Store = openStore(t, dir)
+	want, err := RunTables(ctx, cold, fig13)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(tinyScale())
+	r.Parallelism, r.Store = 1, openStore(t, dir)
+	p, err := PlanTables(r, fig13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		shard, err := p.Shard(i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.Prefetch(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := p.Tables(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderAll(got) != renderAll(want) {
+		t.Fatalf("warm job tables differ from the cold sweep:\n%s", diffHint(renderAll(got), renderAll(want)))
+	}
+	specs := p.Len()
+	if n := r.derived.Load(); n != int64(specs) {
+		t.Errorf("the job derived specs %d times; its plan names %d distinct specs", n, specs)
+	}
+	if r.Sims() != 0 {
+		t.Errorf("warm job simulated %d specs", r.Sims())
+	}
+}
+
+// TestAssemblyMismatchPanics pins the replay contract: a builder whose
+// Run or Attack calls at assembly differ from its plan — an extra
+// call, a different spec, a missing call — panics as an invariant
+// violation instead of running work the plan never named.
+func TestAssemblyMismatchPanics(t *testing.T) {
+	zoo := func(r *Runner, pattern string) security.Result {
+		return r.Attack(ZooAttackSpec("graphene", pattern))
+	}
+	builders := map[string]func(r *Runner){
+		"extra run": func(r *Runner) {
+			w := r.Workloads()[0]
+			if r.Run(baselineSpec(w)).Cycles > 0 {
+				r.Run(noRPSpec(w, sim.TrackerGraphene, 4000, 80))
+			}
+		},
+		"different run": func(r *Runner) {
+			w := r.Workloads()[0]
+			tracker := sim.TrackerGraphene
+			if r.Run(baselineSpec(w)).Cycles > 0 {
+				tracker = sim.TrackerPARA
+			}
+			r.Run(noRPSpec(w, tracker, 4000, 80))
+		},
+		"missing run": func(r *Runner) {
+			w := r.Workloads()[0]
+			if r.Run(baselineSpec(w)).Cycles == 0 {
+				r.Run(noRPSpec(w, sim.TrackerGraphene, 4000, 80))
+			}
+		},
+		"different attack": func(r *Runner) {
+			pattern := "hammer"
+			if zoo(r, pattern).MaxDamage > 0 {
+				pattern = "rowpress"
+			}
+			zoo(r, pattern)
+		},
+	}
+	for _, name := range []string{"extra run", "different run", "missing run", "different attack"} {
+		build := builders[name]
+		r := NewRunner(tinyScale())
+		d := Definition{ID: "mismatch", Build: func(r *Runner) *Table {
+			build(r)
+			return &Table{ID: "mismatch"}
+		}}
+		p := newPlan(r, []selectedDef{{d, r.plan(d)}})
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			_, err := p.Tables(context.Background(), nil)
+			t.Errorf("%s: assembly returned %v instead of panicking", name, err)
+			return nil
+		}()
+		if msg, ok := rec.(string); !ok || !strings.Contains(msg, "mismatch") {
+			t.Errorf("%s: assembly panicked with %v, want an invariant violation naming the table", name, rec)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -60,36 +61,33 @@ func TestWarmStoreServesIdenticalTablesWithZeroSims(t *testing.T) {
 	}
 }
 
-// TestShardPartitionIsExactCover checks the ShardSpecs contract for several
-// shard counts: shards are pairwise disjoint and together cover the
-// deduplicated spec universe exactly.
+// TestShardPartitionIsExactCover checks the Plan.Shard contract for
+// several shard counts: shards are pairwise disjoint and together cover
+// the plan's deduplicated spec universe exactly. The figures share
+// baselines, so the plan's calls repeat specs its shards must not.
 func TestShardPartitionIsExactCover(t *testing.T) {
 	r := NewRunner(QuickScale())
-	// Each definition's own universe, concatenated: the figures share
-	// baselines, so the list repeats specs ShardSpecs must deduplicate.
-	var specs []RunSpec
-	for _, d := range Definitions() {
-		fig, err := SpecsFor(r, RunOptions{Only: []string{d.ID}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, fig...)
+	p, err := PlanTables(r, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	whole := map[string]bool{}
-	for _, s := range specs {
-		whole[string(r.storeSpec(s).Key())] = true
+	for _, d := range p.defs {
+		for _, i := range d.runs {
+			whole[p.runs[i].key] = true
+		}
 	}
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		covered := map[string]int{}
 		total := 0
 		for i := 1; i <= n; i++ {
-			shard, err := r.ShardSpecs(specs, i, n)
+			shard, err := p.Shard(i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(shard)
-			for _, s := range shard {
-				covered[string(r.storeSpec(s).Key())]++
+			total += shard.Len()
+			for _, e := range shard.runs {
+				covered[p.runs[e].key]++
 			}
 		}
 		if total != len(whole) {
@@ -109,80 +107,69 @@ func TestShardPartitionIsExactCover(t *testing.T) {
 	}
 }
 
-// TestShardSpecsRejectsBadIndices pins the daemon-facing seam: shard
+// TestPlanShardRejectsBadIndices pins the daemon-facing seam: shard
 // parameters from the wire come back as typed errors, never panics.
-func TestShardSpecsRejectsBadIndices(t *testing.T) {
-	r := NewRunner(tinyScale())
+func TestPlanShardRejectsBadIndices(t *testing.T) {
+	p, err := PlanTables(NewRunner(tinyScale()), RunOptions{Only: []string{"fig3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range [][2]int{{0, 2}, {3, 2}, {1, 0}, {-1, 3}, {2, -2}} {
-		out, err := r.ShardSpecs(nil, bad[0], bad[1])
+		out, err := p.Shard(bad[0], bad[1])
 		if err == nil {
-			t.Errorf("ShardSpecs(%d, %d) = %v, want error", bad[0], bad[1], out)
+			t.Errorf("Shard(%d, %d) = %d specs, want error", bad[0], bad[1], out.Len())
 			continue
 		}
 		if !errors.Is(err, errs.ErrBadSpec) {
-			t.Errorf("ShardSpecs(%d, %d) error %v does not match errs.ErrBadSpec", bad[0], bad[1], err)
+			t.Errorf("Shard(%d, %d) error %v does not match errs.ErrBadSpec", bad[0], bad[1], err)
 		}
 	}
-	if _, err := r.ShardSpecs(nil, 1, 1); err != nil {
-		t.Fatalf("ShardSpecs(1, 1) = %v, want nil error", err)
+	if _, err := p.Shard(1, 1); err != nil {
+		t.Fatalf("Shard(1, 1) = %v, want nil error", err)
 	}
 }
 
-// TestSpecsForMatchesSweepUniverse checks that the sharding seam sees
+// TestPlanSpecsMatchSweepUniverse checks that the sharding seam sees
 // exactly the universe the sweep itself will simulate: no selection
 // equals the deduplicated union of every definition's own selection, an
 // -only selection names that figure's distinct runs, analytical
 // selections are empty, and selection errors are typed.
-func TestSpecsForMatchesSweepUniverse(t *testing.T) {
+func TestPlanSpecsMatchSweepUniverse(t *testing.T) {
 	r := NewRunner(QuickScale())
 	keysOf := func(specs []RunSpec) map[string]bool {
 		m := map[string]bool{}
 		for _, s := range specs {
-			m[string(r.storeSpec(s).Key())] = true
+			m[r.derive(s).key] = true
 		}
 		return m
 	}
 
-	full, err := SpecsFor(r, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := planSpecs(t, r, RunOptions{})
 	want := map[string]bool{}
 	for _, d := range Definitions() {
-		fig, err := SpecsFor(r, RunOptions{Only: []string{d.ID}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range keysOf(fig) {
+		for k := range keysOf(planSpecs(t, r, RunOptions{Only: []string{d.ID}})) {
 			want[k] = true
 		}
 	}
 	if got := keysOf(full); len(got) != len(want) || len(full) != len(want) {
-		t.Fatalf("SpecsFor(all) has %d specs (%d distinct), want the %d-spec deduplicated universe",
+		t.Fatalf("Specs(all) has %d specs (%d distinct), want the %d-spec deduplicated universe",
 			len(full), len(got), len(want))
 	}
 
-	fig3, err := SpecsFor(r, RunOptions{Only: []string{"fig3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig3 := planSpecs(t, r, RunOptions{Only: []string{"fig3"}})
 	if got := keysOf(fig3); len(got) != fig3Specs || len(fig3) != fig3Specs {
-		t.Fatalf("SpecsFor(fig3) has %d specs (%d distinct), want %d", len(fig3), len(got), fig3Specs)
+		t.Fatalf("Specs(fig3) has %d specs (%d distinct), want %d", len(fig3), len(got), fig3Specs)
 	}
 
-	analytical, err := SpecsFor(r, RunOptions{Analytical: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(analytical) != 0 {
-		t.Fatalf("SpecsFor(analytical) = %d specs, want none", len(analytical))
+	if analytical := planSpecs(t, r, RunOptions{Analytical: true}); len(analytical) != 0 {
+		t.Fatalf("Specs(analytical) = %d specs, want none", len(analytical))
 	}
 
-	if _, err := SpecsFor(r, RunOptions{Only: []string{"no-such-figure"}}); !errors.Is(err, errs.ErrBadSpec) {
-		t.Fatalf("SpecsFor(unknown ID) error = %v, want errs.ErrBadSpec", err)
+	if _, err := PlanTables(r, RunOptions{Only: []string{"no-such-figure"}}); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("PlanTables(unknown ID) error = %v, want errs.ErrBadSpec", err)
 	}
 	if r.Sims() != 0 {
-		t.Fatalf("SpecsFor must not simulate (ran %d)", r.Sims())
+		t.Fatalf("planning must not simulate (ran %d)", r.Sims())
 	}
 }
 
@@ -212,18 +199,20 @@ func TestShardedSweepMergesThroughStore(t *testing.T) {
 	reference := NewRunner(scale)
 	want := renderFig3(reference)
 
-	specs, err := SpecsFor(NewRunner(scale), RunOptions{Only: []string{"fig3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 2; i++ {
 		shardRunner := NewRunner(scale)
 		shardRunner.Store = openStore(t, dir)
-		shard, err := shardRunner.ShardSpecs(specs, i, 2)
+		p, err := PlanTables(shardRunner, RunOptions{Only: []string{"fig3"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardRunner.prefetch(shard)
+		shard, err := p.Shard(i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.Prefetch(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	merge := NewRunner(scale)

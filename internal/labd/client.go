@@ -164,15 +164,17 @@ func (c *Client) Watch(ctx context.Context, id string, from int64, fn func(Event
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
 		return Job{}, wireError(resp.StatusCode, eb)
 	}
+	// The scanner starts small and grows to the 1 MiB line cap only
+	// for a line that needs it.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
+		e, err := parseEvent(line)
+		if err != nil {
 			return Job{}, fmt.Errorf("labd: malformed event %q: %w", line, err)
 		}
 		if fn != nil {

@@ -119,7 +119,7 @@ type Server struct {
 // task is one unit on the worker queue: one shard of one job.
 type task struct {
 	j     *job
-	specs []experiments.RunSpec
+	shard experiments.Shard
 }
 
 // job is the server-side state of one submitted sweep.
@@ -128,13 +128,13 @@ type job struct {
 	srv    *Server
 	req    SweepRequest
 	runner *experiments.Runner
-	// plan is the selection's one planning pass, made at submit: it
-	// names the shards' specs and assembles the tables.
+	// plan is the selection's one planning pass, made at submit: its
+	// shards feed the pool and it assembles the tables.
 	plan   *experiments.Plan
 	ctx    context.Context
 	cancel context.CancelFunc
 	hub    *hub
-	shards [][]experiments.RunSpec
+	shards []experiments.Shard
 	specs  int
 	// shardCount is len(shards), kept for the status snapshot after
 	// release drops the shards.
@@ -192,13 +192,13 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // worker executes shard tasks until the queue closes. Each task runs
-// its specs through the job's runner under the job context: the memo
-// deduplicates cross-shard overlap, the store serves warm hits, and
-// cancellation stops the shard at its next spec boundary.
+// its shard of the job's plan under the job context: the store serves
+// warm hits, and cancellation stops the shard at its next spec
+// boundary.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for t := range s.queue {
-		if err := t.j.runner.PrefetchContext(t.j.ctx, t.specs); err != nil {
+		if err := t.shard.Prefetch(t.j.ctx); err != nil {
 			t.j.recordErr(err)
 		}
 		t.j.pending.Done()
@@ -253,7 +253,7 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := plan.Specs()
+	specs := plan.Len()
 	shardCount := req.Shards
 	if shardCount == 0 {
 		shardCount = s.cfg.shardsPerJob()
@@ -261,16 +261,16 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	if shardCount < 1 {
 		return nil, fmt.Errorf("labd: %w: shard count %d out of range (want >= 1)", errs.ErrBadSpec, shardCount)
 	}
-	if shardCount > len(specs) {
-		shardCount = len(specs) // an all-analytical job has no shards at all
+	if shardCount > specs {
+		shardCount = specs // an all-analytical job has no shards at all
 	}
-	var shards [][]experiments.RunSpec
+	var shards []experiments.Shard
 	for i := 1; i <= shardCount; i++ {
-		shard, err := runner.ShardSpecs(specs, i, shardCount)
+		shard, err := plan.Shard(i, shardCount)
 		if err != nil {
 			return nil, err
 		}
-		if len(shard) > 0 {
+		if shard.Len() > 0 {
 			shards = append(shards, shard)
 		}
 	}
@@ -289,7 +289,7 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 		plan:       plan,
 		hub:        newHub(s.cfg.retainEvents()),
 		shards:     shards,
-		specs:      len(specs),
+		specs:      specs,
 		shardCount: len(shards),
 		state:      StateQueued,
 	}
@@ -345,7 +345,7 @@ func (j *job) run() {
 	j.pending.Add(len(j.shards))
 	for _, shard := range j.shards {
 		select {
-		case j.srv.queue <- task{j: j, specs: shard}:
+		case j.srv.queue <- task{j: j, shard: shard}:
 		case <-j.ctx.Done():
 			j.pending.Done()
 		}
@@ -632,9 +632,9 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.renderedTables())
 }
 
-// handleEvents streams the job's events as NDJSON: the retained
-// backlog from ?from= (default 0) first, then live events until the
-// job reaches a terminal state or the client disconnects. A client
+// handleEvents streams the job's events as NDJSON (appendEvent): the
+// retained backlog from ?from= (default 0) first, then live events
+// until the job reaches a terminal state or the client disconnects. A client
 // that reads too slowly loses events and sees an explicit lagged
 // marker; the sweep itself never waits.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -666,9 +666,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	enc := json.NewEncoder(w)
-	for _, e := range backlog {
-		if enc.Encode(e) != nil {
+	var buf []byte
+	write := func(e *Event) bool {
+		buf = appendEvent(buf[:0], e)
+		_, err := w.Write(buf)
+		return err == nil
+	}
+	for i := range backlog {
+		if !write(&backlog[i]) {
 			return
 		}
 	}
@@ -679,7 +684,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if enc.Encode(e) != nil {
+			if !write(&e) {
 				return
 			}
 			if len(ch) == 0 {

@@ -27,11 +27,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"impress/internal/cache"
 	"impress/internal/core"
 	"impress/internal/cpu"
+	"impress/internal/errs"
 	"impress/internal/sim"
 	"impress/internal/trace"
 )
@@ -95,7 +97,10 @@ type Key string
 //
 //   - a TraceFile run is keyed by the file's content hash (the file
 //     overrides workload, core count and seed, so those fields are left
-//     empty); reading the file is the only failure mode of SpecFor;
+//     empty); reading the file can fail;
+//   - a NaN or infinite DesignTRH, Design.Alpha or (sampled)
+//     MaxRelError has no canonical JSON encoding: SpecFor returns an
+//     error wrapping errs.ErrBadSpec, as sim.Config.Validate would;
 //   - CPU.NoFastPath is cleared — sim.RunContext derives it from the
 //     clock mode;
 //   - Clock and MaxCycles are dropped entirely: every clock mode produces
@@ -127,6 +132,11 @@ func SpecFor(cfg sim.Config) (Spec, error) {
 	if cfg.Clock == sim.ClockSampled {
 		s.Sampled = true
 		s.MaxRelError = cfg.MaxRelError
+	}
+	for _, v := range [...]float64{s.DesignTRH, s.Design.Alpha, s.MaxRelError} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Spec{}, fmt.Errorf("resultstore: %w: non-finite %v has no canonical encoding", errs.ErrBadSpec, v)
+		}
 	}
 	if cfg.TraceFile != "" {
 		// Hash by streaming: trace files can exceed RAM (the whole replay

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -141,6 +142,12 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"unknown tracker", func(c *Config) { c.Tracker = "bogus" }},
 		{"unknown clock", func(c *Config) { c.Clock = ClockMode(42) }},
 		{"negative budget", func(c *Config) { c.RunInstructions = -1 }},
+		{"NaN threshold", func(c *Config) { c.DesignTRH = math.NaN() }},
+		{"infinite threshold", func(c *Config) { c.DesignTRH = math.Inf(1) }},
+		{"NaN max relative error", func(c *Config) { c.MaxRelError = math.NaN() }},
+		{"infinite max relative error", func(c *Config) { c.MaxRelError = math.Inf(1) }},
+		{"NaN alpha", func(c *Config) { c.Design.Alpha = math.NaN() }},
+		{"infinite alpha", func(c *Config) { c.Design.Alpha = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

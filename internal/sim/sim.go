@@ -144,7 +144,8 @@ type Config struct {
 // request, returning a typed error (wrapping errs.ErrBadSpec) otherwise.
 // It covers everything RunContext would reject — a missing workload or
 // core count, an unknown tracker or clock mode, negative instruction
-// budgets, an invalid defense design — except the trace file itself,
+// budgets, a non-finite threshold or error bound, an invalid defense
+// design — except the trace file itself,
 // whose decoding happens (and can fail) only when the run starts.
 // Internal invariants are not its concern; those still panic.
 func (cfg Config) Validate() error {
@@ -169,8 +170,11 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("sim: %w: negative instruction budget (warmup %d, run %d)",
 			errs.ErrBadSpec, cfg.WarmupInstructions, cfg.RunInstructions)
 	}
-	if cfg.MaxRelError < 0 {
-		return fmt.Errorf("sim: %w: negative max relative error %v", errs.ErrBadSpec, cfg.MaxRelError)
+	if math.IsNaN(cfg.DesignTRH) || math.IsInf(cfg.DesignTRH, 0) {
+		return fmt.Errorf("sim: %w: non-finite design threshold %v", errs.ErrBadSpec, cfg.DesignTRH)
+	}
+	if !(cfg.MaxRelError >= 0) || math.IsInf(cfg.MaxRelError, 0) {
+		return fmt.Errorf("sim: %w: max relative error %v is negative or not finite", errs.ErrBadSpec, cfg.MaxRelError)
 	}
 	if cfg.Clock == ClockSampled && cfg.RunInstructions < sampledIntervals*sampledMinPeriod {
 		return fmt.Errorf("sim: %w: sampled clock needs at least %d run instructions (got %d)",

@@ -3,6 +3,7 @@ package impress_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -105,6 +106,48 @@ func TestLabTypedErrors(t *testing.T) {
 	for _, mode := range []impress.SimClockMode{3, 99} {
 		if _, err := impress.NewLab(impress.WithClock(mode)); !errors.Is(err, impress.ErrBadSpec) {
 			t.Fatalf("WithClock(%d): %v, want ErrBadSpec", mode, err)
+		}
+	}
+}
+
+// TestLabRunRejectsNonFiniteSpecs: a NaN or infinite threshold, alpha
+// or sampled error bound is a typed ErrBadSpec from Lab.Run, with a
+// store attached or not, never a panic while the store key is derived.
+func TestLabRunRejectsNonFiniteSpecs(t *testing.T) {
+	stored, err := impress.NewLab(impress.WithStore(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labs := []struct {
+		name string
+		lab  *impress.Lab
+	}{{"store", stored}, {"plain", newLab(t)}}
+	cases := []struct {
+		name   string
+		mutate func(*impress.SimConfig)
+	}{
+		{"NaN threshold", func(c *impress.SimConfig) { c.DesignTRH = math.NaN() }},
+		{"infinite threshold", func(c *impress.SimConfig) { c.DesignTRH = math.Inf(1) }},
+		{"NaN alpha", func(c *impress.SimConfig) { c.Design.Alpha = math.NaN() }},
+		{"sampled NaN max relative error", func(c *impress.SimConfig) {
+			c.Clock = impress.SimClockSampled
+			c.MaxRelError = math.NaN()
+		}},
+	}
+	for _, l := range labs {
+		for _, tc := range cases {
+			cfg := labTestConfig(t)
+			tc.mutate(&cfg)
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s lab, %s: Lab.Run panicked: %v", l.name, tc.name, p)
+					}
+				}()
+				if _, err := l.lab.Run(context.Background(), cfg); !errors.Is(err, impress.ErrBadSpec) {
+					t.Errorf("%s lab, %s: Lab.Run error = %v, want ErrBadSpec", l.name, tc.name, err)
+				}
+			}()
 		}
 	}
 }
