@@ -6,7 +6,7 @@
 // Usage:
 //
 //	impress-lab submit [-addr URL] [-scale quick|standard|full]
-//	                   [-only fig3,...] [-analytical] [-shards N] [-watch]
+//	                   [-only fig3,...] [-analytical] [-watch]
 //	impress-lab status [-addr URL] [jobID]
 //	impress-lab watch  [-addr URL] [-from SEQ] jobID
 //	impress-lab tables [-addr URL] [-out DIR] jobID
@@ -89,8 +89,8 @@ func fail(stderr io.Writer, err error) int {
 
 // jobLine renders one job status line.
 func jobLine(j impress.SweepJob) string {
-	line := fmt.Sprintf("%s %s scale=%s specs=%d shards=%d started=%d cache-hits=%d simulated=%d tables=%d",
-		j.ID, j.State, j.Scale, j.Specs, j.Shards, j.Started, j.CacheHits, j.Simulated, len(j.Tables))
+	line := fmt.Sprintf("%s %s scale=%s specs=%d started=%d cache-hits=%d simulated=%d tables=%d",
+		j.ID, j.State, j.Scale, j.Specs, j.Started, j.CacheHits, j.Simulated, len(j.Tables))
 	if j.Error != "" {
 		line += " error=" + j.Error
 	}
@@ -139,7 +139,6 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	scale := fs.String("scale", "quick", "simulation scale: quick, standard, or full")
 	only := fs.String("only", "", "comma-separated experiment IDs (default: all)")
 	analytical := fs.Bool("analytical", false, "run only the analytical (no-simulation) experiments")
-	shards := fs.Int("shards", 0, "partitions for this job (0 = daemon default)")
 	watch := fs.Bool("watch", false, "stream the job's events until it finishes")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -151,7 +150,7 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		fmt.Fprintf(stderr, "impress-lab submit takes no positional arguments (got %q)\n", fs.Arg(0))
 		return 2
 	}
-	req := impress.SweepRequest{Scale: *scale, Analytical: *analytical, Shards: *shards}
+	req := impress.SweepRequest{Scale: *scale, Analytical: *analytical}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(id); id != "" {
 			req.Only = append(req.Only, id)

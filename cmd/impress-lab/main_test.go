@@ -72,9 +72,6 @@ func TestBadRequestsExitTwo(t *testing.T) {
 	if code, _, errOut := runCLI(t, "submit", "-addr", base, "-only", "fig999"); code != 2 {
 		t.Errorf("bad experiment ID: exit %d, want 2 (stderr %q)", code, errOut)
 	}
-	if code, _, errOut := runCLI(t, "submit", "-addr", base, "-shards", "-1"); code != 2 {
-		t.Errorf("bad shard count: exit %d, want 2 (stderr %q)", code, errOut)
-	}
 }
 
 func TestStatusUnknownJobIsUsageError(t *testing.T) {

@@ -4,20 +4,20 @@
 //
 // Usage:
 //
-//	impress-labd [-addr HOST:PORT] [-cache-dir DIR]
-//	             [-workers N] [-shards N]
+//	impress-labd [-addr HOST:PORT] [-cache-dir DIR] [-workers N]
 //
-// POST /v1/sweeps submits a job (experiment IDs, scale, shard count —
-// the CLI's selection flags as JSON), GET /v1/jobs/{id} reports its
-// status, and GET /v1/jobs/{id}/events streams the run's progress
-// events as NDJSON. Submitted jobs are partitioned with the
-// deterministic shard seam and executed on a bounded worker pool; the
-// -cache-dir result store is the shared cache tier, so a warm
-// resubmit simulates nothing and a daemon restarted after a crash
-// resumes warm. Drive it with impress-lab, the companion client.
+// POST /v1/sweeps submits a job (experiment IDs and scale — the CLI's
+// selection flags as JSON), GET /v1/jobs/{id} reports its status, and
+// GET /v1/jobs/{id}/events streams the run's progress events as
+// NDJSON. Every job and /v1/attacks batch runs its specs on the
+// experiments worker pool, and -workers bounds how many specs they run
+// at once all together; the -cache-dir result store is the shared
+// cache tier, so a warm resubmit simulates nothing and a daemon
+// restarted after a crash resumes warm. Drive it with impress-lab, the
+// companion client.
 //
 // The first SIGINT/SIGTERM drains gracefully: submissions are refused,
-// in-flight shards stop at their next cancellation point with every
+// in-flight specs stop at their next cancellation point with every
 // completed result persisted. A second signal force-kills.
 package main
 
@@ -66,9 +66,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8057", "listen address (use :0 for an ephemeral port)")
 	cacheDir := fs.String("cache-dir", os.Getenv("IMPRESS_CACHE"),
 		"persistent result-store directory shared by all jobs (default $IMPRESS_CACHE; empty disables persistence)")
-	workers := fs.Int("workers", 0, "worker pool size: concurrent shard simulations across all jobs (0 = all CPUs)")
-	shards := fs.Int("shards", 0, "default partitions per job (0 = worker count)")
-	drain := fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight shards to stop")
+	workers := fs.Int("workers", 0, "specs run at once across all jobs and attack batches (0 = all CPUs)")
+	drain := fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight specs to stop")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -81,9 +80,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	srv, err := labd.New(labd.Config{
-		CacheDir:     *cacheDir,
-		Workers:      *workers,
-		ShardsPerJob: *shards,
+		CacheDir: *cacheDir,
+		Workers:  *workers,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, format+"\n", a...)
 		},

@@ -43,8 +43,9 @@
 //   - a persistent, content-addressed result store (ResultStore,
 //     OpenResultStore) that caches simulation results on disk keyed by
 //     the fully-resolved run configuration, so repeated sweeps — and
-//     sweeps sharded across machines (impress-experiments -shard, the
-//     sweep service) — pay for each distinct simulation exactly once.
+//     sweeps sharded across machines (impress-experiments -shard) or
+//     run by sweep-service daemons sharing one store — pay for each
+//     distinct simulation exactly once.
 //
 // Quick start:
 //
@@ -409,13 +410,13 @@ func FullScale() ExperimentScale { return experiments.FullScale() }
 type SweepClient = labd.Client
 
 // SweepRequest selects a sweep to submit: the impress-experiments
-// CLI's scale/ID/shard selections as a struct. The zero value is the
+// CLI's scale and ID selections as a struct. The zero value is the
 // full quick-scale sweep.
 type SweepRequest = labd.SweepRequest
 
 // SweepJob is the snapshot of one submitted sweep: lifecycle state,
-// shard layout, and the cache-hit/simulated counters that prove a warm
-// resubmit simulated nothing.
+// its distinct spec count, and the cache-hit/simulated counters that
+// prove a warm resubmit simulated nothing.
 type SweepJob = labd.Job
 
 // SweepJobState enumerates a sweep job's lifecycle states.

@@ -165,10 +165,19 @@ func (r *Runner) EvaluateAttacks(ctx context.Context, specs []resultstore.Attack
 		}
 	}()
 	entries := make([]*attackEntry, len(specs))
+	byKey := make(map[string]*attackEntry, len(specs))
+	var distinct []*attackEntry
 	for i, s := range specs {
-		entries[i] = &attackEntry{spec: s, key: string(s.Key())}
+		k := string(s.Key())
+		e, ok := byKey[k]
+		if !ok {
+			e = &attackEntry{spec: s, key: k}
+			byKey[k] = e
+			distinct = append(distinct, e)
+		}
+		entries[i] = e
 	}
-	pool(r, entries, func(e *attackEntry) string { return e.key }, func(e *attackEntry) { r.attack(e) })
+	pool(r, distinct, func(e *attackEntry) { r.attack(e) })
 	results = make([]security.Result, len(specs))
 	for i, e := range entries {
 		results[i] = r.attack(e)

@@ -139,6 +139,14 @@ type Runner struct {
 	// callers — they run on the calling goroutine (or wait on an in-flight
 	// duplicate).
 	Parallelism int
+	// Slots, when non-nil, is a spec-slot bound that several runners can
+	// share: its capacity is how many specs all of them run at once.
+	// Every pool worker holds one slot while it runs one spec (a
+	// simulation, an attack evaluation or an ablation-rfm harness row),
+	// so runners sharing a one-slot bound never have two specs in
+	// flight. Direct Run, Attack and harness calls outside a pool take
+	// no slot. Nil (the default) leaves Parallelism as the only bound.
+	Slots chan struct{}
 	// Clock selects the simulator clocking for every spec this runner
 	// materializes. The exact modes (event-driven, cycle-accurate) are
 	// bit-identical and share result-store keys, so between them this
@@ -553,39 +561,27 @@ func RunCached(ctx context.Context, st *resultstore.Store, emit func(Progress), 
 	return res, true, nil
 }
 
-// pool runs fn over the distinct specs (by key) on a worker pool of
-// r.parallelism() goroutines, the engine behind plan prefetches and
-// prefetchAttacks. If any fn panics, pool re-panics after the pool
-// drains. When the runner is bound to a context that ends mid-sweep,
-// workers stop pulling new specs, in-flight simulations return at their
-// next macro-cycle boundary, and the drained pool raises the
-// cancellation — every result already produced is memoized (and
-// store-written), so a rerun resumes warm. fn memoizes by key, so a
-// serial pool hands it every spec in order without a dedupe pass.
-func pool[S any](r *Runner, specs []S, key func(S) string, fn func(S)) {
-	if r.parallelism() <= 1 {
-		for _, s := range specs {
-			fn(s)
-		}
-		return
-	}
-	seen := make(map[string]bool, len(specs))
-	var todo []S
-	for _, s := range specs {
-		if k := key(s); !seen[k] {
-			seen[k] = true
-			todo = append(todo, s)
-		}
-	}
-	workers := min(r.parallelism(), len(todo))
+// pool runs fn over specs, which must be distinct, on a worker pool of
+// r.parallelism() goroutines: the engine behind plan prefetches,
+// attack batches and ablation-rfm's harness rows. Every worker, on the
+// serial path too, holds one of r.Slots while it runs one spec (see
+// Runner.Slots), so fn must not start a pool of its own: a nested pool
+// would wait for a slot its caller holds. If any fn panics, pool
+// re-panics after the pool drains. When the runner is bound to a
+// context that ends mid-sweep, workers stop pulling new specs,
+// in-flight simulations return at their next macro-cycle boundary, and
+// the drained pool raises the cancellation — every result already
+// produced is memoized (and store-written), so a rerun resumes warm.
+func pool[S any](r *Runner, specs []S, fn func(S)) {
+	workers := min(r.parallelism(), len(specs))
 	if workers <= 1 {
-		for _, s := range todo {
-			fn(s)
+		for _, s := range specs {
+			r.inSlot(func() { fn(s) })
 		}
 		return
 	}
-	queue := make(chan S, len(todo))
-	for _, s := range todo {
+	queue := make(chan S, len(specs))
+	for _, s := range specs {
 		queue <- s
 	}
 	close(queue)
@@ -617,7 +613,7 @@ func pool[S any](r *Runner, specs []S, key func(S) string, fn func(S)) {
 				if r.runCtx().Err() != nil {
 					break // drain: stop starting new specs
 				}
-				fn(s)
+				r.inSlot(func() { fn(s) })
 			}
 		}()
 	}
@@ -626,6 +622,21 @@ func pool[S any](r *Runner, specs []S, key func(S) string, fn func(S)) {
 		panic(panicked)
 	}
 	r.checkCtx() // all workers may have drained without running anything
+}
+
+// inSlot runs fn holding one of r.Slots, if the runner has a bound. A
+// worker waiting for a slot gives up with the cancellation abort when
+// the bound context ends.
+func (r *Runner) inSlot(fn func()) {
+	if r.Slots != nil {
+		select {
+		case r.Slots <- struct{}{}:
+		case <-r.runCtx().Done():
+			r.checkCtx()
+		}
+		defer func() { <-r.Slots }()
+	}
+	fn()
 }
 
 // abortErr unwraps a panic value recovered at a context-aware boundary:

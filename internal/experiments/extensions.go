@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"impress/internal/attack"
 	"impress/internal/clm"
@@ -124,7 +123,7 @@ func AblationRFMPacing(r *Runner) *Table {
 	for i := range idx {
 		idx[i] = i
 	}
-	pool(r, idx, strconv.Itoa, buildRow)
+	pool(r, idx, buildRow)
 	t.Rows = append(t.Rows, rows...)
 	t.Notes = append(t.Notes,
 		"pacing RFM on raw ACTs lets a pressing attacker starve in-DRAM trackers of mitigation windows")

@@ -94,21 +94,22 @@ func TestConcurrentRunDistinctSpecs(t *testing.T) {
 	}
 }
 
-// prefetch runs specs over r's worker pool, deduplicated by key.
+// prefetch runs specs over r's worker pool.
 func prefetch(r *Runner, specs []RunSpec) {
-	pool(r, specs, func(s RunSpec) string { return r.derive(s).key }, func(s RunSpec) { r.Run(s) })
+	pool(r, specs, func(s RunSpec) { r.Run(s) })
 }
 
-// TestPrefetchDedupsAndCaches verifies the pool deduplicates repeated
-// specs and that assembly afterwards only hits the cache.
+// TestPrefetchDedupsAndCaches verifies that repeated specs handed to
+// the pool at once simulate once (the memo's singleflight) and that
+// assembly afterwards only hits the cache.
 func TestPrefetchDedupsAndCaches(t *testing.T) {
 	r := NewRunner(tinyScale())
 	r.Parallelism = 4
 	w := r.Workloads()[0]
 	spec := baselineSpec(w)
 	prefetch(r, []RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)})
-	if len(r.runs.m) != 2 {
-		t.Fatalf("cache has %d entries, want 2", len(r.runs.m))
+	if len(r.runs.m) != 2 || r.Sims() != 2 {
+		t.Fatalf("cache has %d entries after %d simulations, want 2 and 2", len(r.runs.m), r.Sims())
 	}
 	before := len(r.runs.m)
 	r.Run(spec)
@@ -144,5 +145,90 @@ func TestRunnerZeroValueUsable(t *testing.T) {
 	res := r.Run(baselineSpec(r.Workloads()[0]))
 	if res.WeightedIPCSum <= 0 {
 		t.Fatalf("bad result from zero-value runner: %+v", res)
+	}
+}
+
+// TestSharedSlotsBoundSpecsInFlight pins Runner.Slots: two runners
+// sharing a one-slot bound, one with a serial pool and one with a
+// parallel pool, never have two specs in flight between them,
+// simulations and attack evaluations alike. Their selection also runs
+// ablation-rfm's harness pool, so it shows that simulations, attack
+// evaluations and harness rows all complete at one slot without
+// deadlock, with tables identical to an unbounded run.
+func TestSharedSlotsBoundSpecsInFlight(t *testing.T) {
+	opts := RunOptions{Only: []string{"fig3", "ablation-rfm", "attackzoo"}}
+	slots := make(chan struct{}, 1)
+	var (
+		mu                    sync.Mutex
+		inFlight, peak, specs int
+	)
+	progress := func(p Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch p.Kind {
+		case ProgressSpecStarted, ProgressAttackStarted:
+			inFlight++
+			specs++
+			peak = max(peak, inFlight)
+		case ProgressSpecCacheHit, ProgressSpecFinished, ProgressAttackCacheHit, ProgressAttackFinished:
+			inFlight--
+		}
+	}
+	var (
+		wg     sync.WaitGroup
+		tables [2]string
+		errs   [2]error
+	)
+	for i := range tables {
+		r := NewRunner(tinyScale())
+		r.Parallelism, r.Slots, r.Progress = i+1, slots, progress
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs, err := RunTables(context.Background(), r, opts)
+			tables[i], errs[i] = renderAll(tabs), err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if peak != 1 {
+		t.Fatalf("%d specs were in flight at once under a one-slot bound, want 1", peak)
+	}
+	free := NewRunner(tinyScale())
+	want, err := RunTables(context.Background(), free, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if specs != 2*int(free.Sims()+free.AttackSims()) {
+		t.Fatalf("the bounded runners started %d specs, want twice the %d an unbounded run simulates and evaluates",
+			specs, free.Sims()+free.AttackSims())
+	}
+	for i, got := range tables {
+		if got != renderAll(want) {
+			t.Errorf("runner %d's tables differ from an unbounded run's", i)
+		}
+	}
+}
+
+// TestAssemblyCopyCarriesSlots pins that a builder assembling its
+// table sees its runner's Parallelism and Slots, so a pool it runs at
+// assembly (ablation-rfm's harness rows) takes the same slots as the
+// plan's prefetch.
+func TestAssemblyCopyCarriesSlots(t *testing.T) {
+	r := NewRunner(tinyScale())
+	r.Parallelism, r.Slots = 3, make(chan struct{}, 1)
+	var seen *Runner
+	p := newPlan(r, []selectedDef{{Definition: Definition{ID: "probe", Build: func(a *Runner) *Table {
+		seen = a
+		return &Table{ID: "probe"}
+	}}}})
+	p.build(&p.defs[0])
+	if seen == r || seen.Slots != r.Slots || seen.Parallelism != r.Parallelism {
+		t.Fatalf("assembly copy has Parallelism %d and Slots %p; the runner has %d and %p",
+			seen.Parallelism, seen.Slots, r.Parallelism, r.Slots)
 	}
 }

@@ -114,9 +114,8 @@ func RunTables(ctx context.Context, r *Runner, opts RunOptions) ([]*Table, error
 // run: its RunSpec, sim.Config, resultstore.Spec and key), and each
 // selected definition, in paper order, keeps its builder's calls as
 // indexes into those entries. Shard, shard prefetches and Tables read
-// the entries and derive nothing again, so a sweep service plans
-// once per request, shards the plan, and assembles the tables from the
-// same value.
+// the entries and derive nothing again, so a sweep service plans once
+// per request and runs and assembles the tables from the same value.
 type Plan struct {
 	r       *Runner
 	runs    []runEntry
@@ -225,9 +224,8 @@ type Shard struct {
 // machine in a fleet computes the same partition and the shards merge
 // losslessly through a shared Store.
 //
-// Out-of-range index/count returns an error wrapping errs.ErrBadSpec —
-// shard parameters that arrive over the wire (the impress-labd job API)
-// must be rejectable without killing the server.
+// Out-of-range index/count returns an error wrapping errs.ErrBadSpec,
+// so a bad impress-experiments -shard value is a usage error.
 func (p *Plan) Shard(index, count int) (Shard, error) {
 	if count < 1 || index < 1 || index > count {
 		return Shard{}, fmt.Errorf("experiments: %w: shard %d/%d out of range (want 1 <= index <= count)",
@@ -267,7 +265,7 @@ func (s Shard) Prefetch(ctx context.Context) (err error) {
 
 // prefetch runs the given entries over the runner's worker pool.
 func (p *Plan) prefetch(runs []int) {
-	pool(p.r, runs, func(i int) string { return p.runs[i].key }, func(i int) { p.r.run(&p.runs[i]) })
+	pool(p.r, runs, func(i int) { p.r.run(&p.runs[i]) })
 }
 
 // Tables assembles the plan's tables on its runner under ctx, with
@@ -290,7 +288,7 @@ func (p *Plan) Tables(ctx context.Context, onTable func(*Table)) (tables []*Tabl
 	for i := range atks {
 		atks[i] = i
 	}
-	pool(r, atks, func(i int) string { return p.attacks[i].key }, func(i int) { r.attack(&p.attacks[i]) })
+	pool(r, atks, func(i int) { r.attack(&p.attacks[i]) })
 	for i := range p.defs {
 		d := &p.defs[i]
 		r.checkCtx()
@@ -320,12 +318,14 @@ type replay struct {
 // planned entry, so assembly derives no spec. A call that differs from
 // its plan, an extra call or a missing one is a builder whose calls
 // depend on results, which the plan could not see: it panics as an
-// invariant violation rather than simulating outside the plan.
+// invariant violation rather than simulating outside the plan. The
+// copy keeps the runner's Parallelism and Slots, so a pool the builder
+// runs (ablation-rfm's rows) is bounded like the prefetch.
 func (p *Plan) build(d *plannedDef) *Table {
 	r := p.r
 	rp := &replay{p: p, d: d}
 	t := d.Build(&Runner{Scale: r.Scale, Clock: r.Clock, MaxRelError: r.MaxRelError,
-		Parallelism: r.Parallelism, replay: rp})
+		Parallelism: r.Parallelism, Slots: r.Slots, replay: rp})
 	if rp.runs != len(d.runs) || rp.atks != len(d.attacks) {
 		panic(fmt.Sprintf("experiments: %s: assembly made %d runs and %d attack evaluations; its plan names %d and %d",
 			d.ID, rp.runs, rp.atks, len(d.runs), len(d.attacks)))

@@ -181,10 +181,12 @@ func specsOf(p *Plan) []RunSpec {
 	return specs
 }
 
-// TestWarmJobDerivesEachSpecOnce follows a sweep service's job over a
-// warm store — plan at submit, shards prefetched, tables assembled
-// from the plan — and requires each distinct spec to be derived (its
-// config, store spec and key) exactly once: at planning.
+// TestWarmJobDerivesEachSpecOnce follows a plan over a warm store —
+// planned once, its shards prefetched as impress-experiments -shard
+// prefetches them, then its tables assembled on a parallel pool under
+// a shared slot bound as a sweep service job assembles them — and
+// requires each distinct spec to be derived (its config, store spec
+// and key) exactly once: at planning.
 func TestWarmJobDerivesEachSpecOnce(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -197,7 +199,7 @@ func TestWarmJobDerivesEachSpecOnce(t *testing.T) {
 	}
 
 	r := NewRunner(tinyScale())
-	r.Parallelism, r.Store = 1, openStore(t, dir)
+	r.Parallelism, r.Slots, r.Store = 2, make(chan struct{}, 2), openStore(t, dir)
 	p, err := PlanTables(r, fig13)
 	if err != nil {
 		t.Fatal(err)

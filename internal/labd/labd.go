@@ -1,10 +1,9 @@
 // Package labd implements the sweep-as-a-service daemon behind
 // cmd/impress-labd (DESIGN.md §11): a long-running HTTP/JSON server
 // that accepts the same experiment selections the CLI takes
-// (POST /v1/sweeps), partitions each job's deduplicated simulation
-// universe with the deterministic shard seam, executes the shards on a
-// bounded worker pool shared by every job, and streams the Lab's
-// progress events to any number of clients as NDJSON
+// (POST /v1/sweeps), runs each job's plan on the experiments worker
+// pool under one spec bound shared by every job and attack batch, and
+// streams the Lab's progress events to any number of clients as NDJSON
 // (GET /v1/jobs/{id}/events).
 //
 // The persistent result store is the daemon's cache tier and its
@@ -16,8 +15,8 @@
 //
 // Shutdown is graceful by construction: draining refuses new
 // submissions (503), cancels every job's context, and the existing
-// cancellation points — workers stop pulling specs, in-flight
-// simulations stop within one macro cycle — drain the pool while
+// cancellation points — pool workers stop pulling specs, in-flight
+// simulations stop within one macro cycle — drain every job while
 // completed results persist.
 package labd
 
@@ -38,21 +37,19 @@ import (
 )
 
 // Config sizes a Server. The zero value is usable: no persistent
-// store, GOMAXPROCS workers, one shard per worker.
+// store, GOMAXPROCS workers.
 type Config struct {
 	// CacheDir is the persistent result-store directory shared by every
 	// job (created if needed). Empty runs without persistence: jobs
 	// still execute, but nothing survives a restart and resubmits run
 	// cold.
 	CacheDir string
-	// Workers bounds how many shards simulate concurrently across all
-	// jobs — the daemon's total simulation parallelism, since each
-	// shard runs its specs serially. Default: GOMAXPROCS.
+	// Workers bounds how many specs run at once across every job and
+	// /v1/attacks batch: simulations, pool-run attack evaluations and
+	// ablation-rfm's harness rows. A table builder's direct harness
+	// runs (eq5, fig18, security, prac) are not bounded by it. Jobs
+	// interleave per spec. Default: GOMAXPROCS.
 	Workers int
-	// ShardsPerJob is the default partition count per job (overridable
-	// per request). Default: Workers, so one job can occupy the whole
-	// pool.
-	ShardsPerJob int
 	// SubscriberBuffer bounds each /events client's channel; a client
 	// further behind drops events and sees a lagged marker. Default 256.
 	SubscriberBuffer int
@@ -70,13 +67,6 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) shardsPerJob() int {
-	if c.ShardsPerJob > 0 {
-		return c.ShardsPerJob
-	}
-	return c.workers()
-}
-
 func (c Config) subscriberBuffer() int {
 	if c.SubscriberBuffer > 0 {
 		return c.SubscriberBuffer
@@ -92,22 +82,22 @@ func (c Config) retainEvents() int {
 }
 
 // Server is the daemon: an http.Handler owning the job table, the
-// worker pool and the shared result store. Construct with New, serve
-// via Handler, stop with Shutdown.
+// spec-slot bound and the shared result store. Construct with New,
+// serve via Handler, stop with Shutdown.
 type Server struct {
 	cfg   Config
 	store *resultstore.Store
 	mux   *http.ServeMux
 
+	// slots is the Workers bound every job's and attack batch's runner
+	// shares (experiments.Runner.Slots).
+	slots chan struct{}
+
 	// jobCtx is the ancestor of every job's context; Shutdown cancels
-	// it to drain the pool through the existing cancellation points.
+	// it to drain the jobs through the existing cancellation points.
 	jobCtx     context.Context
 	cancelJobs context.CancelFunc
-
-	queue    chan task
-	workerWG sync.WaitGroup
-	jobWG    sync.WaitGroup
-	stopOnce sync.Once
+	jobWG      sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -116,31 +106,18 @@ type Server struct {
 	draining bool
 }
 
-// task is one unit on the worker queue: one shard of one job.
-type task struct {
-	j     *job
-	shard experiments.Shard
-}
-
 // job is the server-side state of one submitted sweep.
 type job struct {
-	id     string
-	srv    *Server
-	req    SweepRequest
-	runner *experiments.Runner
-	// plan is the selection's one planning pass, made at submit: its
-	// shards feed the pool and it assembles the tables.
+	id  string
+	srv *Server
+	req SweepRequest
+	// plan is the selection's one planning pass, made at submit, bound
+	// to the job's runner: it runs the specs and assembles the tables.
 	plan   *experiments.Plan
 	ctx    context.Context
 	cancel context.CancelFunc
 	hub    *hub
-	shards []experiments.Shard
 	specs  int
-	// shardCount is len(shards), kept for the status snapshot after
-	// release drops the shards.
-	shardCount int
-
-	pending sync.WaitGroup
 
 	mu        sync.Mutex
 	state     JobState
@@ -151,8 +128,7 @@ type job struct {
 	err       error
 }
 
-// New builds a Server from cfg, opening the result store and starting
-// the worker pool.
+// New builds a Server from cfg, opening the result store.
 func New(cfg Config) (*Server, error) {
 	var store *resultstore.Store
 	if cfg.CacheDir != "" {
@@ -165,16 +141,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		store:      store,
+		slots:      make(chan struct{}, cfg.workers()),
 		jobCtx:     ctx,
 		cancelJobs: cancel,
-		queue:      make(chan task, 1024),
 		jobs:       make(map[string]*job),
 	}
 	s.routes()
-	for i := 0; i < cfg.workers(); i++ {
-		s.workerWG.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
@@ -191,26 +163,12 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// worker executes shard tasks until the queue closes. Each task runs
-// its shard of the job's plan under the job context: the store serves
-// warm hits, and cancellation stops the shard at its next spec
-// boundary.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for t := range s.queue {
-		if err := t.shard.Prefetch(t.j.ctx); err != nil {
-			t.j.recordErr(err)
-		}
-		t.j.pending.Done()
-	}
-}
-
 // Shutdown drains the daemon: new submissions are refused (503), every
-// job's context is cancelled so in-flight shards stop at their
+// job's context is cancelled so in-flight specs stop at their
 // existing cancellation points (completed simulations persist — the
-// resume-warm contract), and the worker pool winds down. It returns
-// once everything has drained, or with ctx's error if the deadline
-// passes first.
+// resume-warm contract), and every job winds down. It returns once
+// everything has drained, or with ctx's error if the deadline passes
+// first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -219,8 +177,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.jobWG.Wait()
-		s.stopOnce.Do(func() { close(s.queue) })
-		s.workerWG.Wait()
 		close(done)
 	}()
 	select {
@@ -233,10 +189,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // submit validates a request and, if it passes, registers and starts
-// the job. All validation happens here, before anything is queued, so
-// a bad request cannot occupy the pool: an unknown scale or experiment
-// ID, an unresolvable workload, or an out-of-range shard count come
-// back as typed errors the HTTP layer maps to 400.
+// the job. All validation happens here, before anything runs, so a bad
+// request cannot take a slot: an unknown scale or experiment ID or an
+// unresolvable workload come back as typed errors the HTTP layer maps
+// to 400.
 func (s *Server) submit(req SweepRequest) (*job, error) {
 	if req.Scale == "" {
 		req.Scale = "quick"
@@ -245,34 +201,10 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := experiments.NewRunner(scale)
-	// Each shard runs serially; the worker pool is the parallelism.
-	runner.Parallelism = 1
-	runner.Store = s.store
+	runner := s.runner(scale)
 	plan, err := experiments.PlanTables(runner, experiments.RunOptions{Only: req.Only, Analytical: req.Analytical})
 	if err != nil {
 		return nil, err
-	}
-	specs := plan.Len()
-	shardCount := req.Shards
-	if shardCount == 0 {
-		shardCount = s.cfg.shardsPerJob()
-	}
-	if shardCount < 1 {
-		return nil, fmt.Errorf("labd: %w: shard count %d out of range (want >= 1)", errs.ErrBadSpec, shardCount)
-	}
-	if shardCount > specs {
-		shardCount = specs // an all-analytical job has no shards at all
-	}
-	var shards []experiments.Shard
-	for i := 1; i <= shardCount; i++ {
-		shard, err := plan.Shard(i, shardCount)
-		if err != nil {
-			return nil, err
-		}
-		if shard.Len() > 0 {
-			shards = append(shards, shard)
-		}
 	}
 
 	s.mu.Lock()
@@ -282,16 +214,13 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	}
 	s.nextID++
 	j := &job{
-		id:         fmt.Sprintf("job-%d", s.nextID),
-		srv:        s,
-		req:        req,
-		runner:     runner,
-		plan:       plan,
-		hub:        newHub(s.cfg.retainEvents()),
-		shards:     shards,
-		specs:      specs,
-		shardCount: len(shards),
-		state:      StateQueued,
+		id:    fmt.Sprintf("job-%d", s.nextID),
+		srv:   s,
+		req:   req,
+		plan:  plan,
+		hub:   newHub(s.cfg.retainEvents()),
+		specs: plan.Len(),
+		state: StateQueued,
 	}
 	j.ctx, j.cancel = context.WithCancel(s.jobCtx)
 	runner.Progress = j.onProgress
@@ -301,9 +230,19 @@ func (s *Server) submit(req SweepRequest) (*job, error) {
 	s.mu.Unlock()
 
 	j.hub.publish(Event{Kind: KindState, State: StateQueued})
-	s.logf("labd: %s submitted: scale=%s specs=%d shards=%d", j.id, req.Scale, j.specs, len(shards))
+	s.logf("labd: %s submitted: scale=%s specs=%d", j.id, req.Scale, j.specs)
 	go j.run()
 	return j, nil
+}
+
+// runner returns a runner at scale bound to the daemon's store and
+// its Workers slots.
+func (s *Server) runner(scale experiments.Scale) *experiments.Runner {
+	r := experiments.NewRunner(scale)
+	r.Parallelism = s.cfg.workers()
+	r.Slots = s.slots
+	r.Store = s.store
+	return r
 }
 
 // errDraining marks a submission refused because shutdown has begun.
@@ -332,30 +271,14 @@ func (s *Server) snapshotAll() []Job {
 	return out
 }
 
-// run drives one job to a terminal state: fan the shards out to the
-// pool, wait for them, then assemble the tables from the submit-time
-// plan — memo- and store-warm by then, so assembly simulates nothing
-// new and plans nothing again.
+// run drives one job to a terminal state: the submit-time plan runs
+// its specs on the experiments pool, each holding one of the daemon's
+// slots, then assembles the tables without planning again.
 func (j *job) run() {
 	defer j.srv.jobWG.Done()
 	defer j.cancel()
 	defer j.release()
 	j.setState(StateRunning, nil)
-
-	j.pending.Add(len(j.shards))
-	for _, shard := range j.shards {
-		select {
-		case j.srv.queue <- task{j: j, shard: shard}:
-		case <-j.ctx.Done():
-			j.pending.Done()
-		}
-	}
-	j.pending.Wait()
-
-	if err := j.firstErr(); err != nil {
-		j.finish(err)
-		return
-	}
 	_, err := j.plan.Tables(j.ctx, func(t *experiments.Table) {
 		var buf bytes.Buffer
 		t.Render(&buf)
@@ -366,21 +289,19 @@ func (j *job) run() {
 	j.finish(err)
 }
 
-// release drops the job's runner, plan and shards once it has run: the
-// job table keeps every finished job, a runner holds its memoized
-// results, and a plan holds its runner and every planned spec. Every
-// shard task has finished by then, and the snapshot reads shardCount,
-// not the shards.
+// release drops the job's plan once it has run: the job table keeps
+// every finished job, and a plan holds every planned spec and its
+// runner, which holds its memoized results.
 func (j *job) release() {
 	j.mu.Lock()
-	j.runner, j.plan, j.shards = nil, nil, nil
+	j.plan = nil
 	j.mu.Unlock()
 }
 
 // onProgress is the job runner's progress callback: counters for the
 // status endpoint, one published event for the stream. Runner
 // callbacks are serialized, but the hub and counters take their own
-// locks anyway since table capture runs on the assembly goroutine.
+// locks anyway since table capture runs on the job goroutine.
 func (j *job) onProgress(p experiments.Progress) {
 	j.mu.Lock()
 	switch p.Kind {
@@ -401,23 +322,6 @@ func (j *job) onProgress(p experiments.Progress) {
 	})
 }
 
-// recordErr keeps the job's defining error: the first one, except that
-// a genuine failure displaces a routine cancellation (a sweep that
-// broke and was then drained must report the break).
-func (j *job) recordErr(err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err == nil || errors.Is(j.err, errs.ErrCancelled) && !errors.Is(err, errs.ErrCancelled) {
-		j.err = err
-	}
-}
-
-func (j *job) firstErr() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // setState transitions the job and publishes the state event.
 func (j *job) setState(st JobState, err error) {
 	j.mu.Lock()
@@ -436,9 +340,6 @@ func (j *job) setState(st JobState, err error) {
 // finish resolves the terminal state from err, publishes it, and ends
 // the event stream.
 func (j *job) finish(err error) {
-	if err == nil {
-		err = j.firstErr()
-	}
 	st := StateDone
 	switch {
 	case err == nil:
@@ -465,7 +366,6 @@ func (j *job) snapshot() Job {
 		Only:       append([]string(nil), j.req.Only...),
 		Analytical: j.req.Analytical,
 		Specs:      j.specs,
-		Shards:     j.shardCount,
 		Started:    j.started,
 		CacheHits:  j.cacheHits,
 		Simulated:  j.simulated,
@@ -566,9 +466,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleAttacks evaluates a batch of security-harness specs
 // synchronously: every spec is validated before anything simulates (a
 // bad batch is a pure 400), then the batch runs through a fresh runner
-// bound to the daemon's store, so identical specs — within the batch,
-// across batches, across daemons sharing a store directory — evaluate
-// once. Shutdown cancels in-flight batches through the job context,
+// bound to the daemon's store and its Workers slots, so a batch and the
+// running sweeps together evaluate at most Workers specs at once, and
+// identical specs — within the batch, across batches, across daemons
+// sharing a store directory — evaluate once. Shutdown cancels in-flight batches through the job context,
 // and draining refuses new ones, the same lifecycle sweeps get.
 func (s *Server) handleAttacks(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -595,8 +496,7 @@ func (s *Server) handleAttacks(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	runner := experiments.NewRunner(experiments.QuickScale())
-	runner.Store = s.store
+	runner := s.runner(experiments.QuickScale())
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stop := context.AfterFunc(s.jobCtx, cancel)

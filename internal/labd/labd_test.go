@@ -147,7 +147,6 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"unknown scale", SweepRequest{Scale: "huge"}},
 		{"unknown experiment", SweepRequest{Only: []string{"fig99"}}},
 		{"analytical conflict", SweepRequest{Only: []string{"fig3"}, Analytical: true}},
-		{"negative shards", SweepRequest{Only: []string{"fig3"}, Shards: -3}},
 	}
 	for _, tc := range cases {
 		if _, err := c.Submit(ctx, tc.req); !errors.Is(err, errs.ErrBadSpec) {
@@ -159,8 +158,9 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		t.Errorf("unknown job error = %v, want errs.ErrBadSpec", err)
 	}
 
-	// Malformed JSON and unknown fields are 400s too.
-	for _, body := range []string{"{", `{"scael":"quick"}`} {
+	// Malformed JSON and unknown fields are 400s too, the removed
+	// per-job shard count among them.
+	for _, body := range []string{"{", `{"scael":"quick"}`, `{"only":["fig3"],"shards":2}`} {
 		resp, err := http.Post(strings.TrimRight(c.base, "/")+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -192,8 +192,8 @@ func TestAnalyticalJobMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Specs != 0 || job.Shards != 0 {
-		t.Fatalf("analytical job has %d specs / %d shards, want none", job.Specs, job.Shards)
+	if job.Specs != 0 {
+		t.Fatalf("analytical job has %d specs, want none", job.Specs)
 	}
 
 	var events []Event
@@ -252,7 +252,7 @@ func TestDaemonGoldenAndWarmResubmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon sweep simulation skipped in -short mode")
 	}
-	_, c := newTestDaemon(t, Config{CacheDir: t.TempDir(), Workers: 2, ShardsPerJob: 4})
+	_, c := newTestDaemon(t, Config{CacheDir: t.TempDir(), Workers: 2})
 	ctx := context.Background()
 	req := SweepRequest{Scale: "quick", Only: []string{"fig3"}}
 
@@ -423,7 +423,7 @@ func TestShutdownMidJobResumesWarmOnRestart(t *testing.T) {
 	ctx := context.Background()
 	req := SweepRequest{Scale: "quick", Only: []string{"fig3"}}
 
-	srv1, err := New(Config{CacheDir: dir, Workers: 2, ShardsPerJob: 4})
+	srv1, err := New(Config{CacheDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestShutdownMidJobResumesWarmOnRestart(t *testing.T) {
 	}
 
 	// "Restart": a new daemon over the same store directory.
-	srv2, c2 := newTestDaemon(t, Config{CacheDir: dir, Workers: 2, ShardsPerJob: 4})
+	srv2, c2 := newTestDaemon(t, Config{CacheDir: dir, Workers: 2})
 	_ = srv2
 	job2, err := c2.Submit(ctx, req)
 	if err != nil {

@@ -7,22 +7,22 @@ import (
 )
 
 // TestFinishedJobReleasesRunner pins that the job table keeps no
-// runner for a terminal job, done or cancelled, while its status
-// snapshot still reports the shard count it was submitted with.
+// runner or plan for a terminal job, done or cancelled, while its
+// status snapshot still reports the specs it was submitted with.
 func TestFinishedJobReleasesRunner(t *testing.T) {
-	srv, c := newTestDaemon(t, Config{CacheDir: t.TempDir(), Workers: 2, ShardsPerJob: 4})
+	srv, c := newTestDaemon(t, Config{CacheDir: t.TempDir(), Workers: 2})
 	ctx := context.Background()
-	released := func(id string, wantShards int) {
+	released := func(id string, wantSpecs int) {
 		t.Helper()
 		j := srv.jobByID(id)
 		j.mu.Lock()
-		runner, shards := j.runner, j.shards
+		plan := j.plan
 		j.mu.Unlock()
-		if runner != nil || shards != nil {
-			t.Errorf("%s finished holding its runner (%v) or shards (%d)", id, runner != nil, len(shards))
+		if plan != nil {
+			t.Errorf("%s finished holding its plan and so its runner", id)
 		}
-		if snap := j.snapshot(); snap.Shards != wantShards {
-			t.Errorf("%s snapshot reports %d shards, want %d", id, snap.Shards, wantShards)
+		if snap := j.snapshot(); snap.Specs != wantSpecs {
+			t.Errorf("%s snapshot reports %d specs, want %d", id, snap.Specs, wantSpecs)
 		}
 	}
 
@@ -41,8 +41,8 @@ func TestFinishedJobReleasesRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Shards != 4 {
-		t.Fatalf("fig3 job submitted with %d shards, want 4", cold.Shards)
+	if cold.Specs == 0 {
+		t.Fatal("fig3 job submitted with no specs")
 	}
 	shutCtx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
@@ -52,5 +52,5 @@ func TestFinishedJobReleasesRunner(t *testing.T) {
 	if st := srv.jobByID(cold.ID).snapshot().State; !st.Terminal() {
 		t.Fatalf("fig3 job is %s after shutdown, want terminal", st)
 	}
-	released(cold.ID, cold.Shards)
+	released(cold.ID, cold.Specs)
 }

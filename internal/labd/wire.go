@@ -20,11 +20,6 @@ type SweepRequest struct {
 	Only []string `json:"only,omitempty"`
 	// Analytical restricts the sweep to the simulation-free experiments.
 	Analytical bool `json:"analytical,omitempty"`
-	// Shards overrides how many partitions the job's simulation universe
-	// is split into for the worker pool (default: the daemon's
-	// configured shard count). Out-of-range values are rejected with
-	// HTTP 400.
-	Shards int `json:"shards,omitempty"`
 }
 
 // JobState enumerates a job's lifecycle states.
@@ -52,10 +47,8 @@ type Job struct {
 	Scale      string   `json:"scale"`
 	Only       []string `json:"only,omitempty"`
 	Analytical bool     `json:"analytical,omitempty"`
-	// Specs is the size of the job's deduplicated simulation universe;
-	// Shards is how many partitions feed the worker pool.
-	Specs  int `json:"specs"`
-	Shards int `json:"shards"`
+	// Specs is the size of the job's deduplicated simulation universe.
+	Specs int `json:"specs"`
 	// Started/CacheHits/Simulated mirror the progress-stream invariant:
 	// when the job completes, Started == CacheHits + Simulated. A fully
 	// warm resubmit reports Simulated == 0.
