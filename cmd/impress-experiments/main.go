@@ -17,7 +17,10 @@
 //
 // With -cache-dir (or $IMPRESS_CACHE), every simulation result is
 // persisted in a content-addressed store and reused by later runs, so a
-// re-run against a warm cache simulates nothing and is near-instant.
+// re-run against a warm cache simulates nothing and is near-instant. A
+// sweep restores the warmup checkpoint an earlier impress-sim run stored
+// for one of its specs, but stores none of its own: no two specs of a
+// sweep share a warmup prefix, so nothing would read them.
 // -shard i/n simulates only the i-th of n deterministic partitions of the
 // full sweep into the store and renders no tables: point n machines (or
 // CI jobs) at a shared cache directory, run one shard on each, then
@@ -127,12 +130,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// The sweep runs through an impress.Lab: the progress stream feeds
 	// the cache accounting (replacing the old ad-hoc stderr prints), and
 	// each table streams out as soon as it is assembled so long runs
-	// produce partial results.
+	// produce partial results. The tables are assembled after the
+	// sweep's shared prefetch of every simulation and attack
+	// evaluation, whose end is the last spec or attack event before the
+	// first table.
 	var counts simcli.Counts
+	start := time.Now()
+	prefetched := start
 	lab, err := impress.NewLab(
 		impress.WithResultStore(store),
 		impress.WithParallelism(*parallel),
-		impress.WithProgress(counts.Observe),
+		impress.WithProgress(func(p impress.Progress) {
+			counts.Observe(p)
+			if p.Kind != impress.ProgressTableRendered {
+				prefetched = time.Now()
+			}
+		}),
 	)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -151,9 +164,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// cancellation.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	last := time.Now()
+	var last time.Time
 	var writeErr error
 	opts = append(opts, impress.ExperimentsOnTable(func(t *impress.ExperimentTable) {
+		if last.IsZero() {
+			fmt.Fprintf(stderr, "[prefetch of simulations and attacks done in %v]\n",
+				prefetched.Sub(start).Round(time.Millisecond))
+			last = prefetched
+		}
 		fmt.Fprintf(stderr, "[%s done in %v]\n", t.ID, time.Since(last).Round(time.Millisecond))
 		last = time.Now()
 		t.Render(stdout)
@@ -191,7 +209,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // after any cached run: "simulated=0" is the signature of a fully warm
 // sweep. The simulated count comes from the Lab's progress stream (one
 // ProgressSpecFinished per actual simulation); warmups-restored counts
-// the simulations that skipped warmup by restoring a cached checkpoint.
+// the simulations that skipped warmup by restoring a cached checkpoint,
+// and ckpt-writes the checkpoints written, which a sweep leaves at 0.
 func cacheSummary(counts *simcli.Counts, store *resultstore.Store) string {
 	c := store.Counters()
 	return fmt.Sprintf("[cache] simulated=%d warmups-restored=%d hits=%d misses=%d writes=%d write-errors=%d ckpt-writes=%d dir=%s",

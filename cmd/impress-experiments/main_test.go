@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"impress"
 	"impress/internal/core"
@@ -232,6 +233,15 @@ func TestWarmCacheRerunIsByteIdenticalWithZeroSims(t *testing.T) {
 	if !strings.Contains(coldErr, "[cache] simulated=42") {
 		t.Fatalf("cold run should simulate the 42 fig3 specs:\n%s", coldErr)
 	}
+	if !strings.Contains(coldErr, " ckpt-writes=0 ") {
+		t.Fatalf("a sweep must write no warmup checkpoints:\n%s", coldErr)
+	}
+	// The 42 simulations are charged to the prefetch line, not to the
+	// table assembled from them.
+	if prefetch, tables := timingLines(t, coldErr, "fig3"); tables[0] >= prefetch {
+		t.Fatalf("fig3 took %v after a %v prefetch; the table is charged with the simulations:\n%s",
+			tables[0], prefetch, coldErr)
+	}
 
 	code, warm, warmErr := runCLI(t, "-only", "fig3", "-cache-dir", dir)
 	if code != 0 {
@@ -243,6 +253,45 @@ func TestWarmCacheRerunIsByteIdenticalWithZeroSims(t *testing.T) {
 	if cold != warm {
 		t.Fatal("warm-cache rendering differs from the cold run")
 	}
+}
+
+// timingLines parses the stderr timing lines of a table run: exactly
+// one prefetch line, then one line per table in ids order. It returns
+// their durations.
+func timingLines(t *testing.T, stderr string, ids ...string) (prefetch time.Duration, tables []time.Duration) {
+	t.Helper()
+	var got []string
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.Contains(line, " done in ") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != len(ids)+1 {
+		t.Fatalf("want a prefetch line and %d table lines:\n%s", len(ids), stderr)
+	}
+	parse := func(line, prefix string) time.Duration {
+		d, err := time.ParseDuration(strings.TrimSuffix(strings.TrimPrefix(line, prefix), "]"))
+		if !strings.HasPrefix(line, prefix) || err != nil {
+			t.Fatalf("timing line %q does not match %q (%v):\n%s", line, prefix+"<duration>]", err, stderr)
+		}
+		return d
+	}
+	prefetch = parse(got[0], "[prefetch of simulations and attacks done in ")
+	for i, id := range ids {
+		tables = append(tables, parse(got[i+1], "["+id+" done in "))
+	}
+	return prefetch, tables
+}
+
+// TestPrefetchLinePrecedesTables: the shared prefetch gets its own
+// stderr line ahead of the first table, even when it is empty, and
+// every table is timed from it.
+func TestPrefetchLinePrecedesTables(t *testing.T) {
+	code, out, stderr := runCLI(t, "-analytical", "-only", "table1,table2")
+	if code != 0 || out == "" {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	timingLines(t, stderr, "table1", "table2")
 }
 
 // TestShardPopulateSummaries drives the CLI's shard populate mode and its

@@ -83,9 +83,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each simulation persists a result entry plus, with warmup enabled,
-	// a warmup-checkpoint entry; the completed-work contract is about
-	// the results.
+	// The completed-work contract is about the result entries.
 	var results []resultstore.Entry
 	for _, e := range entries {
 		if e.Kind == "" {

@@ -515,11 +515,15 @@ func (r *Runner) Run(spec RunSpec) sim.Result {
 	return r.run(&e)
 }
 
-// run executes (or recalls) a derived run, memoized by its key.
+// run executes (or recalls) a derived run, memoized by its key. It
+// restores a stored warmup checkpoint but publishes none: no table's
+// plan holds two specs sharing a warmup prefix
+// (TestPlansShareNoWarmupPrefix), so a sweep's checkpoint would have no
+// reader.
 func (r *Runner) run(e *runEntry) sim.Result {
 	r.checkCtx()
 	return r.runs.do(e.key, func() sim.Result {
-		res, simulated, err := RunCached(r.runCtx(), r.Store, r.emit, e.cfg, e.sp, e.key)
+		res, simulated, err := RunCached(r.runCtx(), r.Store, r.emit, e.cfg, e.sp, e.key, false)
 		if err != nil {
 			panic(&runAbort{fmt.Errorf("experiments: %s: %w", runLabel(e.cfg, e.sp), err)})
 		}
@@ -532,14 +536,18 @@ func (r *Runner) run(e *runEntry) sim.Result {
 
 // RunCached is the one cached simulation step, behind Runner.Run and
 // impress.Lab.Run: emit ProgressSpecStarted; with a store, serve a
-// stored result as ProgressSpecCacheHit; otherwise attach the store's
-// warmup checkpoints, simulate cfg under ctx, emit ProgressSpecFinished
-// and write the result back (a failed write is counted by the store, not
-// returned). sp, cfg's canonical spec, is used only with a store; key is
-// the Key every event carries. simulated reports whether the simulator
-// ran; its errors are returned unwrapped.
+// stored result as ProgressSpecCacheHit; otherwise restore the store's
+// warmup checkpoint for cfg if it holds one, simulate cfg under ctx,
+// emit ProgressSpecFinished and write the result back (a failed write
+// is counted by the store, not returned). publish asks a run that had
+// to simulate its warmup to persist the post-warmup checkpoint (see
+// Store.AttachCheckpoints): one-off runs publish for a later rerun
+// under another run budget, table sweeps do not. sp, cfg's canonical
+// spec, is used only with a store; key is the Key every event carries.
+// simulated reports whether the simulator ran; its errors are returned
+// unwrapped.
 func RunCached(ctx context.Context, st *resultstore.Store, emit func(Progress), cfg sim.Config,
-	sp resultstore.Spec, key string) (res sim.Result, simulated bool, err error) {
+	sp resultstore.Spec, key string, publish bool) (res sim.Result, simulated bool, err error) {
 	ev := Progress{Kind: ProgressSpecStarted, Spec: runLabel(cfg, sp), Key: key}
 	emit(ev)
 	if st != nil {
@@ -548,7 +556,7 @@ func RunCached(ctx context.Context, st *resultstore.Store, emit func(Progress), 
 			emit(ev)
 			return res, false, nil
 		}
-		ev.WarmupRestored = st.AttachCheckpoints(&cfg, sp)
+		ev.WarmupRestored = st.AttachCheckpoints(&cfg, sp, publish)
 	}
 	if res, err = sim.RunContext(ctx, cfg); err != nil {
 		return sim.Result{}, false, err

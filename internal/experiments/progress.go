@@ -112,7 +112,7 @@ func runLabel(cfg sim.Config, sp resultstore.Spec) string {
 	case cfg.TraceFile != "":
 		name = "trace:" + cfg.TraceFile
 	}
-	return fmt.Sprintf("%s/%s/%s", name, cfg.Design.Name(), cfg.Tracker)
+	return name + "/" + cfg.Design.Name() + "/" + string(cfg.Tracker)
 }
 
 // emit delivers one progress event. Callbacks are serialized under a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"impress/internal/errs"
@@ -170,6 +171,61 @@ func TestPlanSpecsMatchSweepUniverse(t *testing.T) {
 	}
 	if r.Sims() != 0 {
 		t.Fatalf("planning must not simulate (ran %d)", r.Sims())
+	}
+}
+
+// TestPlansShareNoWarmupPrefix pins why a table sweep publishes no
+// warmup checkpoints (Runner.run): at every named scale, no two
+// distinct specs of the full plan share a warmup prefix, so no spec of
+// a sweep could restore another one's checkpoint. Planning simulates
+// nothing.
+func TestPlansShareNoWarmupPrefix(t *testing.T) {
+	for _, name := range []string{"quick", "standard", "full"} {
+		scale, err := ScaleByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := PlanTables(NewRunner(scale), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[resultstore.Key]string, p.Len())
+		for _, i := range p.distinct {
+			e := &p.runs[i]
+			ck := e.sp.CheckpointKey()
+			desc := fmt.Sprintf("%s (TRH=%g, RFMTH=%d)", runLabel(e.cfg, e.sp), e.cfg.DesignTRH, e.cfg.RFMTH)
+			if other, ok := seen[ck]; ok {
+				t.Fatalf("%s scale: %s and %s share a warmup prefix; a table that shares one needs a plan-aware checkpoint publish rule in Runner.run",
+					name, other, desc)
+			}
+			seen[ck] = desc
+		}
+	}
+}
+
+// TestSweepPublishesNoCheckpoints: a store-backed Plan.Tables sweep
+// simulates warmups but writes no warmup checkpoint, since nothing in
+// the sweep could read one.
+func TestSweepPublishesNoCheckpoints(t *testing.T) {
+	r := NewRunner(tinyScale())
+	r.Store = openStore(t, t.TempDir())
+	if _, err := RunTables(context.Background(), r, RunOptions{Only: []string{"fig3"}}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Sims() == 0 {
+		t.Fatal("the cold sweep must simulate")
+	}
+	if c := r.Store.Counters(); c.CheckpointWrites != 0 {
+		t.Fatalf("the sweep wrote %d warmup checkpoints", c.CheckpointWrites)
+	}
+	entries, err := r.Store.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Kind == resultstore.KindCheckpoint {
+			t.Fatalf("the sweep left checkpoint entry %s in the store", e.Key)
+		}
 	}
 }
 

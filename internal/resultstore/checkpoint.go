@@ -9,13 +9,14 @@ import "impress/internal/sim"
 // cfg.RestoreCheckpoint, so the run restores the post-warmup state
 // instead of simulating it; restored is true exactly then. On a miss
 // (including an invalid stored payload, which readRecord or validation
-// demotes to a miss), cfg.OnCheckpoint is installed so the
-// straight-through run persists its checkpoint for the next spec sharing
-// the warmup prefix.
+// demotes to a miss), publish decides whether cfg.OnCheckpoint is
+// installed so the straight-through run persists its checkpoint for a
+// later run sharing the warmup prefix. A caller with no such reader
+// passes false and skips capturing, encoding and writing it.
 //
 // Runs without warmup have nothing to checkpoint, and callers that set
 // their own RestoreCheckpoint/OnCheckpoint are left alone.
-func (st *Store) AttachCheckpoints(cfg *sim.Config, spec Spec) (restored bool) {
+func (st *Store) AttachCheckpoints(cfg *sim.Config, spec Spec, publish bool) (restored bool) {
 	if cfg.WarmupInstructions <= 0 || cfg.RestoreCheckpoint != nil || cfg.OnCheckpoint != nil {
 		return false
 	}
@@ -25,8 +26,10 @@ func (st *Store) AttachCheckpoints(cfg *sim.Config, spec Spec) (restored bool) {
 			return true
 		}
 	}
-	cfg.OnCheckpoint = func(data []byte) {
-		_ = st.PutCheckpoint(spec, data) // persistence best-effort, like Put
+	if publish {
+		cfg.OnCheckpoint = func(data []byte) {
+			_ = st.PutCheckpoint(spec, data) // persistence best-effort, like Put
+		}
 	}
 	return false
 }

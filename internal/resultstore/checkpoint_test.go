@@ -173,7 +173,7 @@ func TestAttachCheckpointsColdThenWarm(t *testing.T) {
 	}
 
 	cold := simConfig(t)
-	if restored := st.AttachCheckpoints(&cold, mustSpec(t, cold)); restored {
+	if restored := st.AttachCheckpoints(&cold, mustSpec(t, cold), true); restored {
 		t.Fatal("an empty store cannot restore a warmup")
 	}
 	if cold.OnCheckpoint == nil {
@@ -187,7 +187,7 @@ func TestAttachCheckpointsColdThenWarm(t *testing.T) {
 	warm := simConfig(t)
 	warm.RunInstructions *= 2 // a different spec, same warmup prefix
 	reference := runSim(t, warm)
-	if restored := st.AttachCheckpoints(&warm, mustSpec(t, warm)); !restored {
+	if restored := st.AttachCheckpoints(&warm, mustSpec(t, warm), true); !restored {
 		t.Fatal("the second spec must restore the stored warmup checkpoint")
 	}
 	if warm.RestoreCheckpoint == nil || warm.OnCheckpoint != nil {
@@ -211,14 +211,14 @@ func TestAttachCheckpointsEdgeCases(t *testing.T) {
 
 	noWarmup := simConfig(t)
 	noWarmup.WarmupInstructions = 0
-	if st.AttachCheckpoints(&noWarmup, mustSpec(t, noWarmup)) || noWarmup.OnCheckpoint != nil {
+	if st.AttachCheckpoints(&noWarmup, mustSpec(t, noWarmup), true) || noWarmup.OnCheckpoint != nil {
 		t.Fatal("a run without warmup has nothing to checkpoint")
 	}
 
 	managed := simConfig(t)
 	managed.OnCheckpoint = func([]byte) {}
 	before := reflect.ValueOf(managed.OnCheckpoint).Pointer()
-	if st.AttachCheckpoints(&managed, mustSpec(t, managed)) {
+	if st.AttachCheckpoints(&managed, mustSpec(t, managed), true) {
 		t.Fatal("caller-managed hooks must short-circuit the attach")
 	}
 	if reflect.ValueOf(managed.OnCheckpoint).Pointer() != before {
@@ -230,11 +230,48 @@ func TestAttachCheckpointsEdgeCases(t *testing.T) {
 	if err := st.PutCheckpoint(mustSpec(t, cfg), []byte("IMPCKPT\x01 not a checkpoint")); err != nil {
 		t.Fatal(err)
 	}
-	if st.AttachCheckpoints(&cfg, mustSpec(t, cfg)) {
+	if st.AttachCheckpoints(&cfg, mustSpec(t, cfg), true) {
 		t.Fatal("an undecodable stored payload must demote to a cold attach")
 	}
 	if cfg.RestoreCheckpoint != nil || cfg.OnCheckpoint == nil {
 		t.Fatal("the demoted attach must fall back to the publisher path")
+	}
+}
+
+// TestAttachCheckpointsWithoutPublishing pins the attach of a caller
+// with no later reader for its checkpoint (a table sweep): a miss
+// installs no publisher, so the run writes nothing, while a checkpoint
+// another run published is still restored.
+func TestAttachCheckpointsWithoutPublishing(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold := simConfig(t)
+	if st.AttachCheckpoints(&cold, mustSpec(t, cold), false) {
+		t.Fatal("an empty store cannot restore a warmup")
+	}
+	if cold.OnCheckpoint != nil || cold.RestoreCheckpoint != nil {
+		t.Fatal("an attach without publishing must leave a cold config untouched")
+	}
+	runSim(t, cold)
+	if c := st.Counters(); c.CheckpointWrites != 0 {
+		t.Fatalf("a run attached without publishing wrote a checkpoint: %+v", c)
+	}
+
+	published := simConfig(t)
+	published.RunInstructions *= 2 // another spec, same warmup prefix
+	st.AttachCheckpoints(&published, mustSpec(t, published), true)
+	runSim(t, published)
+
+	warm := simConfig(t)
+	reference := runSim(t, warm)
+	if !st.AttachCheckpoints(&warm, mustSpec(t, warm), false) {
+		t.Fatal("an attach without publishing must still restore a stored checkpoint")
+	}
+	if got := runSim(t, warm); !reflect.DeepEqual(got, reference) {
+		t.Fatalf("restored run diverged from straight-through:\nrestored %+v\nstraight %+v", got, reference)
 	}
 }
 

@@ -221,7 +221,10 @@ func (l *Lab) withClock(cfg SimConfig) SimConfig {
 // one macro cycle and returns an error matching ErrCancelled and
 // ctx.Err(). With a store attached the result is served from — and
 // persisted to — the content-addressed cache, emitting spec
-// started/cache-hit/finished progress events either way. Run keeps no
+// started/cache-hit/finished progress events either way. A stored run
+// that simulates its warmup also persists the post-warmup checkpoint,
+// so a later run differing only in run budget or sampling (here or in
+// a sweep) restores it instead of warming up again. Run keeps no
 // in-memory memo: every call takes the cached-run step afresh.
 func (l *Lab) Run(ctx context.Context, cfg SimConfig) (SimResult, error) {
 	// Uniform cancellation regardless of cache warmth: a dead context
@@ -246,7 +249,7 @@ func (l *Lab) Run(ctx context.Context, cfg SimConfig) (SimResult, error) {
 		}
 		key = string(sp.Key())
 	}
-	res, _, err := experiments.RunCached(ctx, l.store, l.emit, cfg, sp, key)
+	res, _, err := experiments.RunCached(ctx, l.store, l.emit, cfg, sp, key, true)
 	return res, err
 }
 
